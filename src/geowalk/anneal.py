@@ -17,6 +17,18 @@ because the theory fixes only its existence, not its value.
 No minimum shift is applied to the objective: the Metropolis filter only
 ever sees differences ``f(y) - f(x)``, so shifting ``f`` by any constant,
 including a running minimum estimate, changes nothing.
+
+Scalar :func:`anneal` applies the filter as ``f(y) <= f(x)`` or
+``w < exp((f(x) - f(y)) / T)``.  The lockstep :func:`anneal_trials` applies
+it as one comparison, ``f(y) - f(x) < -T log w``, with ``-T log w`` computed
+once per drawn block of uniforms.  For ``w`` in ``[0, 1)`` the two accept
+exactly the same moves (``-T log w > 0`` takes the downhill case, and
+``w = 0`` gives an infinite threshold); only the last-bit rounding differs.
+:func:`anneal_trials` proposes through ``Manifold.propose_many`` and keeps
+its state in workspaces preallocated once per call, of size trials by
+ambient dimension, besides the per-block draws.  Each trial's stream is
+consumed exactly as before: per block, ``standard_normal((m, n))`` then
+``random(m)``.
 """
 
 from __future__ import annotations
@@ -317,10 +329,21 @@ def anneal_trials(
     """``trials`` independent annealing runs advanced in lockstep.
 
     Each trial owns the RNG stream ``(seed, trial_index)`` and draws its
-    randomness in per-phase blocks, so results are deterministic in
-    ``seed`` but not trajectory-identical to sequential :func:`anneal`
-    calls, which interleave draws differently.  ``f_many`` must accept any
-    batch of manifold points, on or off the body.
+    randomness in per-phase blocks of at most ``chunk`` steps: its normals
+    ``standard_normal((m, n))``, then its uniforms ``random(m)``.  Results
+    are deterministic in ``seed`` but not trajectory-identical to
+    sequential :func:`anneal` calls, which interleave draws differently.
+
+    One step makes one ``propose_many`` call for all trials, tests
+    membership and scores the proposals with ``f_many``, then accepts the
+    in-body rows with ``f(y) - f(x) < -T log w``; the thresholds replace
+    the uniforms in place once per block, and this test accepts exactly
+    when :func:`anneal`'s ``f(y) <= f(x) or w < exp((f(x) - f(y)) / T)``
+    does.  Points, values and best-so-far arrays are updated in place in
+    workspaces preallocated once per call.  ``f_many`` must accept any
+    batch of manifold points, on or off the body; a non-finite value at an
+    in-body proposal raises :class:`OracleError`, while values at
+    out-of-body proposals are never used or checked.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
@@ -333,46 +356,64 @@ def anneal_trials(
 
     gens = [stream(seed, t) for t in range(trials)]
     points = np.stack([rejection_sample_uniform(body, g) for g in gens])
-    values = np.asarray(f_many(points), dtype=float)
+    values = np.array(f_many(points), dtype=float)  # a copy: updated in place
     if not np.all(np.isfinite(values)):
         raise OracleError("objective is non-finite at a start point")
 
+    propose = man.propose_many
+    inside_body = body.contains_many
     last = len(schedule.temps) - 1
     records: list[list[PhaseRecord]] = [[] for _ in range(trials)]
     best_points = points.copy()
     best_values = values.copy()
 
     normals = np.empty((trials, chunk, n))
-    uniforms = np.empty((trials, chunk))
+    thresholds = np.empty((trials, chunk))
+    accepts = np.empty((chunk, trials), dtype=bool)
+    rise = np.empty(trials)
+    improved = np.empty(trials, dtype=bool)
     for phase, (temperature, steps) in enumerate(zip(schedule.temps, allocations)):
-        rejections = np.zeros(trials, dtype=np.int64)
+        accepted = np.zeros(trials, dtype=np.int64)
         phase_best = values.copy()
-        if phase == last:
-            best_points = points.copy()
-            best_values = values.copy()
+        final = phase == last
+        if final:
+            np.copyto(best_points, points)
+            np.copyto(best_values, values)
         done = 0
         while done < steps:
             m = min(chunk, steps - done)
             for t, g in enumerate(gens):
                 normals[t, :m] = g.standard_normal((m, n))
-                uniforms[t, :m] = g.random(m)
+                thresholds[t, :m] = g.random(m)
+            block = thresholds[:, :m]
+            # w = 0 maps to an infinite threshold: always accept.
+            with np.errstate(divide="ignore"):
+                np.log(block, out=block)
+            block *= -temperature
             for j in range(m):
-                u = man.tangent_from_gaussian_many(points, normals[:, j])
-                proposals = man.exp_many(points, delta * u)
-                inside = body.contains_many(proposals)
+                proposals = propose(points, normals[:, j], delta)
+                inside = inside_body(proposals)
                 trial_values = np.asarray(f_many(proposals), dtype=float)
-                downhill = trial_values <= values
-                log_ratio = np.minimum((values - trial_values) / temperature, 0.0)
-                accept = inside & (downhill | (uniforms[:, j] < np.exp(log_ratio)))
-                points = np.where(accept[:, None], proposals, points)
-                values = np.where(accept, trial_values, values)
-                rejections += ~accept
+                # A finite sum clears the whole batch; otherwise only the
+                # in-body rows count, since out-of-body rows are never used.
+                if not math.isfinite(trial_values.sum()) and not np.all(
+                    np.isfinite(trial_values[inside])
+                ):
+                    raise OracleError(
+                        "objective returned a non-finite value at an in-body proposal"
+                    )
+                accept = accepts[j]
+                np.subtract(trial_values, values, out=rise)
+                np.less(rise, block[:, j], out=accept)
+                accept &= inside
+                np.copyto(points, proposals, where=accept[:, None])
+                np.copyto(values, trial_values, where=accept)
                 np.minimum(phase_best, values, out=phase_best)
-                if phase == last:
-                    improved = values < best_values
-                    if improved.any():
-                        best_points[improved] = points[improved]
-                        best_values[improved] = values[improved]
+                if final:
+                    np.less(values, best_values, out=improved)
+                    np.copyto(best_points, points, where=improved[:, None])
+                    np.copyto(best_values, values, where=improved)
+            accepted += accepts[:m].sum(axis=0)
             done += m
         for t in range(trials):
             records[t].append(
@@ -380,7 +421,7 @@ def anneal_trials(
                     phase,
                     temperature,
                     int(steps),
-                    int(rejections[t]),
+                    int(steps - accepted[t]),
                     float(phase_best[t]),
                     float(values[t]),
                 )

@@ -3,9 +3,10 @@
 Two subcommands: ``run`` executes a configured sampling, annealing, or
 diagnostic run and writes its outputs under the configured directory;
 ``list-builtins`` prints the recognized manifolds, bodies, targets, and
-checks.  Output files carry a short hash of the resolved configuration in
-every row and contain nothing run-dependent beyond the seed, so a rerun
-with the same config and seed is byte-identical.
+checks.  Output files carry a short hash of the result-determining
+configuration in every row (not the output directory or ``--jobs``) and
+contain nothing run-dependent beyond the seed, so a rerun with the same
+config and seed is byte-identical, wherever it is written.
 
 Exit codes: 0 on success, 1 when a diagnostic fails or the run itself
 errors, 2 for configuration problems.

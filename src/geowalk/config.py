@@ -171,8 +171,12 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("delta must be positive and finite")
 
 
+# Fields that say where or how a run executes, not what it computes.
+_UNHASHED = frozenset({"output_dir", "jobs"})
+
+
 def resolved_dict(cfg: RunConfig) -> dict:
-    """Canonical JSON-serializable view, hashed into every output row."""
+    """Canonical JSON-serializable view of every field."""
     out = {}
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -181,7 +185,11 @@ def resolved_dict(cfg: RunConfig) -> dict:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    payload = json.dumps(resolved_dict(cfg), sort_keys=True, separators=(",", ":"))
+    """Short hash of the fields that determine a run's results, written into
+    every output row; the output directory and ``jobs`` are left out, so the
+    same run gives the same bytes wherever it is written."""
+    hashed = {k: v for k, v in resolved_dict(cfg).items() if k not in _UNHASHED}
+    payload = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 

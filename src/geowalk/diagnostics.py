@@ -446,8 +446,8 @@ def _generic_accept_counts(
         while done < trials:
             m = min(trial_block, trials - done)
             reps = np.broadcast_to(x, (m, man.ambient_dim))
-            u = man.tangent_gaussian_many(reps, rng)
-            proposals = man.exp_many(reps, delta * u)
+            g = rng.standard_normal((m, man.tangent_dim))
+            proposals = man.propose_many(reps, g, delta)
             counts[i] += int(np.count_nonzero(body.contains_many(proposals)))
             done += m
     return counts
@@ -640,7 +640,9 @@ def estimate_one_step_tv(
     transport_term = min(1.0, math.erf(d / (2.0 * math.sqrt(2.0) * params.delta)))
 
     reps_x = np.broadcast_to(xc, (mc_proposals, man.ambient_dim))
-    u = man.tangent_gaussian_many(reps_x, rng)
+    u = man.tangent_from_gaussian_many(
+        reps_x, rng.standard_normal((mc_proposals, man.tangent_dim))
+    )
     v = _transport(man, xc, yc, u)
     prop_x = man.exp_many(reps_x, params.delta * u)
     prop_y = man.exp_many(

@@ -150,10 +150,11 @@ class Manifold:
             [self.tangent_from_gaussian(x, gi) for x, gi in zip(points, g)]
         )
 
-    def tangent_gaussian_many(self, points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self.tangent_from_gaussian_many(
-            points, rng.standard_normal((len(points), self.tangent_dim))
-        )
+    def propose_many(self, points: np.ndarray, g: np.ndarray, delta: float) -> np.ndarray:
+        """Walk proposals ``exp_x(delta * tangent_from_gaussian(x, g))``, one
+        per row of ``points`` and of the raw normals ``g``.  Never writes to
+        ``points``, which may be a broadcast view."""
+        return self.exp_many(points, delta * self.tangent_from_gaussian_many(points, g))
 
     def dist_many(self, points: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.array([self.dist(x, y) for x in points])
@@ -210,6 +211,9 @@ class Euclidean(Manifold):
 
     def tangent_from_gaussian_many(self, points, g):
         return g
+
+    def propose_many(self, points, g, delta):
+        return points + delta * g
 
     def dist_many(self, points, y):
         d = points - y
@@ -298,8 +302,42 @@ class Sphere(Manifold):
         u[:, -1] = -c * w[:, -1]
         return u
 
+    def propose_many(self, points, g, delta):
+        # Householder embedding and great-circle step fused in closed form.
+        # With a = x[:-1].g, h = 1 + |x_n|, s = sign(x_n) (+1 at zero) and
+        # t = delta |g| = delta |u|, the embedded tangent is
+        # u = (g - (a/h) x[:-1], -s a), so exp_x(delta u) is
+        # (cos t - q) x + (k g, -s q) with k = delta sin(t)/t and q = k a/h.
+        head = points[:, :-1]
+        last = points[:, -1]
+        norm = np.sqrt(np.vecdot(g, g))
+        # A floor far below any normal draw keeps sin(t)/|g| finite at
+        # g = 0, where it rounds to delta and multiplies zeros anyway.
+        np.maximum(norm, 1e-300, out=norm)
+        t = norm * delta
+        cos_t = np.cos(t)
+        k = np.sin(t, out=t)
+        k /= norm
+        q = np.vecdot(head, g)
+        q *= k
+        h = np.abs(last)
+        h += 1.0
+        q /= h
+        cos_t -= q
+        step = np.empty_like(points)
+        np.multiply(g, k[:, None], out=step[:, :-1])
+        np.negative(q, out=q, where=last >= 0.0)
+        step[:, -1] = q
+        y = points * cos_t[:, None]
+        y += step
+        y /= np.sqrt(np.vecdot(y, y))[:, None]
+        return y
+
     def dist_many(self, points, y):
-        return np.arccos(np.clip(points @ y, -1.0, 1.0))
+        c = points @ y
+        np.minimum(c, 1.0, out=c)
+        np.maximum(c, -1.0, out=c)
+        return np.arccos(c, out=c)
 
 
 class SpecialOrthogonal(Manifold):

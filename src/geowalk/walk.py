@@ -380,8 +380,8 @@ def estimate_local_conductance(
     while done < trials:
         m = min(chunk, trials - done)
         pts = np.broadcast_to(coords, (m, man.ambient_dim))
-        u = man.tangent_gaussian_many(pts, rng)
-        y = man.exp_many(pts, params.delta * u)
+        g = rng.standard_normal((m, man.tangent_dim))
+        y = man.propose_many(pts, g, params.delta)
         try:
             accepted += int(np.count_nonzero(body.contains_many(y)))
         except CutLocusError:
@@ -410,8 +410,8 @@ def step_ensemble(
     man = body.manifold
     x = np.array(points, dtype=float, copy=True)
     for _ in range(steps):
-        u = man.tangent_gaussian_many(x, rng)
-        y = man.exp_many(x, delta * u)
+        g = rng.standard_normal((len(x), man.tangent_dim))
+        y = man.propose_many(x, g, delta)
         try:
             ok = body.contains_many(y)
         except CutLocusError:

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 import geowalk as gw
-from geowalk.errors import BudgetWarning, DegenerateSchedule, PreconditionError
+from geowalk.errors import (
+    BudgetWarning,
+    DegenerateSchedule,
+    OracleError,
+    PreconditionError,
+)
 
 
 def s5_cap(angle=math.pi / 3):
@@ -168,3 +173,52 @@ def test_trial_values_match_minimizers(cap60):
     result = gw.anneal_trials(cap60, target.f_many, config, seed=8, trials=3)
     recomputed = target.f_many(result.minimizers)
     assert np.max(np.abs(recomputed - result.values)) < 1e-12
+
+
+def test_long_lockstep_run_stays_on_sphere_and_in_cap():
+    cap = s5_cap(math.radians(75.0))
+    target = gw.distance_to(cap.manifold, cap.axis)
+    config = gw.AnnealConfig(
+        epsilon=0.1, fail_prob=0.1, lipschitz=target.lipschitz, steps_per_phase=6000
+    )
+    result = gw.anneal_trials(cap, target.f_many, config, seed=2, trials=2)
+    assert sum(result.allocations) >= 10**5
+    norms = np.linalg.norm(result.minimizers, axis=1)
+    assert np.max(np.abs(norms - 1.0)) < 1e-12
+    assert np.all(cap.contains_many(result.minimizers))
+    for trace in result.traces:
+        assert all(0 <= rec.rejections <= rec.steps for rec in trace)
+        assert all(rec.best_f <= rec.final_f for rec in trace)
+
+
+def test_lockstep_raises_on_non_finite_in_body_value(cap60):
+    target = gw.distance_to(cap60.manifold, cap60.axis)
+    calls = []
+
+    def f_many(points):
+        calls.append(len(points))
+        values = target.f_many(points)
+        return values if len(calls) == 1 else np.full_like(values, np.nan)
+
+    config = gw.AnnealConfig(
+        epsilon=0.3, fail_prob=0.2, lipschitz=target.lipschitz, max_total_steps=2_000
+    )
+    with pytest.raises(OracleError):
+        gw.anneal_trials(cap60, f_many, config, seed=1, trials=3)
+
+
+def test_lockstep_ignores_non_finite_values_outside_the_body(cap60):
+    target = gw.distance_to(cap60.manifold, cap60.axis)
+
+    def f_many(points):
+        values = target.f_many(points)
+        values[~cap60.contains_many(points)] = np.nan
+        return values
+
+    config = gw.AnnealConfig(
+        epsilon=0.3, fail_prob=0.2, lipschitz=target.lipschitz, max_total_steps=4_000
+    )
+    masked = gw.anneal_trials(cap60, f_many, config, seed=6, trials=3)
+    plain = gw.anneal_trials(cap60, target.f_many, config, seed=6, trials=3)
+    assert np.array_equal(masked.values, plain.values)
+    assert masked.traces == plain.traces

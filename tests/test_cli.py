@@ -131,6 +131,15 @@ def test_reruns_are_byte_identical(tmp_path):
     assert (out / "samples.jsonl").read_bytes() == first
 
 
+@pytest.mark.parametrize("flags_a, flags_b", [([], []), (["--jobs", "1"], ["--jobs", "2"])])
+def test_output_dir_and_jobs_leave_output_bytes_unchanged(tmp_path, flags_a, flags_b):
+    cfg = sample_config(tmp_path, "PLACEHOLDER")
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--config", cfg, "--output-dir", str(out_a), *flags_a]) == 0
+    assert main(["run", "--config", cfg, "--output-dir", str(out_b), *flags_b]) == 0
+    assert (out_a / "samples.jsonl").read_bytes() == (out_b / "samples.jsonl").read_bytes()
+
+
 def test_seed_override_changes_output(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     cfg = sample_config(tmp_path, "PLACEHOLDER")

@@ -171,6 +171,33 @@ def test_many_variants_match_loops(seed):
             assert dists[i] == pytest.approx(man.dist(moved[i], pts[0]), abs=1e-10)
 
 
+@pytest.mark.parametrize("descriptor", ["euclidean:3", "sphere:2", "sphere:5", "so:3"])
+def test_propose_many_matches_tangent_then_exp(descriptor):
+    man = gw.from_descriptor(descriptor)
+    rng = gw.stream(11)
+    if isinstance(man, gw.SpecialOrthogonal):
+        pts = man.haar_many(rng, 6)
+    else:
+        pts = rng.standard_normal((6, man.ambient_dim))
+    if isinstance(man, gw.Sphere):
+        # Both Householder branches and the boundary between them.
+        pts[:3, -1] = (0.7, 0.0, -0.7)
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        assert pts[0, -1] > 0.0 and pts[1, -1] == 0.0 and pts[2, -1] < 0.0
+    g = rng.standard_normal((6, man.tangent_dim))
+    g[3] = 0.0
+    g[4] *= 20.0  # a step past half a great circle
+    for delta in (0.05, 0.3):
+        reference = man.exp_many(pts, delta * man.tangent_from_gaussian_many(pts, g))
+        proposed = man.propose_many(pts, g, delta)
+        assert proposed.shape == pts.shape
+        assert np.max(np.abs(proposed - reference)) < 1e-12
+        assert np.max(np.abs(proposed[3] - pts[3])) < 1e-12
+    # Read-only broadcast rows, as the conductance estimators pass them.
+    fanned = man.propose_many(np.broadcast_to(pts[0], pts.shape), g, 0.05)
+    assert np.max(np.abs(fanned[0] - man.propose_many(pts[:1], g[:1], 0.05)[0])) < 1e-15
+
+
 # ---------------------------------------------------------------------------
 # Rotation group specifics.
 
