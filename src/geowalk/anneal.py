@@ -18,6 +18,11 @@ No minimum shift is applied to the objective: the Metropolis filter only
 ever sees differences ``f(y) - f(x)``, so shifting ``f`` by any constant,
 including a running minimum estimate, changes nothing.
 
+Scalar :func:`anneal` draws each step's normals, then its uniform, and
+proposes with ``Manifold.propose``.  It and :func:`anneal_trials` count a
+proposal on the cut locus of the body's membership test as a rejection, row
+by row.
+
 Scalar :func:`anneal` applies the filter as ``f(y) <= f(x)`` or
 ``w < exp((f(x) - f(y)) / T)``.  The lockstep :func:`anneal_trials` applies
 it as one comparison, ``f(y) - f(x) < -T log w``, with ``-T log w`` computed
@@ -43,13 +48,14 @@ import numpy as np
 from .bodies import ConvexBody, rejection_sample_uniform
 from .errors import (
     BudgetWarning,
+    CutLocusError,
     DegenerateSchedule,
     OracleError,
     PreconditionError,
 )
 from .manifolds import Manifold
 from .rng import stream
-from .walk import WalkParams, delta_bound, validate_delta, _start_coords
+from .walk import WalkParams, _contains_rows, _start_coords, delta_bound, validate_delta
 
 __all__ = [
     "AnnealSchedule",
@@ -283,9 +289,9 @@ def anneal(
     if not math.isfinite(fx):
         raise OracleError("objective is non-finite at the start point")
 
-    tangent_gaussian = man.tangent_gaussian
-    exp = man.exp
+    propose = man.propose
     inside_body = body.contains_coords
+    dim = man.tangent_dim
     last = len(schedule.temps) - 1
     trace: list[PhaseRecord] = []
     best_x, best_f = x.copy(), fx
@@ -296,10 +302,14 @@ def anneal(
         if phase == last:
             best_x, best_f = x.copy(), fx
         for _ in range(steps):
-            u = tangent_gaussian(x, rng)
+            g = rng.standard_normal(dim)
             w = rng.random()
-            y = exp(x, delta * u)
-            if inside_body(y):
+            y = propose(x, g, delta)
+            try:
+                inside = inside_body(y)
+            except CutLocusError:
+                inside = False
+            if inside:
                 fy = float(f(y))
                 if not math.isfinite(fy):
                     raise OracleError("objective returned a non-finite value")
@@ -361,7 +371,6 @@ def anneal_trials(
         raise OracleError("objective is non-finite at a start point")
 
     propose = man.propose_many
-    inside_body = body.contains_many
     last = len(schedule.temps) - 1
     records: list[list[PhaseRecord]] = [[] for _ in range(trials)]
     best_points = points.copy()
@@ -392,7 +401,7 @@ def anneal_trials(
             block *= -temperature
             for j in range(m):
                 proposals = propose(points, normals[:, j], delta)
-                inside = inside_body(proposals)
+                inside = _contains_rows(body, proposals)
                 trial_values = np.asarray(f_many(proposals), dtype=float)
                 # A finite sum clears the whole batch; otherwise only the
                 # in-body rows count, since out-of-body rows are never used.

@@ -788,9 +788,12 @@ def _random_piecewise_linear_convex(rng: np.random.Generator, pieces: int = 4):
     count = int(rng.integers(2, pieces + 1))
     slopes = np.sort(rng.uniform(-3.0, 3.0, size=count))
     offsets = rng.uniform(-2.0, 2.0, size=count)
+    # Python floats: the same multiply-then-add per piece as numpy's
+    # ``max(slopes * z + offsets)``, without its per-call overhead.
+    lines = tuple(zip(slopes.tolist(), offsets.tolist()))
 
     def h(z: float) -> float:
-        return float(np.max(slopes * z + offsets))
+        return float(max([m * z + q for m, q in lines]))
 
     kinks = []
     for i in range(count):

@@ -12,6 +12,13 @@ one uniform, in that order, whether or not the filter is active and however
 the step resolves.  A uniform walk and a Metropolis walk with constant
 ``f`` therefore produce bit-identical trajectories from the same seed,
 which the test suite relies on.
+
+Every scalar step (:func:`uniform_step`, :func:`metropolis_step` and both
+loops of :func:`run_chain`) draws ``standard_normal(tangent_dim)``, then the
+uniform, then proposes with ``Manifold.propose(x, g, delta)``, which draws
+nothing.  The batched paths draw their normals as one block and propose
+with ``Manifold.propose_many``.  A proposal on the cut locus of the body's
+membership test counts as a boundary rejection, row by row.
 """
 
 from __future__ import annotations
@@ -191,6 +198,22 @@ def _start_coords(start, body: ConvexBody) -> np.ndarray:
     return coords.copy()
 
 
+def _contains_rows(body: ConvexBody, points: np.ndarray) -> np.ndarray:
+    """Membership of each row of ``points``.  When the batched test hits
+    the cut locus, the rows are tested one by one and a row on the cut
+    locus counts as outside the body."""
+    try:
+        return body.contains_many(points)
+    except CutLocusError:
+        inside = np.zeros(len(points), dtype=bool)
+        for i, row in enumerate(points):
+            try:
+                inside[i] = body.contains_coords(row)
+            except CutLocusError:
+                pass
+        return inside
+
+
 def uniform_step(
     state: WalkState, body: ConvexBody, params: WalkParams, rng: np.random.Generator
 ) -> WalkState:
@@ -201,9 +224,9 @@ def uniform_step(
     """
     man = body.manifold
     x = state.point
-    u = man.tangent_gaussian(x, rng)
+    g = rng.standard_normal(man.tangent_dim)
     rng.random()
-    y = man.exp(x, params.delta * u)
+    y = man.propose(x, g, params.delta)
     try:
         inside = body.contains_coords(y)
     except CutLocusError:
@@ -223,9 +246,9 @@ def metropolis_step(
     """One lazy step filtered toward the Gibbs density ``exp(-f/T)``."""
     man = body.manifold
     x = state.point
-    u = man.tangent_gaussian(x, rng)
+    g = rng.standard_normal(man.tangent_dim)
     w = rng.random()
-    y = man.exp(x, params.delta * u)
+    y = man.propose(x, g, params.delta)
     try:
         inside = body.contains_coords(y)
     except CutLocusError:
@@ -279,10 +302,11 @@ def run_chain(
     samples: list[ChainSample] = []
     debug = params.debug_checks
 
-    tangent_gaussian = man.tangent_gaussian
-    exp = man.exp
+    propose = man.propose
     inside_body = body.contains_coords
+    next_normals = rng.standard_normal
     next_uniform = rng.random
+    dim = man.tangent_dim
     delta = params.delta
     max_steps = params.max_steps
 
@@ -291,9 +315,9 @@ def run_chain(
 
     if target is None:
         for step in range(1, max_steps + 1):
-            u = tangent_gaussian(x, rng)
+            g = next_normals(dim)
             next_uniform()
-            y = exp(x, delta * u)
+            y = propose(x, g, delta)
             try:
                 inside = inside_body(y)
             except CutLocusError:
@@ -322,9 +346,9 @@ def run_chain(
         raise OracleError("target is non-finite at the chain start")
     best_coords, best_f = x.copy(), fx
     for step in range(1, max_steps + 1):
-        u = tangent_gaussian(x, rng)
+        g = next_normals(dim)
         w = next_uniform()
-        y = exp(x, delta * u)
+        y = propose(x, g, delta)
         try:
             inside = inside_body(y)
         except CutLocusError:
@@ -382,14 +406,7 @@ def estimate_local_conductance(
         pts = np.broadcast_to(coords, (m, man.ambient_dim))
         g = rng.standard_normal((m, man.tangent_dim))
         y = man.propose_many(pts, g, params.delta)
-        try:
-            accepted += int(np.count_nonzero(body.contains_many(y)))
-        except CutLocusError:
-            for row in y:
-                try:
-                    accepted += bool(body.contains_coords(row))
-                except CutLocusError:
-                    pass
+        accepted += int(np.count_nonzero(_contains_rows(body, y)))
         done += m
     return accepted / trials
 
@@ -412,14 +429,6 @@ def step_ensemble(
     for _ in range(steps):
         g = rng.standard_normal((len(x), man.tangent_dim))
         y = man.propose_many(x, g, delta)
-        try:
-            ok = body.contains_many(y)
-        except CutLocusError:
-            ok = np.zeros(len(x), dtype=bool)
-            for i, row in enumerate(y):
-                try:
-                    ok[i] = body.contains_coords(row)
-                except CutLocusError:
-                    ok[i] = False
+        ok = _contains_rows(body, y)
         x[ok] = y[ok]
     return x

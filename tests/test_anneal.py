@@ -9,6 +9,7 @@ import pytest
 import geowalk as gw
 from geowalk.errors import (
     BudgetWarning,
+    CutLocusError,
     DegenerateSchedule,
     OracleError,
     PreconditionError,
@@ -222,3 +223,64 @@ def test_lockstep_ignores_non_finite_values_outside_the_body(cap60):
     plain = gw.anneal_trials(cap60, target.f_many, config, seed=6, trials=3)
     assert np.array_equal(masked.values, plain.values)
     assert masked.traces == plain.traces
+
+
+class BandCap(gw.SphericalCap):
+    """The 60-degree cap on the 2-sphere whose membership test hits a
+    stand-in cut locus on the band ``x[0] > 0.8`` at its rim.  With
+    ``raises`` off the band is simply outside the body."""
+
+    def __init__(self, raises):
+        super().__init__(gw.Sphere(2), np.array([0.0, 0.0, 1.0]), math.pi / 3)
+        self.raises = raises
+        self.band_hits = 0
+
+    def _band(self):
+        self.band_hits += 1
+        if self.raises:
+            raise CutLocusError("proposal on the stand-in cut locus")
+
+    def contains_coords(self, x):
+        if x[0] > 0.8:
+            self._band()
+            return False
+        return super().contains_coords(x)
+
+    def contains_many(self, points):
+        band = points[:, 0] > 0.8
+        if band.any():
+            self._band()
+        return super().contains_many(points) & ~band
+
+
+def _toward_band():
+    # The minimum sits in the band, 55 degrees from the axis.
+    rim = np.array([math.sin(math.radians(55.0)), 0.0, math.cos(math.radians(55.0))])
+    target = gw.distance_to(gw.Sphere(2), rim)
+    config = gw.AnnealConfig(
+        epsilon=0.3, fail_prob=0.2, lipschitz=target.lipschitz, max_total_steps=6_000
+    )
+    return target, config
+
+
+def test_anneal_counts_cut_locus_hits_as_rejections():
+    target, config = _toward_band()
+    cut, outside = BandCap(raises=True), BandCap(raises=False)
+    start = np.array([0.0, 0.0, 1.0])
+    hit = gw.anneal(cut, target.f, config, gw.stream(5), start=start)
+    plain = gw.anneal(outside, target.f, config, gw.stream(5), start=start)
+    assert cut.band_hits > 0
+    assert np.array_equal(hit.minimizer, plain.minimizer)
+    assert hit.trace == plain.trace
+    assert hit.minimizer[0] <= 0.8
+
+
+def test_lockstep_counts_cut_locus_hits_as_rejections():
+    target, config = _toward_band()
+    cut, outside = BandCap(raises=True), BandCap(raises=False)
+    hit = gw.anneal_trials(cut, target.f_many, config, seed=5, trials=3)
+    plain = gw.anneal_trials(outside, target.f_many, config, seed=5, trials=3)
+    assert cut.band_hits > 0
+    assert np.array_equal(hit.minimizers, plain.minimizers)
+    assert hit.traces == plain.traces
+    assert np.all(hit.minimizers[:, 0] <= 0.8)

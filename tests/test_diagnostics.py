@@ -286,6 +286,21 @@ def test_needle_moment_and_partition_batteries_pass():
     assert all(r.passed for r in diag.run_partition_battery(seed=3, instances=10))
 
 
+def test_piecewise_linear_integrand_matches_numpy_bitwise():
+    for seed in range(10):
+        h, kinks = diag._random_piecewise_linear_convex(gw.stream(seed))
+        rng = gw.stream(seed)
+        count = int(rng.integers(2, 5))
+        slopes = np.sort(rng.uniform(-3.0, 3.0, size=count))
+        offsets = rng.uniform(-2.0, 2.0, size=count)
+        # The kinks, the ends of the batteries' intervals (needle a in
+        # [0, 2], b <= 7; partition lo in [0.05, 1], hi <= 5) and a grid.
+        special = [*kinks, 0.0, 0.05, 0.5, 1.0, 2.0, 5.0, 7.0]
+        grid = np.linspace(-1.0, 8.0, 1000 - len(special)).tolist()
+        for z in special + grid:
+            assert h(z).hex() == float(np.max(slopes * z + offsets)).hex()
+
+
 def test_builtin_registry_names_and_dispatch():
     names = gw.builtin_check_names()
     assert "affine_needle" in names

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import geowalk as gw
 from geowalk.errors import CutLocusError, DimensionMismatch, PreconditionError
-from geowalk.manifolds import matexp
+from geowalk.manifolds import _FLOAT_PROPOSE_MAX_DIM, matexp
 
 
 def random_sphere_point(man, rng):
@@ -171,22 +171,29 @@ def test_many_variants_match_loops(seed):
             assert dists[i] == pytest.approx(man.dist(moved[i], pts[0]), abs=1e-10)
 
 
-@pytest.mark.parametrize("descriptor", ["euclidean:3", "sphere:2", "sphere:5", "so:3"])
-def test_propose_many_matches_tangent_then_exp(descriptor):
-    man = gw.from_descriptor(descriptor)
+def proposal_rows(man):
+    """Six points and raw normals: on the sphere, rows with x_n > 0, = 0 and
+    < 0 (both Householder branches and the boundary between them); a g = 0
+    row; and a step past half a great circle."""
     rng = gw.stream(11)
     if isinstance(man, gw.SpecialOrthogonal):
         pts = man.haar_many(rng, 6)
     else:
         pts = rng.standard_normal((6, man.ambient_dim))
     if isinstance(man, gw.Sphere):
-        # Both Householder branches and the boundary between them.
         pts[:3, -1] = (0.7, 0.0, -0.7)
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         assert pts[0, -1] > 0.0 and pts[1, -1] == 0.0 and pts[2, -1] < 0.0
     g = rng.standard_normal((6, man.tangent_dim))
     g[3] = 0.0
-    g[4] *= 20.0  # a step past half a great circle
+    g[4] *= 20.0
+    return pts, g
+
+
+@pytest.mark.parametrize("descriptor", ["euclidean:3", "sphere:2", "sphere:5", "so:3"])
+def test_propose_many_matches_tangent_then_exp(descriptor):
+    man = gw.from_descriptor(descriptor)
+    pts, g = proposal_rows(man)
     for delta in (0.05, 0.3):
         reference = man.exp_many(pts, delta * man.tangent_from_gaussian_many(pts, g))
         proposed = man.propose_many(pts, g, delta)
@@ -196,6 +203,40 @@ def test_propose_many_matches_tangent_then_exp(descriptor):
     # Read-only broadcast rows, as the conductance estimators pass them.
     fanned = man.propose_many(np.broadcast_to(pts[0], pts.shape), g, 0.05)
     assert np.max(np.abs(fanned[0] - man.propose_many(pts[:1], g[:1], 0.05)[0])) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        "euclidean:3",
+        "sphere:2",
+        "sphere:5",
+        f"sphere:{_FLOAT_PROPOSE_MAX_DIM}",
+        f"sphere:{_FLOAT_PROPOSE_MAX_DIM + 1}",
+        "so:3",
+    ],
+)
+def test_propose_matches_tangent_then_exp_and_propose_many(descriptor):
+    man = gw.from_descriptor(descriptor)
+    pts, g = proposal_rows(man)
+    # Only the sphere's float kernel changes the arithmetic; every other
+    # case computes exactly the composition, so matches it bit for bit.
+    exact = not (isinstance(man, gw.Sphere) and man.n <= _FLOAT_PROPOSE_MAX_DIM)
+    for delta in (0.05, 0.3):
+        batched = man.propose_many(pts, g, delta)
+        for x, gi, row in zip(pts, g, batched):
+            x_before = x.copy()
+            reference = man.exp(x, delta * man.tangent_from_gaussian(x, gi))
+            proposed = man.propose(x, gi, delta)
+            assert proposed.shape == x.shape
+            assert np.array_equal(x, x_before)
+            if exact:
+                assert np.array_equal(proposed, reference)
+            assert np.max(np.abs(proposed - reference)) < 1e-12
+            assert np.max(np.abs(proposed - row)) < 1e-12
+        still = man.propose(pts[3], g[3], delta)
+        assert still is not pts[3]
+        assert np.max(np.abs(still - pts[3])) < 1e-12
 
 
 # ---------------------------------------------------------------------------

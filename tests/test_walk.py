@@ -104,6 +104,23 @@ def test_single_steps_stay_stream_aligned():
     assert rng_a.random() == rng_b.random()
 
 
+def test_run_chain_equals_iterated_metropolis_steps():
+    cap = cap_on_sphere()
+    gibbs = gw.as_gibbs(gw.distance_to(cap.manifold, cap.axis), 0.2)
+    params = gw.WalkParams(delta=0.04, max_steps=400, seed=12)
+    chain = gw.run_chain(cap.axis, cap, params, target=gibbs, chain_id=3)
+    rng = gw.stream(12, 3)
+    state = gw.WalkState(cap.axis.copy())
+    for sample in chain.samples:
+        state = gw.metropolis_step(state, cap, gibbs, params, rng)
+        assert sample.step == state.step_index
+        assert np.array_equal(sample.coords, state.point)
+        assert sample.rejected == state.rejected_last
+        assert sample.f_value == state.f_value
+    assert len(chain.samples) == 400
+    assert chain.stats.rejections == state.cumulative_rejections > 0
+
+
 def test_start_none_draws_uniformly_from_chain_stream():
     cap = cap_on_sphere()
     params = gw.WalkParams(delta=0.04, max_steps=5, seed=13)
