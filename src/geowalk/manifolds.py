@@ -16,8 +16,8 @@ single-step functions) and ``propose_many`` for a batch of rows.  Both take
 the raw normals ``g`` that the caller drew, so they consume no randomness
 and the walk's draw order does not depend on them.  ``Euclidean`` and
 ``Sphere`` evaluate them in closed form; the sphere's scalar kernel works on
-Python floats up to a fixed dimension, where that beats numpy's per-call
-overhead on arrays of a few elements.
+Python floats, which on arrays of a few elements avoids numpy's per-call
+overhead.
 
 The intrinsic dimension is ``tangent_dim``; curvature enters the walk only
 through ``curvature_bound``, an upper bound on the Frobenius norm of the
@@ -51,14 +51,6 @@ __all__ = [
 ]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-# Largest sphere dimension n at which Sphere.propose evaluates its closed form
-# on Python floats.  That cost grows with n, while the numpy path (tangent
-# embedding, then exp) stays near its fixed per-call overhead.  On a 2-vCPU
-# Intel Xeon host (Python 3.11, numpy 2.4) the float form took 4.5 / 5.6 /
-# 9.9 / 13 us at n = 2 / 5 / 20 / 32 against 16-22 us for the numpy path,
-# and 19-21 us against 15-19 us at n = 50.
-_FLOAT_PROPOSE_MAX_DIM = 32
 
 # Order-13 Pade coefficients for the matrix exponential (scaling and
 # squaring).  The squaring threshold is the standard one for this order.
@@ -298,8 +290,6 @@ class Sphere(Manifold):
 
     def propose(self, x, g, delta):
         # The closed form of propose_many below, on Python floats.
-        if self.n > _FLOAT_PROPOSE_MAX_DIM:
-            return super().propose(x, g, delta)
         head = x.tolist()
         normals = g.tolist()
         norm = math.hypot(*normals)
