@@ -37,7 +37,7 @@ from .errors import (
 from .manifolds import Euclidean, Manifold, SpecialOrthogonal, Sphere
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 from .rng import stream
-from .walk import WalkParams, delta_bound, run_chain, step_ensemble
+from .walk import WalkParams, _accept_counts, delta_bound, run_chain, step_ensemble
 
 __all__ = [
     "InequalityReport",
@@ -362,103 +362,21 @@ def check_partition_function_logconcavity(
 # Interior volume via the local-conductance membership proxy.
 
 
-def _cap_accept_counts(
-    points: np.ndarray,
-    body: SphericalCap,
-    delta: float,
-    trials: int,
-    rng: np.random.Generator,
-    point_block: int = 8192,
-    trial_block: int = 256,
-) -> np.ndarray:
-    """Accepted-proposal counts per point for a spherical cap.
+def _binomial_upper_tail(k: int, trials: int, p: np.ndarray) -> np.ndarray:
+    """P(Binomial(trials, p) >= k) per entry of ``p``, for 1 <= k <= trials.
 
-    Scores proposals in closed form (the inner product with the cap axis)
-    instead of materializing them; this matches the walk's proposal law up
-    to one rounding in the sphere re-normalization.
+    Sums the ``k`` lower terms in log space, so a tiny ``(1 - p)^trials``
+    does not underflow terms that matter.
     """
-    man: Sphere = body.manifold
-    n = man.n
-    axis = body.axis
-    cos_angle = body.cos_angle
-    counts = np.zeros(len(points), dtype=np.int64)
-    for start in range(0, len(points), point_block):
-        block = points[start : start + point_block]
-        xa = block @ axis
-        sign = np.where(block[:, -1] >= 0.0, 1.0, -1.0)
-        w = block.copy()
-        w[:, -1] += sign
-        coeff = 2.0 * (w @ axis) / np.einsum("ij,ij->i", w, w)
-        h_axis = axis - coeff[:, None] * w
-        h_head = h_axis[:, :-1]
-        done = 0
-        while done < trials:
-            m = min(trial_block, trials - done)
-            g = rng.standard_normal((len(block), m, n))
-            t = delta * np.sqrt(np.einsum("pmn,pmn->pm", g, g))
-            ua = np.einsum("pmn,pn->pm", g, h_head)
-            ya = np.cos(t) * xa[:, None] + delta * np.sinc(t / np.pi) * ua
-            counts[start : start + len(block)] += np.count_nonzero(
-                ya >= cos_angle, axis=1
-            )
-            done += m
-    return counts
-
-
-def _box_accept_counts(
-    points: np.ndarray,
-    body: EuclideanBox,
-    delta: float,
-    trials: int,
-    rng: np.random.Generator,
-    point_block: int = 8192,
-    trial_block: int = 256,
-) -> np.ndarray:
-    counts = np.zeros(len(points), dtype=np.int64)
-    lo, hi = body.lo, body.hi
-    dim = lo.size
-    for start in range(0, len(points), point_block):
-        block = points[start : start + point_block]
-        done = 0
-        while done < trials:
-            m = min(trial_block, trials - done)
-            proposals = block[:, None, :] + delta * rng.standard_normal(
-                (len(block), m, dim)
-            )
-            inside = np.all((proposals >= lo) & (proposals <= hi), axis=2)
-            counts[start : start + len(block)] += np.count_nonzero(inside, axis=1)
-            done += m
-    return counts
-
-
-def _generic_accept_counts(
-    points: np.ndarray,
-    body: ConvexBody,
-    delta: float,
-    trials: int,
-    rng: np.random.Generator,
-    trial_block: int = 4096,
-) -> np.ndarray:
-    man = body.manifold
-    counts = np.zeros(len(points), dtype=np.int64)
-    for i, x in enumerate(points):
-        done = 0
-        while done < trials:
-            m = min(trial_block, trials - done)
-            reps = np.broadcast_to(x, (m, man.ambient_dim))
-            g = rng.standard_normal((m, man.tangent_dim))
-            proposals = man.propose_many(reps, g, delta)
-            counts[i] += int(np.count_nonzero(body.contains_many(proposals)))
-            done += m
-    return counts
-
-
-def _accept_counts(points, body, delta, trials, rng) -> np.ndarray:
-    if isinstance(body, SphericalCap):
-        return _cap_accept_counts(points, body, delta, trials, rng)
-    if isinstance(body, EuclideanBox):
-        return _box_accept_counts(points, body, delta, trials, rng)
-    return _generic_accept_counts(points, body, delta, trials, rng)
+    with np.errstate(divide="ignore"):
+        log_p = np.log(p)
+    log_q = np.log1p(-p)
+    below = np.exp(trials * log_q)
+    log_top = math.lgamma(trials + 1)
+    for j in range(1, k):
+        log_choose = log_top - math.lgamma(j + 1) - math.lgamma(trials - j + 1)
+        below += np.exp(log_choose + j * log_p + (trials - j) * log_q)
+    return np.maximum(1.0 - below, 0.0)
 
 
 def box_shell_fraction(body: EuclideanBox, eps: float) -> float:
@@ -479,11 +397,16 @@ def check_interior_volume(
 ) -> InequalityReport:
     """Volume of the low-conductance shell against ``e n eps / r``.
 
-    Membership in the eroded body is decided by the Monte Carlo local
-    conductance: a point belongs when at least ``1 - conductance_tol`` of
-    ``trials`` one-step proposals stay inside.  The proposal step size is
-    ``eps`` divided by the normal upper quantile of ``conductance_tol``, so
-    that a point at depth ``eps`` sits exactly at the decision threshold.
+    Membership in the eroded body is decided by the local conductance: a
+    point belongs when at least ``1 - conductance_tol`` of ``trials``
+    one-step proposals stay inside.  The proposal step size is ``eps``
+    divided by the normal upper quantile of ``conductance_tol``, so that a
+    point at depth ``eps`` sits exactly at the decision threshold.  On caps
+    and boxes each point's count is a ``Binomial(trials, p(x))`` draw from
+    the exact conductance ``p(x)``, and ``details["expected_fraction"]`` is
+    the fraction without sampling noise in the counts: the mean over the
+    drawn points of the chance that the count falls below the threshold
+    (``None`` on bodies whose counts come from drawn proposals).
     """
     n = body.manifold.tangent_dim
     r = body.inner_radius
@@ -491,9 +414,15 @@ def check_interior_volume(
         raise PreconditionError(f"eps must lie in (0, r/n], got {eps}")
     delta = eps / _normal_upper_quantile(conductance_tol)
     samples = sample_uniform_many(body, rng, mc_samples)
-    counts = _accept_counts(samples, body, delta, trials, rng)
-    outside = counts < (1.0 - conductance_tol) * trials
+    counts, rejection = _accept_counts(samples, body, delta, trials, rng)
+    threshold = (1.0 - conductance_tol) * trials
+    outside = counts < threshold
     fraction = float(np.mean(outside))
+    expected = None
+    if rejection is not None:
+        # A point is outside when at most ceil(threshold) - 1 proposals stay.
+        fewest_rejections = trials - (math.ceil(threshold) - 1)
+        expected = float(np.mean(_binomial_upper_tail(fewest_rejections, trials, rejection)))
     stderr = math.sqrt(max(fraction * (1.0 - fraction), 1e-300) / mc_samples)
     bound = math.e * n * eps / r
     return _report(
@@ -508,6 +437,7 @@ def check_interior_volume(
             "trials": trials,
             "mc_samples": mc_samples,
             "conductance_tol": conductance_tol,
+            "expected_fraction": expected,
         },
     )
 
@@ -916,7 +846,12 @@ def _check_interior_volume(seed: int) -> list[InequalityReport]:
         0.0,
         mc_stderr=box_report.mc_stderr,
         abs_tol=1e-12,
-        details={"empirical": box_report.lhs, "exact": exact, "eps": box_eps},
+        details={
+            "empirical": box_report.lhs,
+            "expected_fraction": box_report.details["expected_fraction"],
+            "exact": exact,
+            "eps": box_eps,
+        },
     )
     return [sphere_report, control]
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import geowalk as gw
 from geowalk import diagnostics as diag
+from geowalk import walk
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +158,34 @@ def test_interior_volume_box_agrees_with_exact_shell():
     assert report.passed
     assert math.isclose(report.rhs, math.e * 3 * 0.05 / 0.5)
     assert abs(report.lhs - (1.0 - 0.9**3)) < 0.08
+
+
+def test_interior_volume_expected_fraction_is_the_noiseless_mean(cap60):
+    trials, tol, mc_samples = 300, 0.05, 400
+    report = gw.check_interior_volume(
+        cap60, eps=cap60.inner_radius / 4.0, mc_samples=mc_samples,
+        rng=gw.stream(31), trials=trials, conductance_tol=tol,
+    )
+    # The check draws its points first, so the same stream gives them back.
+    points = gw.sample_uniform_many(cap60, gw.stream(31), mc_samples)
+    q = walk._rejection_probability(points, cap60, report.details["walk_delta"])
+    # Outside means at most 284 of 300 proposals stay: 16 or more rejections.
+    direct = np.mean([
+        sum(math.comb(trials, j) * p**j * (1.0 - p) ** (trials - j) for j in range(16, trials + 1))
+        for p in q.tolist()
+    ])
+    expected = report.details["expected_fraction"]
+    assert expected == pytest.approx(direct, abs=1e-12)
+    assert abs(report.lhs - expected) <= 3.0 * report.mc_stderr
+
+
+def test_interior_volume_on_a_ball_draws_its_proposals():
+    ball = gw.GeodesicBall(gw.Sphere(2), np.array([0.0, 0.0, 1.0]), 1.0)
+    report = gw.check_interior_volume(
+        ball, eps=0.25, mc_samples=40, rng=gw.stream(32), trials=500
+    )
+    assert report.details["expected_fraction"] is None
+    assert report.passed
 
 
 def test_interior_volume_rejects_large_eps(cap60):

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import geowalk as gw
+from geowalk import walk
+from geowalk.quadrature import QuadratureSpec, integrate
 from geowalk.errors import InvalidStart, OracleError, PreconditionError, StepSizeWarning
 
 
@@ -224,6 +226,143 @@ def test_local_conductance_interior_vs_boundary():
     rim = np.array([math.sin(math.pi / 3 - 1e-6), 0.0, math.cos(math.pi / 3 - 1e-6)])
     edge = gw.estimate_local_conductance(rim, cap, params, 4000, gw.stream(1))
     assert abs(edge - 0.5) < 0.05
+
+
+def _cap_point(n, beta):
+    """Point of sphere:n at geodesic distance beta from the north pole."""
+    x = np.zeros(n + 1)
+    x[0], x[-1] = math.sin(beta), math.cos(beta)
+    return x
+
+
+def _rejection_rate(x, body, delta, proposals, rng):
+    man = body.manifold
+    g = rng.standard_normal((proposals, man.tangent_dim))
+    y = man.propose_many(np.broadcast_to(x, (proposals, man.ambient_dim)), g, delta)
+    return 1.0 - np.count_nonzero(body.contains_many(y)) / proposals
+
+
+def _assert_matches_proposals(x, body, delta, seed, proposals=10**5):
+    q = walk._rejection_probability(x[None, :], body, delta)[0]
+    rate = _rejection_rate(x, body, delta, proposals, gw.stream(seed))
+    assert abs(rate - q) <= 3.0 * math.sqrt(q * (1.0 - q) / proposals), (q, rate)
+    return q
+
+
+# Depth eps = r/4 of the 60-degree cap with the check's step eps / z_0.001
+# puts a point at the conductance threshold.
+THRESHOLD_DELTA = (math.pi / 12) / 3.090232306167813
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_cap_rejection_matches_proposals(n):
+    cap = cap_on_sphere(n)
+    deep = _assert_matches_proposals(cap.axis, cap, THRESHOLD_DELTA, 10 * n)
+    assert deep == 0.0
+    threshold = _assert_matches_proposals(
+        _cap_point(n, math.pi / 4), cap, THRESHOLD_DELTA, 10 * n + 1
+    )
+    assert 5e-4 < threshold < 5e-3
+    rim = _assert_matches_proposals(
+        _cap_point(n, math.pi / 3 - 1e-9), cap, THRESHOLD_DELTA, 10 * n + 2
+    )
+    assert 0.45 < rim < 0.6
+
+
+@pytest.mark.parametrize("delta", [1.0, 2.5])
+def test_cap_rejection_with_steps_past_half_a_great_circle(delta):
+    # delta = 1 puts much of the chi_2 mass at delta * rho >= pi, where
+    # sin(delta * rho) < 0 and the proposal wraps round the sphere;
+    # delta = 2.5 also brings proposals back into the cap from the far side.
+    cap = cap_on_sphere(2)
+    for i, beta in enumerate((0.0, 0.5, 0.9, math.pi / 3 - 1e-9)):
+        q = _assert_matches_proposals(_cap_point(2, beta), cap, delta, 40 + i)
+        assert 0.5 < q < 0.9
+
+
+def test_box_rejection_matches_proposals():
+    box = gw.EuclideanBox(np.zeros(3), np.ones(3))
+    delta = 0.05 / 3.090232306167813
+    points = {
+        "deep": [0.5, 0.5, 0.5],
+        "threshold": [0.05, 0.5, 0.5],
+        "near_corner": [0.05, 0.05, 0.95],
+        "corner": [0.0, 0.0, 1.0],
+    }
+    qs = {}
+    for i, (name, x) in enumerate(points.items()):
+        qs[name] = _assert_matches_proposals(np.array(x), box, delta, 50 + i)
+    assert qs["deep"] < 1e-100
+    assert qs["threshold"] == pytest.approx(1e-3, rel=1e-9)
+    assert qs["corner"] == pytest.approx(1.0 - 0.5**3, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_cap_rejection_matches_adaptive_quadrature(n):
+    # The same integral written plainly: over the proposal length rho, the
+    # chi_n density times the share of directions, by their angle phi to
+    # the projected axis, whose step ends outside the cap.
+    cap = cap_on_sphere(n)
+    delta = 0.3
+    spec = QuadratureSpec(abs_tol=1e-11)
+    angle_weight = lambda phi: math.sin(phi) ** (n - 2)
+    sphere_share = integrate(angle_weight, 0.0, math.pi)
+    log_norm = (0.5 * n - 1.0) * math.log(2.0) + math.lgamma(0.5 * n)
+    for beta in (0.6, 1.0):
+        s, c = math.cos(beta), math.sin(beta)
+
+        def outside_share(rho):
+            theta = delta * rho
+            kappa = (cap.cos_angle - s * math.cos(theta)) / (c * abs(math.sin(theta)))
+            if kappa <= -1.0:
+                return 0.0
+            if kappa >= 1.0:
+                return 1.0
+            return integrate(angle_weight, math.acos(kappa), math.pi) / sphere_share
+
+        def integrand(rho):
+            density = math.exp((n - 1) * math.log(rho) - 0.5 * rho * rho - log_norm)
+            return density * outside_share(rho)
+
+        start = (cap.angle - beta) / delta
+        full = (cap.angle + beta) / delta
+        expected = integrate(integrand, start, 14.0, spec, breakpoints=[full])
+        q = walk._rejection_probability(_cap_point(n, beta)[None, :], cap, delta)[0]
+        assert abs(q - expected) <= 1e-10, (beta, q, expected)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_cap_rejection_on_the_axis_is_the_chi_tail(n):
+    # From the axis every direction is alike: the proposal leaves the cap
+    # iff delta * rho > angle (steps long enough to wrap round to the cap,
+    # delta * rho > 2 pi - angle, carry mass below 1e-50 here).
+    cap = cap_on_sphere(n)
+    delta = 0.4
+    r = cap.angle / delta
+    gauss = math.sqrt(2.0 / math.pi) * math.exp(-0.5 * r * r)
+    chi_tail = {
+        2: math.exp(-0.5 * r * r),
+        3: math.erfc(r / math.sqrt(2.0)) + gauss * r,
+        5: math.erfc(r / math.sqrt(2.0)) + gauss * (r + r**3 / 3.0),
+    }[n]
+    q = walk._rejection_probability(cap.axis[None, :], cap, delta)[0]
+    assert q == pytest.approx(chi_tail, rel=1e-12)
+
+
+def test_local_conductance_on_a_ball_matches_the_equal_cap():
+    # A geodesic ball has no closed form and takes the proposal loop; the
+    # cap of the same centre and radius is the same set.
+    cap = cap_on_sphere(2)
+    ball = gw.GeodesicBall(cap.manifold, cap.axis, cap.angle)
+    params = gw.WalkParams(delta=0.3)
+    x = _cap_point(2, 0.8)
+    q = walk._rejection_probability(x[None, :], cap, params.delta)[0]
+    assert walk._rejection_probability(x[None, :], ball, params.delta) is None
+    trials = 20000
+    p = gw.estimate_local_conductance(x, ball, params, trials, gw.stream(5), chunk=3000)
+    assert abs((1.0 - p) - q) <= 3.0 * math.sqrt(q * (1.0 - q) / trials)
+    exact = gw.estimate_local_conductance(x, cap, params, trials, gw.stream(5))
+    assert abs((1.0 - exact) - q) <= 3.0 * math.sqrt(q * (1.0 - q) / trials)
 
 
 def test_step_ensemble_keeps_points_inside():
