@@ -80,7 +80,7 @@ from .manifolds import (
     sample_tangent_gaussian,
 )
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
-from .rng import stream, substreams
+from .rng import stream
 from .targets import Target, as_gibbs, distance_to, linear, sqdist_to
 from .walk import (
     ChainResult,

@@ -20,6 +20,7 @@ testing the walk itself.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -115,6 +116,7 @@ class SphericalCap(ConvexBody):
         sphere.validate_point(axis, atol=1e-6)
         self.manifold = sphere
         self.axis = axis / math.sqrt(axis @ axis)
+        self._axis = self.axis.tolist()
         self.angle = angle
         self.cos_angle = math.cos(angle)
         self.inner_center = self.axis
@@ -122,7 +124,7 @@ class SphericalCap(ConvexBody):
         self.diameter = 2.0 * angle
 
     def contains_coords(self, x):
-        return x @ self.axis >= self.cos_angle
+        return sum(map(operator.mul, x.tolist(), self._axis)) >= self.cos_angle
 
     def contains_many(self, points):
         return points @ self.axis >= self.cos_angle
@@ -184,12 +186,15 @@ class EuclideanBox(ConvexBody):
         self.manifold = Euclidean(lo.size)
         self.lo = lo
         self.hi = hi
+        self._lo = lo.tolist()
+        self._hi = hi.tolist()
         self.inner_center = 0.5 * (lo + hi)
         self.inner_radius = float(0.5 * np.min(hi - lo))
         self.diameter = float(np.linalg.norm(hi - lo))
 
     def contains_coords(self, x):
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
+        x = x.tolist()
+        return all(map(operator.le, self._lo, x)) and all(map(operator.le, x, self._hi))
 
     def contains_many(self, points):
         return np.all((points >= self.lo) & (points <= self.hi), axis=1)

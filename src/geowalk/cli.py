@@ -184,18 +184,25 @@ def _run_sample(cfg: RunConfig, out: Path, tag: str) -> int:
                 burn_in=cfg.burn_in,
                 chain_id=chain,
             )
-            for sample in result.samples:
+            f_values = result.f_values
+            columns = zip(
+                result.steps.tolist(),
+                result.coords.tolist(),
+                result.rejected.tolist(),
+                [None] * len(result.steps) if f_values is None else f_values.tolist(),
+            )
+            for step, coords, rejected, f_value in columns:
                 row = {
                     "chain": chain,
-                    "step": sample.step,
-                    "coords": [float(v) for v in sample.coords],
-                    "rejected": bool(sample.rejected),
+                    "step": step,
+                    "coords": coords,
+                    "rejected": rejected,
                     "config": tag,
                 }
-                if sample.f_value is not None:
-                    row["f_value"] = float(sample.f_value)
+                if f_value is not None:
+                    row["f_value"] = f_value
                 sink.write(json.dumps(row, sort_keys=True) + "\n")
-            emitted += len(result.samples)
+            emitted += len(result.steps)
             print(
                 f"chain {chain}: {result.stats.steps} steps, "
                 f"rejection fraction {result.stats.rejection_fraction:.4f}"

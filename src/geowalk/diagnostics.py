@@ -950,8 +950,7 @@ def _check_low_temp(seed: int) -> list[InequalityReport]:
     result = run_chain(
         cap.axis, cap, params, target=as_gibbs(target, temperature), burn_in=20_000
     )
-    values = np.array([s.f_value for s in result.samples])
-    return [check_low_temp_expectation(values, man.tangent_dim, temperature)]
+    return [check_low_temp_expectation(result.f_values, man.tangent_dim, temperature)]
 
 
 def _check_tv_decay(seed: int) -> list[InequalityReport]:

@@ -271,7 +271,7 @@ class Sphere(Manifold):
         return y
 
     def dist(self, x, y):
-        c = x @ y
+        c = sum(map(operator.mul, x.tolist(), y.tolist()))
         if c > 1.0:
             c = 1.0
         elif c < -1.0:

@@ -17,7 +17,3 @@ def stream(seed: int, chain_id: int = 0) -> np.random.Generator:
     ss = np.random.SeedSequence(int(seed), spawn_key=(int(chain_id),))
     return np.random.Generator(np.random.PCG64(ss))
 
-
-def substreams(seed: int, count: int, offset: int = 0) -> list[np.random.Generator]:
-    """Streams ``offset .. offset+count-1`` of ``seed``, in order."""
-    return [stream(seed, offset + i) for i in range(count)]

@@ -16,6 +16,7 @@ lets the optimization tests assert absolute optimality gaps:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -80,9 +81,10 @@ def linear(coefficients: np.ndarray, box: Optional[EuclideanBox] = None) -> Targ
     norm = float(np.linalg.norm(c))
     if norm == 0.0:
         raise PreconditionError("coefficients must not all be zero")
+    terms = c.tolist()
 
     def f(x: np.ndarray) -> float:
-        return float(c @ x)
+        return sum(map(operator.mul, terms, x.tolist()))
 
     def f_many(points: np.ndarray) -> np.ndarray:
         return points @ c

@@ -20,6 +20,16 @@ nothing.  The batched paths draw their normals as one block and propose
 with ``Manifold.propose_many``.  A proposal on the cut locus of the body's
 membership test counts as a boundary rejection, row by row.
 
+:func:`run_chain` keeps its emitted rows in columns of :class:`ChainResult`
+(``steps``, ``coords``, ``rejected``, ``f_values``), allocated once for
+``max(0, (max_steps - burn_in) // thin)`` rows and written in place, so a
+kept row costs its bytes in those arrays and no Python object;
+``ChainResult.samples`` builds the per-row :class:`ChainSample` view on
+demand.  The one-row oracles the scalar step calls (``Sphere.dist``,
+``SphericalCap.contains_coords``, ``EuclideanBox.contains_coords`` and the
+``f`` of ``targets.linear``) compute on Python floats, as
+``Sphere.propose`` does; their ``*_many`` twins stay on numpy.
+
 Local-conductance counts (how many of ``trials`` one-step proposals from a
 point stay in the body) are one ``Binomial`` draw per point on spherical
 caps and Euclidean boxes, whose rejection chance has a closed form; other
@@ -143,11 +153,37 @@ class ChainSample:
 
 @dataclass
 class ChainResult:
-    samples: list[ChainSample]
+    """The kept rows of one chain as columns, one entry per kept row.
+
+    ``steps`` (int64) holds the step index of each row, ``coords`` the
+    ``(kept, ambient_dim)`` points, ``rejected`` whether that step stayed
+    put, and ``f_values`` the target value at the point (``None`` without
+    a target).
+    """
+
+    steps: np.ndarray
+    coords: np.ndarray
+    rejected: np.ndarray
+    f_values: Optional[np.ndarray]
     stats: RejectionStats
     final: np.ndarray
     best_coords: Optional[np.ndarray] = None
     best_f: Optional[float] = None
+
+    @property
+    def samples(self) -> list[ChainSample]:
+        """The rows as :class:`ChainSample` objects, built on each access,
+        one object per row; long chains should read the columns instead."""
+        if self.f_values is None:
+            f_values = [None] * len(self.steps)
+        else:
+            f_values = self.f_values.tolist()
+        return [
+            ChainSample(step, coords, rejected, f_value)
+            for step, coords, rejected, f_value in zip(
+                self.steps.tolist(), self.coords.copy(), self.rejected.tolist(), f_values
+            )
+        ]
 
 
 def delta_bound(manifold: Manifold, body: ConvexBody, s: float = 0.5) -> float:
@@ -287,7 +323,9 @@ def run_chain(
 ) -> ChainResult:
     """Run one chain of ``params.max_steps`` steps from ``start``.
 
-    Emits every ``thin``-th post-burn-in point.  Deterministic given
+    Keeps every ``thin``-th post-burn-in point, ``max(0, (max_steps -
+    burn_in) // thin)`` rows written into the columns of the returned
+    :class:`ChainResult`, which are allocated once.  Deterministic given
     ``(params.seed, chain_id)``: the RNG stream is derived here, not passed
     in.  ``start=None`` draws an exact uniform start from that same stream
     before stepping.  With a target, tracks the best point visited anywhere
@@ -305,7 +343,6 @@ def run_chain(
         x = _start_coords(start, body)
 
     stats = RejectionStats()
-    samples: list[ChainSample] = []
     debug = params.debug_checks
 
     propose = man.propose
@@ -315,6 +352,14 @@ def run_chain(
     dim = man.tangent_dim
     delta = params.delta
     max_steps = params.max_steps
+
+    # Kept rows are written in place into columns sized once up front.
+    kept = max(0, (max_steps - burn_in) // thin)
+    steps = np.arange(burn_in + thin, burn_in + thin * kept + 1, thin, dtype=np.int64)
+    coords = np.empty((kept, man.ambient_dim))
+    rejected_rows = np.empty(kept, dtype=bool)
+    row = 0
+    emit = burn_in + thin
 
     best_coords: Optional[np.ndarray] = None
     best_f: Optional[float] = None
@@ -336,14 +381,17 @@ def run_chain(
                 rejected = True
                 stats.rejections += 1
                 stats.boundary_rejections += 1
-            if step > burn_in and (step - burn_in) % thin == 0:
+            if step == emit:
                 if debug:
                     man.validate_point(x)
                     if not inside_body(x):
                         raise PreconditionError("emitted point escaped the body")
-                samples.append(ChainSample(step, x.copy(), rejected))
+                coords[row] = x
+                rejected_rows[row] = rejected
+                row += 1
+                emit += thin
         stats.steps = max_steps
-        return ChainResult(samples, stats, x.copy())
+        return ChainResult(steps, coords, rejected_rows, None, stats, x.copy())
 
     f = target.f
     temperature = target.temperature
@@ -351,6 +399,7 @@ def run_chain(
     if not math.isfinite(fx):
         raise OracleError("target is non-finite at the chain start")
     best_coords, best_f = x.copy(), fx
+    f_values = np.empty(kept)
     for step in range(1, max_steps + 1):
         g = next_normals(dim)
         w = next_uniform()
@@ -378,14 +427,20 @@ def run_chain(
             rejected = True
             stats.rejections += 1
             stats.boundary_rejections += 1
-        if step > burn_in and (step - burn_in) % thin == 0:
+        if step == emit:
             if debug:
                 man.validate_point(x)
                 if not inside_body(x):
                     raise PreconditionError("emitted point escaped the body")
-            samples.append(ChainSample(step, x.copy(), rejected, fx))
+            coords[row] = x
+            rejected_rows[row] = rejected
+            f_values[row] = fx
+            row += 1
+            emit += thin
     stats.steps = max_steps
-    return ChainResult(samples, stats, x.copy(), best_coords, best_f)
+    return ChainResult(
+        steps, coords, rejected_rows, f_values, stats, x.copy(), best_coords, best_f
+    )
 
 
 def _box_rejection(points: np.ndarray, body: EuclideanBox, delta: float) -> np.ndarray:

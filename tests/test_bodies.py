@@ -86,6 +86,65 @@ def test_contains_many_matches_scalar(cap60):
         assert flags[i] == cap60.contains_coords(row)
 
 
+def rim_rows(cap):
+    """The rim row of a cap around a coordinate axis, and the rows one ulp
+    of <x, axis> inside and outside it.  <x, axis> is then exact in any
+    summation order, so both membership tests see the same number."""
+    k = int(np.argmax(np.abs(cap.axis)))
+    rows = np.zeros((3, cap.manifold.ambient_dim))
+    rows[:, k] = cap.axis[k] * np.array(
+        [cap.cos_angle, np.nextafter(cap.cos_angle, 2.0), np.nextafter(cap.cos_angle, -2.0)]
+    )
+    rows[:, (k + 1) % len(cap.axis)] = math.sqrt(1.0 - cap.cos_angle**2)
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 5, 50])
+def test_cap_one_row_membership_matches_contains_many(n):
+    rng = gw.stream(21, n)
+    man = gw.Sphere(n)
+    north = np.zeros(n + 1)
+    north[-1] = 1.0
+    tilted = rng.standard_normal(n + 1)
+    tilted /= np.linalg.norm(tilted)
+    for axis in (north, tilted):
+        cap = gw.SphericalCap(man, axis, 1.1)
+        rows = rng.standard_normal((200, n + 1))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        # Random rows within rounding of the rim could go either way.
+        rows = rows[np.abs(rows @ cap.axis - cap.cos_angle) > 1e-9]
+        rows = np.vstack([rows, axis, -axis])
+        flags = cap.contains_many(rows)
+        assert 0 < np.count_nonzero(flags) < len(rows)
+        assert [cap.contains_coords(row) for row in rows] == flags.tolist()
+    cap = gw.SphericalCap(man, north, 1.1)
+    rim = rim_rows(cap)
+    assert cap.contains_many(rim).tolist() == [True, True, False]
+    assert [cap.contains_coords(row) for row in rim] == [True, True, False]
+
+
+def test_box_one_row_membership_matches_contains_many():
+    lo = np.array([-1.0, 0.0, 0.25])
+    hi = np.array([1.0, 2.0, 0.75])
+    box = gw.EuclideanBox(lo, hi)
+    rng = gw.stream(22)
+    rows = [
+        lo + (hi - lo) * rng.random((50, 3)),
+        lo - 0.5 + (hi - lo + 1.0) * rng.random((50, 3)),
+    ]
+    for i in range(3):
+        for face in (lo[i], hi[i]):
+            for value in (face, np.nextafter(face, -np.inf), np.nextafter(face, np.inf)):
+                row = 0.5 * (lo + hi)
+                row[i] = value
+                rows.append(row[None, :])
+    rows.append(np.array([lo, hi, [np.nan, 1.0, 0.5], [0.0, np.inf, 0.5]]))
+    rows = np.vstack(rows)
+    flags = box.contains_many(rows)
+    assert 0 < np.count_nonzero(flags) < len(rows)
+    assert [box.contains_coords(row) for row in rows] == flags.tolist()
+
+
 def test_cap_uniform_sampling_fraction_matches_area():
     # A 60-degree cap covers exactly a quarter of the 2-sphere, so the
     # rejection sampler's acceptance rate is 1/4.

@@ -293,6 +293,35 @@ def test_sphere_distance_is_rotation_invariant():
     assert np.max(np.abs(np.sort(plain) - np.sort(rotated))) < 1e-6
 
 
+@pytest.mark.parametrize("n", [2, 5, 50])
+def test_sphere_one_row_dist_matches_dist_many(n):
+    man = gw.Sphere(n)
+    rng = gw.stream(23, n)
+    rows = rng.standard_normal((400, n + 1))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    y = rows[0]
+    batched = man.dist_many(rows, y)
+    one_row = np.array([man.dist(row, y) for row in rows])
+    # The two sum <x, y> in different orders, a last-bit difference that
+    # arccos amplifies by 1/sin(d); away from d = 0 and pi it stays tiny.
+    away = (batched > math.pi / 6) & (batched < 5 * math.pi / 6)
+    assert np.count_nonzero(away) > 200
+    assert np.max(np.abs(one_row - batched)[away]) <= 1e-15
+    # Around a coordinate axis <x, y> is exact in any order, which leaves
+    # numpy's arccos against libm's acos: at most one ulp apart.  Where
+    # both are exact (the axis, its antipode, rows whose rounding puts
+    # |<x, y>| past 1 and so are clamped) they agree bit for bit.
+    north = np.zeros(n + 1)
+    north[-1] = 1.0
+    batched = man.dist_many(rows, north)
+    one_row = np.array([man.dist(row, north) for row in rows])
+    assert np.all(np.abs(one_row - batched) <= np.spacing(batched))
+    over = np.nextafter(1.0, 2.0)
+    ends = np.vstack([north, -north, over * north, -over * north])
+    assert man.dist_many(ends, north).tolist() == [0.0, math.pi, 0.0, math.pi]
+    assert [man.dist(row, north) for row in ends] == [0.0, math.pi, 0.0, math.pi]
+
+
 # ---------------------------------------------------------------------------
 # Long-run numerical drift (excluded from the default run).
 

@@ -41,6 +41,35 @@ def test_linear_target_on_box():
     assert target.f(np.array([1.0, 1.0])) == pytest.approx(-1.0)
 
 
+def test_linear_one_row_value_matches_f_many():
+    box = gw.EuclideanBox(np.array([-1.0, 0.0, 0.25]), np.array([1.0, 2.0, 0.75]))
+    rng = gw.stream(24)
+    span = box.hi - box.lo
+    rows = np.vstack(
+        [
+            box.lo + span * rng.random((100, 3)),
+            box.lo - span + 3.0 * span * rng.random((100, 3)),
+            box.lo,
+            box.hi,
+            [box.lo[0], 1.0, box.hi[2]],
+        ]
+    )
+    dyadic = np.array([1.0, -0.5, 0.25])
+    for c in (dyadic, rng.standard_normal(3)):
+        target = gw.linear(c, box=box)
+        batched = target.f_many(rows)
+        one_row = np.array([target.f(row) for row in rows])
+        # Two summation orders of a 3-term dot product differ by at most a
+        # few ulps of the largest partial sum.
+        bound = 6.0 * np.finfo(float).eps * (np.abs(rows) @ np.abs(c))
+        assert np.all(np.abs(one_row - batched) <= bound)
+        if c is dyadic:
+            # Vertices and face points have dyadic coordinates too: every
+            # product and sum is exact, so the two agree bit for bit.
+            assert one_row[-3:].tolist() == batched[-3:].tolist()
+            assert target.f(target.minimizer) == target.min_value == -1.9375
+
+
 def test_linear_target_rejects_degenerate_inputs():
     with pytest.raises(PreconditionError):
         gw.linear(np.zeros(3))

@@ -1,6 +1,7 @@
 """Chain mechanics: step sizes, determinism, stream discipline, emission."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -158,6 +159,86 @@ def test_stats_add_up():
     assert st.steps == 2000
     assert st.rejections == st.boundary_rejections + st.filter_rejections
     assert 0.0 <= st.rejection_fraction < 0.5
+
+
+def record_chain(target, max_steps, thin, burn_in, seed=4, replay=False):
+    cap = cap_on_sphere()
+    gibbs = None
+    if target:
+        gibbs = gw.as_gibbs(gw.distance_to(cap.manifold, cap.axis), 0.2)
+    params = gw.WalkParams(delta=0.04, max_steps=max_steps, seed=seed)
+    result = gw.run_chain(cap.axis, cap, params, target=gibbs, thin=thin, burn_in=burn_in)
+    if not replay:
+        return result
+    rng = gw.stream(seed)
+    states = [gw.WalkState(cap.axis.copy())]
+    for _ in range(max_steps):
+        if gibbs is None:
+            states.append(gw.uniform_step(states[-1], cap, params, rng))
+        else:
+            states.append(gw.metropolis_step(states[-1], cap, gibbs, params, rng))
+    return result, states
+
+
+@pytest.mark.parametrize("target", [False, True])
+@pytest.mark.parametrize("max_steps,thin,burn_in", [(300, 1, 0), (301, 7, 20), (50, 60, 0)])
+def test_chain_columns_equal_the_samples_view(target, max_steps, thin, burn_in):
+    result, states = record_chain(target, max_steps, thin, burn_in, replay=True)
+    kept = max(0, (max_steps - burn_in) // thin)
+    assert result.steps.dtype == np.int64 and result.steps.shape == (kept,)
+    assert result.coords.dtype == np.float64 and result.coords.shape == (kept, 3)
+    assert result.rejected.dtype == bool and result.rejected.shape == (kept,)
+    assert np.array_equal(result.steps, burn_in + thin * np.arange(1, kept + 1))
+    kept_states = [states[step] for step in result.steps]
+    points = np.array([st.point for st in kept_states]).reshape(kept, 3)
+    assert np.array_equal(points, result.coords)
+    assert result.rejected.tolist() == [st.rejected_last for st in kept_states]
+    samples = result.samples
+    assert len(samples) == kept
+    assert [s.step for s in samples] == result.steps.tolist()
+    assert all(type(s.step) is int and type(s.rejected) is bool for s in samples)
+    views = np.array([s.coords for s in samples]).reshape(kept, 3)
+    assert np.array_equal(views, result.coords)
+    assert [s.rejected for s in samples] == result.rejected.tolist()
+    if target:
+        assert result.f_values.dtype == np.float64 and result.f_values.shape == (kept,)
+        assert [s.f_value for s in samples] == result.f_values.tolist()
+        assert result.f_values.tolist() == [st.f_value for st in kept_states]
+    else:
+        assert result.f_values is None
+        assert all(s.f_value is None for s in samples)
+    # Each access builds fresh objects; editing one leaves the columns alone.
+    if kept:
+        samples[0].coords[:] = 9.0
+        assert not np.any(result.coords == 9.0)
+
+
+@pytest.mark.parametrize("target", [False, True])
+@pytest.mark.parametrize("burn_in", [40, 41])
+def test_burn_in_past_the_end_keeps_zero_rows(target, burn_in):
+    result = record_chain(target, 40, 3, burn_in)
+    assert result.steps.shape == (0,) and result.rejected.shape == (0,)
+    assert result.coords.shape == (0, 3)
+    assert result.samples == []
+    assert result.stats.steps == 40
+    if target:
+        assert result.f_values.shape == (0,)
+    else:
+        assert result.f_values is None
+
+
+@pytest.mark.parametrize("target", [False, True])
+def test_long_chain_record_stays_small(target):
+    # 100k kept rows on sphere:2 are 2.4 MB of coordinates plus 0.8 MB of
+    # steps and of f values; one object per row costs several times that.
+    tracemalloc.start()
+    try:
+        result = record_chain(target, 100_000, 1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+    assert len(result.steps) == 100_000
 
 
 def test_metropolis_samples_carry_f_values():
