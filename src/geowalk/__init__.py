@@ -25,8 +25,6 @@ from .bodies import (
     EuclideanBox,
     GeodesicBall,
     SphericalCap,
-    contains,
-    metadata,
     rejection_sample_uniform,
     sample_uniform_many,
 )
@@ -72,12 +70,8 @@ from .manifolds import (
     ManifoldPoint,
     SpecialOrthogonal,
     Sphere,
-    TangentVector,
     distance,
-    exp_map,
     from_descriptor,
-    geodesic_point,
-    sample_tangent_gaussian,
 )
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 from .rng import stream

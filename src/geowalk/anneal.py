@@ -18,7 +18,8 @@ No minimum shift is applied to the objective: the Metropolis filter only
 ever sees differences ``f(y) - f(x)``, so shifting ``f`` by any constant,
 including a running minimum estimate, changes nothing.
 
-Scalar :func:`anneal` draws each step's normals, then its uniform, and
+Scalar :func:`anneal` runs each phase through ``walk._advance``, the one
+scalar walk loop: each step draws its normals, then its uniform, and
 proposes with ``Manifold.propose``.  It and :func:`anneal_trials` count a
 proposal on the cut locus of the body's membership test as a rejection, row
 by row.
@@ -48,14 +49,22 @@ import numpy as np
 from .bodies import ConvexBody, rejection_sample_uniform
 from .errors import (
     BudgetWarning,
-    CutLocusError,
     DegenerateSchedule,
     OracleError,
     PreconditionError,
 )
 from .manifolds import Manifold
 from .rng import stream
-from .walk import WalkParams, _contains_rows, _start_coords, delta_bound, validate_delta
+from .walk import (
+    GibbsTarget,
+    RejectionStats,
+    WalkParams,
+    _advance,
+    _contains_rows,
+    _start_coords,
+    delta_bound,
+    validate_delta,
+)
 
 __all__ = [
     "AnnealSchedule",
@@ -285,46 +294,12 @@ def anneal(
     allocations = allocate_steps(schedule, man, body, config)
 
     x = rejection_sample_uniform(body, rng) if start is None else _start_coords(start, body)
-    fx = float(f(x))
-    if not math.isfinite(fx):
-        raise OracleError("objective is non-finite at the start point")
-
-    propose = man.propose
-    inside_body = body.contains_coords
-    dim = man.tangent_dim
-    last = len(schedule.temps) - 1
     trace: list[PhaseRecord] = []
-    best_x, best_f = x.copy(), fx
-
     for phase, (temperature, steps) in enumerate(zip(schedule.temps, allocations)):
-        rejections = 0
-        phase_best = fx
-        if phase == last:
-            best_x, best_f = x.copy(), fx
-        for _ in range(steps):
-            g = rng.standard_normal(dim)
-            w = rng.random()
-            y = propose(x, g, delta)
-            try:
-                inside = inside_body(y)
-            except CutLocusError:
-                inside = False
-            if inside:
-                fy = float(f(y))
-                if not math.isfinite(fy):
-                    raise OracleError("objective returned a non-finite value")
-                if fy <= fx or w < math.exp((fx - fy) / temperature):
-                    x = y
-                    fx = fy
-                    if fx < phase_best:
-                        phase_best = fx
-                    if phase == last and fx < best_f:
-                        best_x, best_f = y.copy(), fx
-                    continue
-            rejections += 1
-        trace.append(
-            PhaseRecord(phase, temperature, steps, rejections, phase_best, fx)
-        )
+        stats = RejectionStats()
+        target = GibbsTarget(f, config.lipschitz, temperature)
+        x, fx, best_x, best_f = _advance(x, body, target, delta, steps, rng, stats)
+        trace.append(PhaseRecord(phase, temperature, steps, stats.rejections, best_f, fx))
     return AnnealResult(best_x, best_f, tuple(trace), schedule, delta)
 
 

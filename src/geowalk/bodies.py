@@ -38,8 +38,6 @@ __all__ = [
     "SphericalCap",
     "GeodesicBall",
     "EuclideanBox",
-    "contains",
-    "metadata",
     "rejection_sample_uniform",
     "sample_uniform_many",
 ]
@@ -79,9 +77,6 @@ class ConvexBody:
         x = np.asarray(x, dtype=float)
         self.manifold.validate_point(x)
         return bool(self.contains_coords(x))
-
-    def metadata(self) -> tuple[np.ndarray, float, float]:
-        return self.inner_center, self.inner_radius, self.diameter
 
     @property
     def spec_string(self) -> str:
@@ -204,14 +199,6 @@ class EuclideanBox(ConvexBody):
         lo = ",".join(repr(float(c)) for c in self.lo)
         hi = ",".join(repr(float(c)) for c in self.hi)
         return f"box:{lo}:{hi}"
-
-
-def contains(body: ConvexBody, x) -> bool:
-    return body.contains(x)
-
-
-def metadata(body: ConvexBody) -> tuple[np.ndarray, float, float]:
-    return body.metadata()
 
 
 def _propose_global(

@@ -4,9 +4,9 @@ Two subcommands: ``run`` executes a configured sampling, annealing, or
 diagnostic run and writes its outputs under the configured directory;
 ``list-builtins`` prints the recognized manifolds, bodies, targets, and
 checks.  Output files carry a short hash of the result-determining
-configuration in every row (not the output directory or ``--jobs``) and
-contain nothing run-dependent beyond the seed, so a rerun with the same
-config and seed is byte-identical, wherever it is written.
+configuration in every row (not the output directory) and contain nothing
+run-dependent beyond the seed, so a rerun with the same config and seed is
+byte-identical, wherever it is written.
 
 Exit codes: 0 on success, 1 when a diagnostic fails or the run itself
 errors, 2 for configuration problems.
@@ -51,13 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser("run", help="execute a run described by an INI config")
     run_parser.add_argument("--config", required=True, help="path to the INI file")
     run_parser.add_argument("--seed", type=int, default=None, help="override the seed")
-    run_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="accepted for compatibility; execution is sequential and results "
-        "do not depend on it",
-    )
     run_parser.add_argument(
         "--output-dir", default=None, help="override the output directory"
     )
@@ -121,8 +114,6 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
-    if args.jobs is not None:
-        updates["jobs"] = args.jobs
     if args.output_dir is not None:
         updates["output_dir"] = args.output_dir
     if args.override_delta:

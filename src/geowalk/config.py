@@ -31,7 +31,6 @@ class RunConfig:
     mode: str = "sample"
     seed: int = 0
     output_dir: str = "geowalk-out"
-    jobs: int = 1
     manifold: str = ""
     body: str = ""
     start: str = ""
@@ -52,7 +51,7 @@ class RunConfig:
 
 
 _SECTIONS = {
-    "run": ("mode", "seed", "output_dir", "jobs"),
+    "run": ("mode", "seed", "output_dir"),
     "space": ("manifold", "body", "start"),
     "walk": ("steps", "thin", "burn_in", "chains", "delta", "override_delta"),
     "target": ("kind", "temperature"),
@@ -68,7 +67,6 @@ _SECTIONS = {
 
 _INT_KEYS = {
     "seed",
-    "jobs",
     "steps",
     "thin",
     "burn_in",
@@ -139,8 +137,6 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"mode must be sample, anneal, or diagnose, got {cfg.mode!r}")
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
-    if cfg.jobs < 1:
-        raise ConfigError("jobs must be at least 1")
     if cfg.mode in ("sample", "anneal"):
         if not cfg.manifold:
             raise ConfigError(f"mode {cfg.mode} requires [space] manifold")
@@ -171,10 +167,6 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("delta must be positive and finite")
 
 
-# Fields that say where or how a run executes, not what it computes.
-_UNHASHED = frozenset({"output_dir", "jobs"})
-
-
 def resolved_dict(cfg: RunConfig) -> dict:
     """Canonical JSON-serializable view of every field."""
     out = {}
@@ -186,9 +178,9 @@ def resolved_dict(cfg: RunConfig) -> dict:
 
 def config_hash(cfg: RunConfig) -> str:
     """Short hash of the fields that determine a run's results, written into
-    every output row; the output directory and ``jobs`` are left out, so the
-    same run gives the same bytes wherever it is written."""
-    hashed = {k: v for k, v in resolved_dict(cfg).items() if k not in _UNHASHED}
+    every output row; the output directory is left out, so the same run
+    gives the same bytes wherever it is written."""
+    hashed = {k: v for k, v in resolved_dict(cfg).items() if k != "output_dir"}
     payload = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 

@@ -41,11 +41,7 @@ __all__ = [
     "Sphere",
     "SpecialOrthogonal",
     "ManifoldPoint",
-    "TangentVector",
-    "exp_map",
     "distance",
-    "geodesic_point",
-    "sample_tangent_gaussian",
     "matexp",
     "from_descriptor",
 ]
@@ -497,7 +493,7 @@ class SpecialOrthogonal(Manifold):
 
 
 # ---------------------------------------------------------------------------
-# Wrapper types: a point or tangent vector that knows its manifold.
+# Wrapper type: a point that knows its manifold.
 
 
 @dataclass(eq=False)
@@ -510,43 +506,10 @@ class ManifoldPoint:
         self.manifold.validate_point(self.coords)
 
 
-@dataclass(eq=False)
-class TangentVector:
-    base: ManifoldPoint
-    components: np.ndarray
-
-    def __post_init__(self):
-        self.components = np.asarray(self.components, dtype=float)
-        self.base.manifold.validate_tangent(self.base.coords, self.components)
-
-
-def exp_map(point: ManifoldPoint, vector: TangentVector) -> ManifoldPoint:
-    """Follow the geodesic from ``point`` with initial velocity ``vector``."""
-    if vector.base is not point and not np.array_equal(vector.base.coords, point.coords):
-        raise PreconditionError("tangent vector is based at a different point")
-    man = point.manifold
-    return ManifoldPoint(man, man.exp(point.coords, vector.components))
-
-
 def distance(a: ManifoldPoint, b: ManifoldPoint) -> float:
     if a.manifold is not b.manifold and a.manifold.descriptor != b.manifold.descriptor:
         raise PreconditionError("points live on different manifolds")
     return a.manifold.dist(a.coords, b.coords)
-
-
-def geodesic_point(point: ManifoldPoint, vector: TangentVector, t: float) -> ManifoldPoint:
-    """Point at parameter ``t`` along the geodesic ``s -> exp(s * vector)``."""
-    if vector.base is not point and not np.array_equal(vector.base.coords, point.coords):
-        raise PreconditionError("tangent vector is based at a different point")
-    man = point.manifold
-    return ManifoldPoint(man, man.exp(point.coords, float(t) * vector.components))
-
-
-def sample_tangent_gaussian(point: ManifoldPoint, rng: np.random.Generator) -> TangentVector:
-    """Standard Gaussian in the tangent space at ``point`` (identity
-    covariance in any orthonormal tangent basis, so E|u|^2 = tangent_dim)."""
-    u = point.manifold.tangent_gaussian(point.coords, rng)
-    return TangentVector(point, u)
 
 
 def from_descriptor(text: str) -> Manifold:

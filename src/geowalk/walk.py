@@ -13,11 +13,13 @@ the step resolves.  A uniform walk and a Metropolis walk with constant
 ``f`` therefore produce bit-identical trajectories from the same seed,
 which the test suite relies on.
 
-Every scalar step (:func:`uniform_step`, :func:`metropolis_step` and both
-loops of :func:`run_chain`) draws ``standard_normal(tangent_dim)``, then the
-uniform, then proposes with ``Manifold.propose(x, g, delta)``, which draws
-nothing.  The batched paths draw their normals as one block and propose
-with ``Manifold.propose_many``.  A proposal on the cut locus of the body's
+``_advance`` is the one scalar loop: :func:`run_chain` calls it once and
+``anneal.anneal`` once per phase.  It and the reference steps
+:func:`uniform_step` and :func:`metropolis_step`, which the tests replay
+it against, draw ``standard_normal(tangent_dim)``, then the uniform, then
+propose with ``Manifold.propose(x, g, delta)``, which draws nothing.  The
+batched paths draw their normals as one block and propose with
+``Manifold.propose_many``.  A proposal on the cut locus of the body's
 membership test counts as a boundary rejection, row by row.
 
 :func:`run_chain` keeps its emitted rows in columns of :class:`ChainResult`
@@ -80,16 +82,13 @@ class WalkParams:
     """Step size and chain-control knobs.
 
     ``delta`` above the safe bound is an error unless ``override_delta`` is
-    set, in which case it only warns.  ``debug_checks`` re-validates
-    membership and manifold invariants on every emitted sample.
+    set, in which case it only warns.
     """
 
     delta: float
     max_steps: int = 0
     seed: int = 0
-    record_rejections: bool = True
     override_delta: bool = False
-    debug_checks: bool = False
 
     def __post_init__(self):
         if self.delta <= 0.0 or not math.isfinite(self.delta):
@@ -131,10 +130,14 @@ class GibbsTarget:
 @dataclass
 class RejectionStats:
     steps: int = 0
-    rejections: int = 0
     boundary_rejections: int = 0
     filter_rejections: int = 0
     cut_locus_hits: int = 0
+
+    @property
+    def rejections(self) -> int:
+        """Steps that stayed put; cut-locus hits are boundary rejections."""
+        return self.boundary_rejections + self.filter_rejections
 
     @property
     def rejection_fraction(self) -> float:
@@ -311,6 +314,84 @@ def metropolis_step(
     )
 
 
+def _advance(
+    x: np.ndarray,
+    body: ConvexBody,
+    target: Optional[GibbsTarget],
+    delta: float,
+    steps: int,
+    rng: np.random.Generator,
+    stats: RejectionStats,
+    record: Optional[tuple] = None,
+) -> tuple[np.ndarray, Optional[float], Optional[np.ndarray], Optional[float]]:
+    """Run ``steps`` lazy steps from ``x``, filtered toward ``target`` when
+    given, drawing as :func:`metropolis_step` does; add the counts to
+    ``stats`` and return ``(final, final_f, best, best_f)``, the best point
+    being this call's lowest-``f`` one, start included (values ``None``
+    without a target).  With ``record = (emit, thin, coords, rejected,
+    f_values)`` the states after steps ``emit``, ``emit + thin``, ... fill
+    consecutive rows of those columns (``f_values`` may be ``None``).
+    """
+    man = body.manifold
+    propose = man.propose
+    inside_body = body.contains_coords
+    next_normals = rng.standard_normal
+    next_uniform = rng.random
+    dim = man.tangent_dim
+    if record is None:
+        emit = thin = 0  # no step has index 0, so nothing is written
+    else:
+        emit, thin, coords, rejected_rows, f_values = record
+    row = 0
+
+    f = fx = best_x = best_f = None
+    if target is not None:
+        f = target.f
+        temperature = target.temperature
+        fx = float(f(x))
+        if not math.isfinite(fx):
+            raise OracleError("target is non-finite at the start point")
+        best_x, best_f = x.copy(), fx
+
+    boundary = filtered = 0
+    for step in range(1, steps + 1):
+        g = next_normals(dim)
+        w = next_uniform()
+        y = propose(x, g, delta)
+        try:
+            inside = inside_body(y)
+        except CutLocusError:
+            inside = False
+            stats.cut_locus_hits += 1
+        if not inside:
+            rejected = True
+            boundary += 1
+        elif f is None:
+            x, rejected = y, False
+        else:
+            fy = float(f(y))
+            if not math.isfinite(fy):
+                raise OracleError(f"target returned non-finite value at step {step}")
+            if fy <= fx or w < math.exp((fx - fy) / temperature):
+                x, fx, rejected = y, fy, False
+                if fy < best_f:
+                    best_x, best_f = y.copy(), fy
+            else:
+                rejected = True
+                filtered += 1
+        if step == emit:
+            coords[row] = x
+            rejected_rows[row] = rejected
+            if f_values is not None:
+                f_values[row] = fx
+            row += 1
+            emit += thin
+    stats.steps += steps
+    stats.boundary_rejections += boundary
+    stats.filter_rejections += filtered
+    return x, fx, best_x, best_f
+
+
 def run_chain(
     start,
     body: ConvexBody,
@@ -333,113 +414,24 @@ def run_chain(
     """
     if burn_in < 0:
         raise PreconditionError("burn_in must be >= 0")
-    thin = max(1, int(thin))
+    if thin < 1:
+        raise PreconditionError("thin must be >= 1")
     man = body.manifold
     validate_delta(params, man, body, delta_safety)
     rng = stream(params.seed, chain_id)
-    if start is None:
-        x = rejection_sample_uniform(body, rng)
-    else:
-        x = _start_coords(start, body)
-
-    stats = RejectionStats()
-    debug = params.debug_checks
-
-    propose = man.propose
-    inside_body = body.contains_coords
-    next_normals = rng.standard_normal
-    next_uniform = rng.random
-    dim = man.tangent_dim
-    delta = params.delta
-    max_steps = params.max_steps
-
-    # Kept rows are written in place into columns sized once up front.
-    kept = max(0, (max_steps - burn_in) // thin)
+    x = rejection_sample_uniform(body, rng) if start is None else _start_coords(start, body)
+    kept = max(0, (params.max_steps - burn_in) // thin)
     steps = np.arange(burn_in + thin, burn_in + thin * kept + 1, thin, dtype=np.int64)
     coords = np.empty((kept, man.ambient_dim))
-    rejected_rows = np.empty(kept, dtype=bool)
-    row = 0
-    emit = burn_in + thin
-
-    best_coords: Optional[np.ndarray] = None
-    best_f: Optional[float] = None
-
-    if target is None:
-        for step in range(1, max_steps + 1):
-            g = next_normals(dim)
-            next_uniform()
-            y = propose(x, g, delta)
-            try:
-                inside = inside_body(y)
-            except CutLocusError:
-                inside = False
-                stats.cut_locus_hits += 1
-            if inside:
-                x = y
-                rejected = False
-            else:
-                rejected = True
-                stats.rejections += 1
-                stats.boundary_rejections += 1
-            if step == emit:
-                if debug:
-                    man.validate_point(x)
-                    if not inside_body(x):
-                        raise PreconditionError("emitted point escaped the body")
-                coords[row] = x
-                rejected_rows[row] = rejected
-                row += 1
-                emit += thin
-        stats.steps = max_steps
-        return ChainResult(steps, coords, rejected_rows, None, stats, x.copy())
-
-    f = target.f
-    temperature = target.temperature
-    fx = float(f(x))
-    if not math.isfinite(fx):
-        raise OracleError("target is non-finite at the chain start")
-    best_coords, best_f = x.copy(), fx
-    f_values = np.empty(kept)
-    for step in range(1, max_steps + 1):
-        g = next_normals(dim)
-        w = next_uniform()
-        y = propose(x, g, delta)
-        try:
-            inside = inside_body(y)
-        except CutLocusError:
-            inside = False
-            stats.cut_locus_hits += 1
-        if inside:
-            fy = float(f(y))
-            if not math.isfinite(fy):
-                raise OracleError(f"target returned non-finite value at step {step}")
-            if fy <= fx or w < math.exp((fx - fy) / temperature):
-                x = y
-                fx = fy
-                rejected = False
-                if fy < best_f:
-                    best_coords, best_f = y.copy(), fy
-            else:
-                rejected = True
-                stats.rejections += 1
-                stats.filter_rejections += 1
-        else:
-            rejected = True
-            stats.rejections += 1
-            stats.boundary_rejections += 1
-        if step == emit:
-            if debug:
-                man.validate_point(x)
-                if not inside_body(x):
-                    raise PreconditionError("emitted point escaped the body")
-            coords[row] = x
-            rejected_rows[row] = rejected
-            f_values[row] = fx
-            row += 1
-            emit += thin
-    stats.steps = max_steps
+    rejected = np.empty(kept, dtype=bool)
+    f_values = None if target is None else np.empty(kept)
+    stats = RejectionStats()
+    record = (burn_in + thin, thin, coords, rejected, f_values)
+    x, _, best_coords, best_f = _advance(
+        x, body, target, params.delta, params.max_steps, rng, stats, record
+    )
     return ChainResult(
-        steps, coords, rejected_rows, f_values, stats, x.copy(), best_coords, best_f
+        steps, coords, rejected, f_values, stats, x.copy(), best_coords, best_f
     )
 
 

@@ -149,6 +149,36 @@ def test_sequential_anneal_descends(cap60):
     assert sum(rec.steps for rec in result.trace) <= 50_000
 
 
+def test_anneal_equals_per_phase_metropolis_replay(cap60):
+    target = gw.distance_to(cap60.manifold, cap60.axis)
+    config = gw.AnnealConfig(
+        epsilon=0.3, fail_prob=0.2, lipschitz=target.lipschitz, steps_per_phase=200
+    )
+    start = np.array([math.sin(0.8), 0.0, math.cos(0.8)])
+    result = gw.anneal(cap60, target.f, config, gw.stream(11), start=start)
+    assert len(result.trace) > 1
+
+    rng = gw.stream(11)
+    params = gw.WalkParams(delta=result.delta)
+    x, fx = start, target.f(start)
+    for rec, temperature in zip(result.trace, result.schedule.temps):
+        gibbs = gw.GibbsTarget(target.f, target.lipschitz, temperature)
+        state = gw.WalkState(x, f_value=fx)
+        best_x, best_f = x, fx
+        for _ in range(200):
+            state = gw.metropolis_step(state, cap60, gibbs, params, rng)
+            if state.f_value < best_f:
+                best_x, best_f = state.point, state.f_value
+        x, fx = state.point, state.f_value
+        assert rec.temperature == temperature and rec.steps == 200
+        assert rec.rejections == state.cumulative_rejections
+        assert rec.best_f == best_f
+        assert rec.final_f == fx
+    assert np.array_equal(result.minimizer, best_x)
+    assert result.value == best_f
+    assert any(rec.rejections for rec in result.trace)
+
+
 def test_lockstep_trials_are_deterministic(cap60):
     target = gw.distance_to(cap60.manifold, cap60.axis)
     config = gw.AnnealConfig(

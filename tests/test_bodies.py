@@ -22,10 +22,9 @@ def test_cap_membership_spot_checks(cap60):
 
 
 def test_cap_metadata(cap60):
-    center, r, d = gw.metadata(cap60)
-    assert np.array_equal(center, cap60.axis)
-    assert r == pytest.approx(math.pi / 3)
-    assert d == pytest.approx(2 * math.pi / 3)
+    assert np.array_equal(cap60.inner_center, cap60.axis)
+    assert cap60.inner_radius == pytest.approx(math.pi / 3)
+    assert cap60.diameter == pytest.approx(2 * math.pi / 3)
     assert cap60.spec_string.startswith("cap:")
 
 
@@ -192,7 +191,7 @@ def test_tiny_body_trips_acceptance_guard():
 
 def test_contains_wrapper_validates_manifold(cap60):
     point = gw.ManifoldPoint(cap60.manifold, np.array([0.0, 0.0, 1.0]))
-    assert gw.contains(cap60, point)
+    assert cap60.contains(point)
     other = gw.ManifoldPoint(gw.Sphere(3), np.array([0.0, 0.0, 0.0, 1.0]))
     with pytest.raises(PreconditionError):
-        gw.contains(cap60, other)
+        cap60.contains(other)

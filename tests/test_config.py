@@ -56,9 +56,11 @@ def test_load_config_rejects_unknown_section(tmp_path):
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
-    path = write_ini(tmp_path, SAMPLE_INI + "stride = 3\n")
-    with pytest.raises(gw.ConfigError, match="stride"):
-        cfgmod.load_config(path)
+    jobs = SAMPLE_INI.replace("output_dir = out\n", "output_dir = out\njobs = 2\n")
+    for text, key in ((SAMPLE_INI + "stride = 3\n", "stride"), (jobs, "jobs")):
+        path = write_ini(tmp_path, text)
+        with pytest.raises(gw.ConfigError, match=key):
+            cfgmod.load_config(path)
 
 
 def test_load_config_wraps_parser_errors(tmp_path):

@@ -151,6 +151,14 @@ def test_thin_and_burn_in_emission():
     assert [s.step for s in everything.samples] == list(range(1, 11))
 
 
+def test_thin_below_one_and_negative_burn_in_raise():
+    cap = cap_on_sphere()
+    params = gw.WalkParams(delta=0.04, max_steps=10, seed=1)
+    for thin, burn_in in ((0, 0), (-2, 0), (1, -1)):
+        with pytest.raises(PreconditionError):
+            gw.run_chain(cap.axis, cap, params, thin=thin, burn_in=burn_in)
+
+
 def test_stats_add_up():
     cap = cap_on_sphere()
     params = gw.WalkParams(delta=0.04, max_steps=2000, seed=5)
