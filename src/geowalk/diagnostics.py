@@ -166,17 +166,24 @@ def _convex_min(h: Callable[[float], float], a: float, b: float) -> float:
 def _require_convex(
     h: Callable[[float], float], a: float, b: float, tol: float = 1e-9, grid: int = 33
 ) -> None:
-    """Midpoint spot test; raises :class:`NotConvex` with a witness."""
+    """Midpoint spot test; raises :class:`NotConvex` with a witness.
+
+    Tests every grid pair at least two apart, evaluating ``h`` once per
+    distinct midpoint; the witness is the first failing pair in row-major
+    order.
+    """
     xs = np.linspace(a, b, grid)
     values = np.array([h(x) for x in xs])
-    for i in range(grid):
-        for j in range(i + 2, grid):
-            mid = 0.5 * (xs[i] + xs[j])
-            if h(mid) > 0.5 * (values[i] + values[j]) + tol:
-                raise NotConvex(
-                    f"midpoint test failed at x={xs[i]:.6g}, y={xs[j]:.6g}: "
-                    f"h(mid)={h(mid):.6g} exceeds the chord"
-                )
+    i, j = np.triu_indices(grid, 2)
+    mids, which = np.unique(0.5 * (xs[i] + xs[j]), return_inverse=True)
+    h_mid = np.array([h(m) for m in mids])[which]
+    failed = h_mid > 0.5 * (values[i] + values[j]) + tol
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise NotConvex(
+            f"midpoint test failed at x={xs[i[k]]:.6g}, y={xs[j[k]]:.6g}: "
+            f"h(mid)={h_mid[k]:.6g} exceeds the chord"
+        )
 
 
 def ks_one_sample(values: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:

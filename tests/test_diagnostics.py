@@ -81,6 +81,53 @@ def test_needle_moment_rejects_concave_potential():
         diag.check_needle_moment_lemma(lambda z: -z * z, 0.0, 1.0, n=2)
 
 
+def _pairwise_convexity_test(h, a, b, tol=1e-9, grid=33):
+    """Reference spot test: one ``h`` call per grid pair, in row-major order."""
+    xs = np.linspace(a, b, grid)
+    values = np.array([h(x) for x in xs])
+    for i in range(grid):
+        for j in range(i + 2, grid):
+            mid = 0.5 * (xs[i] + xs[j])
+            if h(mid) > 0.5 * (values[i] + values[j]) + tol:
+                raise gw.NotConvex(
+                    f"midpoint test failed at x={xs[i]:.6g}, y={xs[j]:.6g}: "
+                    f"h(mid)={h(mid):.6g} exceeds the chord"
+                )
+
+
+@pytest.mark.parametrize(
+    "h,a,b",
+    [
+        (lambda z: -z * z, 0.0, 1.0),
+        (lambda z: abs(z - 0.3) - 0.2 * math.exp(-200.0 * (z - 1.1) ** 2), 0.0, 2.0),
+        (lambda z: math.sin(3.0 * z), 0.5, 4.5),
+        (lambda z: z**3, -1.0, 1.0),
+    ],
+)
+def test_convexity_witness_matches_pairwise_loop(h, a, b):
+    with pytest.raises(gw.NotConvex) as reference:
+        _pairwise_convexity_test(h, a, b)
+    with pytest.raises(gw.NotConvex) as deduplicated:
+        diag._require_convex(h, a, b)
+    assert str(deduplicated.value) == str(reference.value)
+
+
+def test_convexity_test_evaluates_each_midpoint_once():
+    h, _ = diag._random_piecewise_linear_convex(gw.stream(3))
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return h(z)
+
+    grid = 33
+    xs = np.linspace(0.2, 3.7, grid)
+    i, j = np.triu_indices(grid, 2)
+    distinct = np.unique(0.5 * (xs[i] + xs[j])).size
+    diag._require_convex(counted, 0.2, 3.7, grid=grid)
+    assert len(calls) <= grid + distinct < grid + i.size
+
+
 def test_needle_moment_rejects_bad_interval():
     with pytest.raises(gw.PreconditionError):
         diag.check_needle_moment_lemma(lambda z: z, -1.0, 1.0, n=1)

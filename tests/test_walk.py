@@ -237,16 +237,16 @@ def test_burn_in_past_the_end_keeps_zero_rows(target, burn_in):
 
 @pytest.mark.parametrize("target", [False, True])
 def test_long_chain_record_stays_small(target):
-    # 100k kept rows on sphere:2 are 2.4 MB of coordinates plus 0.8 MB of
+    # 20k kept rows on sphere:2 are 480 kB of coordinates plus 160 kB of
     # steps and of f values; one object per row costs several times that.
     tracemalloc.start()
     try:
-        result = record_chain(target, 100_000, 1, 0)
+        result = record_chain(target, 20_000, 1, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2**20
-    assert len(result.steps) == 100_000
+    assert peak <= 1.6 * 2**20
+    assert len(result.steps) == 20_000
 
 
 def test_metropolis_samples_carry_f_values():
