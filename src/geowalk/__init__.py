@@ -9,12 +9,10 @@ the inequalities the guarantees rest on.
 
 from .anneal import (
     AnnealConfig,
-    AnnealResult,
     AnnealSchedule,
     PhaseRecord,
     TrialsResult,
     allocate_steps,
-    anneal,
     anneal_trials,
     initial_temperature,
     make_schedule,

@@ -18,23 +18,9 @@ No minimum shift is applied to the objective: the Metropolis filter only
 ever sees differences ``f(y) - f(x)``, so shifting ``f`` by any constant,
 including a running minimum estimate, changes nothing.
 
-Scalar :func:`anneal` runs each phase through ``walk._advance``, the one
-scalar walk loop: each step draws its normals, then its uniform, and
-proposes with ``Manifold.propose``.  It and :func:`anneal_trials` count a
-proposal on the cut locus of the body's membership test as a rejection, row
-by row.
-
-Scalar :func:`anneal` applies the filter as ``f(y) <= f(x)`` or
-``w < exp((f(x) - f(y)) / T)``.  The lockstep :func:`anneal_trials` applies
-it as one comparison, ``f(y) - f(x) < -T log w``, with ``-T log w`` computed
-once per drawn block of uniforms.  For ``w`` in ``[0, 1)`` the two accept
-exactly the same moves (``-T log w > 0`` takes the downhill case, and
-``w = 0`` gives an infinite threshold); only the last-bit rounding differs.
-:func:`anneal_trials` proposes through ``Manifold.propose_many`` and keeps
-its state in workspaces preallocated once per call, of size trials by
-ambient dimension, besides the per-block draws.  Each trial's stream is
-consumed exactly as before: per block, ``standard_normal((m, n))`` then
-``random(m)``.
+:func:`anneal_trials` runs the trials in lockstep: one step makes one
+``Manifold.propose_many`` call for all trials and counts a proposal on the
+cut locus of the body's membership test as a rejection, row by row.
 """
 
 from __future__ import annotations
@@ -55,28 +41,21 @@ from .errors import (
 )
 from .manifolds import Manifold
 from .rng import stream
-from .walk import (
-    GibbsTarget,
-    RejectionStats,
-    WalkParams,
-    _advance,
-    _contains_rows,
-    _start_coords,
-    delta_bound,
-    validate_delta,
-)
+from .walk import WalkParams, _contains_rows, delta_bound, validate_delta
+
+# Steps per drawn block of anneal_trials.  It fixes how each trial's stream
+# splits into blocks of normals then uniforms, so changing it changes results.
+_CHUNK = 4096
 
 __all__ = [
     "AnnealSchedule",
     "AnnealConfig",
     "PhaseRecord",
-    "AnnealResult",
     "TrialsResult",
     "make_schedule",
     "initial_temperature",
     "phase_step_budget",
     "allocate_steps",
-    "anneal",
     "anneal_trials",
 ]
 
@@ -108,7 +87,6 @@ class AnnealConfig:
     max_total_steps: int = 10**6
     delta: Optional[float] = None
     override_delta: bool = False
-    delta_safety: float = 0.5
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -139,15 +117,6 @@ class PhaseRecord:
     rejections: int
     best_f: float
     final_f: float
-
-
-@dataclass(frozen=True)
-class AnnealResult:
-    minimizer: np.ndarray
-    value: float
-    trace: tuple[PhaseRecord, ...]
-    schedule: AnnealSchedule
-    delta: float
 
 
 @dataclass(frozen=True)
@@ -259,48 +228,10 @@ def allocate_steps(
     for k, temperature in enumerate(schedule.temps):
         share = remaining // (count - k)
         demand = _raw_demand(manifold, body, temperature, config)
-        take = int(min(demand, share)) if demand < share else int(share)
-        take = max(0, take)
+        take = int(min(demand, share))
         allocations.append(take)
         remaining -= take
     return allocations
-
-
-def _resolve_delta(body: ConvexBody, config: AnnealConfig) -> float:
-    man = body.manifold
-    if config.delta is None:
-        return delta_bound(man, body, config.delta_safety)
-    params = WalkParams(delta=config.delta, override_delta=config.override_delta)
-    validate_delta(params, man, body, config.delta_safety)
-    return config.delta
-
-
-def anneal(
-    body: ConvexBody,
-    f: Callable[[np.ndarray], float],
-    config: AnnealConfig,
-    rng: np.random.Generator,
-    start=None,
-) -> AnnealResult:
-    """One annealing run; see the module docstring for the procedure.
-
-    ``start`` defaults to an exact uniform draw from the body.  The
-    returned value is the raw objective at the best final-phase point.
-    """
-    man = body.manifold
-    delta = _resolve_delta(body, config)
-    t0 = initial_temperature(body, config.lipschitz)
-    schedule = make_schedule(t0, man.tangent_dim, config.epsilon, config.fail_prob)
-    allocations = allocate_steps(schedule, man, body, config)
-
-    x = rejection_sample_uniform(body, rng) if start is None else _start_coords(start, body)
-    trace: list[PhaseRecord] = []
-    for phase, (temperature, steps) in enumerate(zip(schedule.temps, allocations)):
-        stats = RejectionStats()
-        target = GibbsTarget(f, config.lipschitz, temperature)
-        x, fx, best_x, best_f = _advance(x, body, target, delta, steps, rng, stats)
-        trace.append(PhaseRecord(phase, temperature, steps, stats.rejections, best_f, fx))
-    return AnnealResult(best_x, best_f, tuple(trace), schedule, delta)
 
 
 def anneal_trials(
@@ -309,32 +240,35 @@ def anneal_trials(
     config: AnnealConfig,
     seed: int,
     trials: int,
-    chunk: int = 4096,
 ) -> TrialsResult:
     """``trials`` independent annealing runs advanced in lockstep.
 
-    Each trial owns the RNG stream ``(seed, trial_index)`` and draws its
-    randomness in per-phase blocks of at most ``chunk`` steps: its normals
-    ``standard_normal((m, n))``, then its uniforms ``random(m)``.  Results
-    are deterministic in ``seed`` but not trajectory-identical to
-    sequential :func:`anneal` calls, which interleave draws differently.
+    Each trial owns the RNG stream ``(seed, trial_index)``, draws its start
+    uniformly from the body, and then draws its randomness in per-phase
+    blocks of at most ``_CHUNK`` steps: its normals ``standard_normal((m,
+    n))``, then its uniforms ``random(m)``.  A trial's result therefore
+    does not depend on how many trials run beside it.
 
     One step makes one ``propose_many`` call for all trials, tests
     membership and scores the proposals with ``f_many``, then accepts the
-    in-body rows with ``f(y) - f(x) < -T log w``; the thresholds replace
-    the uniforms in place once per block, and this test accepts exactly
-    when :func:`anneal`'s ``f(y) <= f(x) or w < exp((f(x) - f(y)) / T)``
-    does.  Points, values and best-so-far arrays are updated in place in
-    workspaces preallocated once per call.  ``f_many`` must accept any
-    batch of manifold points, on or off the body; a non-finite value at an
-    in-body proposal raises :class:`OracleError`, while values at
-    out-of-body proposals are never used or checked.
+    in-body rows with ``f(y) - f(x) < -T log w``, the Metropolis filter
+    ``w < exp(-(f(y) - f(x)) / T)`` with the thresholds replacing the
+    uniforms in place once per block.  Points, values and best-so-far
+    arrays are updated in place in workspaces preallocated once per call.
+    ``f_many`` must accept any batch of manifold points, on or off the
+    body; a non-finite value at an in-body proposal raises
+    :class:`OracleError`, while values at out-of-body proposals are never
+    used or checked.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
     man = body.manifold
     n = man.tangent_dim
-    delta = _resolve_delta(body, config)
+    if config.delta is None:
+        delta = delta_bound(man, body)
+    else:
+        delta = config.delta
+        validate_delta(WalkParams(delta=delta, override_delta=config.override_delta), man, body)
     t0 = initial_temperature(body, config.lipschitz)
     schedule = make_schedule(t0, n, config.epsilon, config.fail_prob)
     allocations = allocate_steps(schedule, man, body, config)
@@ -351,9 +285,9 @@ def anneal_trials(
     best_points = points.copy()
     best_values = values.copy()
 
-    normals = np.empty((trials, chunk, n))
-    thresholds = np.empty((trials, chunk))
-    accepts = np.empty((chunk, trials), dtype=bool)
+    normals = np.empty((trials, _CHUNK, n))
+    thresholds = np.empty((trials, _CHUNK))
+    accepts = np.empty((_CHUNK, trials), dtype=bool)
     rise = np.empty(trials)
     improved = np.empty(trials, dtype=bool)
     for phase, (temperature, steps) in enumerate(zip(schedule.temps, allocations)):
@@ -365,7 +299,7 @@ def anneal_trials(
             np.copyto(best_values, values)
         done = 0
         while done < steps:
-            m = min(chunk, steps - done)
+            m = min(_CHUNK, steps - done)
             for t, g in enumerate(gens):
                 normals[t, :m] = g.standard_normal((m, n))
                 thresholds[t, :m] = g.random(m)

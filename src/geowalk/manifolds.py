@@ -11,8 +11,8 @@ Every ``exp`` re-projects its result (sphere: renormalisation, SO(n): polar
 factor), so long chains of composed steps do not drift off the manifold.
 
 The walk's proposal ``exp_x(delta * tangent_from_gaussian(x, g))`` has its
-own kernels: ``propose`` for one point (the scalar walk, ``anneal`` and the
-single-step functions) and ``propose_many`` for a batch of rows.  Both take
+own kernels: ``propose`` for one point (``run_chain`` and the single-step
+functions) and ``propose_many`` for a batch of rows.  Both take
 the raw normals ``g`` that the caller drew, so they consume no randomness
 and the walk's draw order does not depend on them.  ``Euclidean`` and
 ``Sphere`` evaluate them in closed form; the sphere's scalar kernel works on
@@ -137,9 +137,6 @@ class Manifold:
     def tangent_gaussian(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return self.tangent_from_gaussian(x, rng.standard_normal(self.tangent_dim))
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def validate_point(self, x: np.ndarray, atol: float = 1e-8) -> None:
         raise NotImplementedError
 
@@ -211,9 +208,6 @@ class Euclidean(Manifold):
 
     def propose(self, x, g, delta):
         return x + delta * g
-
-    def project(self, x):
-        return np.asarray(x, dtype=float)
 
     def validate_point(self, x, atol=1e-8):
         self._check_shape(x)
@@ -300,10 +294,6 @@ class Sphere(Manifold):
         y.append(c * last - q if last >= 0.0 else c * last + q)
         r = math.hypot(*y)
         return np.array([v / r for v in y])
-
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
-        return x / math.sqrt(x @ x)
 
     def validate_point(self, x, atol=1e-8):
         x = self._check_shape(x)
@@ -450,9 +440,6 @@ class SpecialOrthogonal(Manifold):
         om -= np.transpose(om, (0, 2, 1))
         xs = points.reshape(m, self.n, self.n)
         return np.einsum("kij,kjl->kil", xs, om).reshape(m, self.ambient_dim)
-
-    def project(self, x):
-        return self._polar(self._mat(np.asarray(x, dtype=float))).ravel()
 
     def validate_point(self, x, atol=1e-8):
         x = self._check_shape(x)

@@ -100,4 +100,4 @@ def linear(coefficients: np.ndarray, box: Optional[EuclideanBox] = None) -> Targ
 
 
 def as_gibbs(target: Target, temperature: float) -> GibbsTarget:
-    return GibbsTarget(target.f, target.lipschitz, temperature, target.f_many)
+    return GibbsTarget(target.f, temperature)

@@ -13,8 +13,7 @@ the step resolves.  A uniform walk and a Metropolis walk with constant
 ``f`` therefore produce bit-identical trajectories from the same seed,
 which the test suite relies on.
 
-``_advance`` is the one scalar loop: :func:`run_chain` calls it once and
-``anneal.anneal`` once per phase.  It and the reference steps
+The scalar loop of :func:`run_chain` and the reference steps
 :func:`uniform_step` and :func:`metropolis_step`, which the tests replay
 it against, draw ``standard_normal(tangent_dim)``, then the uniform, then
 propose with ``Manifold.propose(x, g, delta)``, which draws nothing.  The
@@ -108,23 +107,18 @@ class WalkState:
 
 @dataclass
 class GibbsTarget:
-    """Convex energy with its Lipschitz constant and a temperature.
+    """Convex energy and a temperature.
 
     ``f`` maps coordinates to a finite real on the body (values off the
-    body may be anything finite; the walk only compares them).  ``f_many``
-    is an optional vectorised twin used by ensemble code paths.
+    body may be anything finite; the walk only compares them).
     """
 
     f: Callable[[np.ndarray], float]
-    lipschitz: float
     temperature: float
-    f_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.temperature <= 0.0:
             raise PreconditionError("temperature must be positive")
-        if self.lipschitz <= 0.0:
-            raise PreconditionError("Lipschitz constant must be positive")
 
 
 @dataclass
@@ -170,8 +164,6 @@ class ChainResult:
     f_values: Optional[np.ndarray]
     stats: RejectionStats
     final: np.ndarray
-    best_coords: Optional[np.ndarray] = None
-    best_f: Optional[float] = None
 
     @property
     def samples(self) -> list[ChainSample]:
@@ -206,16 +198,14 @@ def delta_bound(manifold: Manifold, body: ConvexBody, s: float = 0.5) -> float:
     return min(curvature_term, ball_term)
 
 
-def validate_delta(
-    params: WalkParams, manifold: Manifold, body: ConvexBody, s: float = 0.5
-) -> float:
+def validate_delta(params: WalkParams, manifold: Manifold, body: ConvexBody) -> float:
     """Check ``params.delta`` against ``delta_bound``; returns the bound.
 
     Over-bound steps raise unless ``params.override_delta`` is set, in
     which case a :class:`StepSizeWarning` is emitted instead (stationarity
     is unaffected by the step size; only the mixing guarantees are).
     """
-    bound = delta_bound(manifold, body, s)
+    bound = delta_bound(manifold, body)
     if params.delta > bound:
         message = (
             f"step size {params.delta:.6g} exceeds the guaranteed-safe bound "
@@ -314,47 +304,58 @@ def metropolis_step(
     )
 
 
-def _advance(
-    x: np.ndarray,
+def run_chain(
+    start,
     body: ConvexBody,
-    target: Optional[GibbsTarget],
-    delta: float,
-    steps: int,
-    rng: np.random.Generator,
-    stats: RejectionStats,
-    record: Optional[tuple] = None,
-) -> tuple[np.ndarray, Optional[float], Optional[np.ndarray], Optional[float]]:
-    """Run ``steps`` lazy steps from ``x``, filtered toward ``target`` when
-    given, drawing as :func:`metropolis_step` does; add the counts to
-    ``stats`` and return ``(final, final_f, best, best_f)``, the best point
-    being this call's lowest-``f`` one, start included (values ``None``
-    without a target).  With ``record = (emit, thin, coords, rejected,
-    f_values)`` the states after steps ``emit``, ``emit + thin``, ... fill
-    consecutive rows of those columns (``f_values`` may be ``None``).
+    params: WalkParams,
+    target: Optional[GibbsTarget] = None,
+    thin: int = 1,
+    burn_in: int = 0,
+    chain_id: int = 0,
+) -> ChainResult:
+    """Run one chain of ``params.max_steps`` steps from ``start``, filtered
+    toward ``target`` when given.
+
+    Keeps every ``thin``-th post-burn-in point, ``max(0, (max_steps -
+    burn_in) // thin)`` rows written into the columns of the returned
+    :class:`ChainResult`, which are allocated once.  Deterministic given
+    ``(params.seed, chain_id)``: the RNG stream is derived here, not passed
+    in.  ``start=None`` draws an exact uniform start from that same stream
+    before stepping.  Each step draws as :func:`metropolis_step` does.
     """
+    if burn_in < 0:
+        raise PreconditionError("burn_in must be >= 0")
+    if thin < 1:
+        raise PreconditionError("thin must be >= 1")
     man = body.manifold
+    validate_delta(params, man, body)
+    rng = stream(params.seed, chain_id)
+    x = rejection_sample_uniform(body, rng) if start is None else _start_coords(start, body)
+    kept = max(0, (params.max_steps - burn_in) // thin)
+    steps = np.arange(burn_in + thin, burn_in + thin * kept + 1, thin, dtype=np.int64)
+    coords = np.empty((kept, man.ambient_dim))
+    rejected_rows = np.empty(kept, dtype=bool)
+    f_values = None if target is None else np.empty(kept)
+
     propose = man.propose
     inside_body = body.contains_coords
     next_normals = rng.standard_normal
     next_uniform = rng.random
     dim = man.tangent_dim
-    if record is None:
-        emit = thin = 0  # no step has index 0, so nothing is written
-    else:
-        emit, thin, coords, rejected_rows, f_values = record
+    delta = params.delta
+    emit = burn_in + thin
     row = 0
 
-    f = fx = best_x = best_f = None
+    f = fx = None
     if target is not None:
         f = target.f
         temperature = target.temperature
         fx = float(f(x))
         if not math.isfinite(fx):
             raise OracleError("target is non-finite at the start point")
-        best_x, best_f = x.copy(), fx
 
-    boundary = filtered = 0
-    for step in range(1, steps + 1):
+    boundary = filtered = cut_locus_hits = 0
+    for step in range(1, params.max_steps + 1):
         g = next_normals(dim)
         w = next_uniform()
         y = propose(x, g, delta)
@@ -362,7 +363,7 @@ def _advance(
             inside = inside_body(y)
         except CutLocusError:
             inside = False
-            stats.cut_locus_hits += 1
+            cut_locus_hits += 1
         if not inside:
             rejected = True
             boundary += 1
@@ -374,8 +375,6 @@ def _advance(
                 raise OracleError(f"target returned non-finite value at step {step}")
             if fy <= fx or w < math.exp((fx - fy) / temperature):
                 x, fx, rejected = y, fy, False
-                if fy < best_f:
-                    best_x, best_f = y.copy(), fy
             else:
                 rejected = True
                 filtered += 1
@@ -386,53 +385,8 @@ def _advance(
                 f_values[row] = fx
             row += 1
             emit += thin
-    stats.steps += steps
-    stats.boundary_rejections += boundary
-    stats.filter_rejections += filtered
-    return x, fx, best_x, best_f
-
-
-def run_chain(
-    start,
-    body: ConvexBody,
-    params: WalkParams,
-    target: Optional[GibbsTarget] = None,
-    thin: int = 1,
-    burn_in: int = 0,
-    chain_id: int = 0,
-    delta_safety: float = 0.5,
-) -> ChainResult:
-    """Run one chain of ``params.max_steps`` steps from ``start``.
-
-    Keeps every ``thin``-th post-burn-in point, ``max(0, (max_steps -
-    burn_in) // thin)`` rows written into the columns of the returned
-    :class:`ChainResult`, which are allocated once.  Deterministic given
-    ``(params.seed, chain_id)``: the RNG stream is derived here, not passed
-    in.  ``start=None`` draws an exact uniform start from that same stream
-    before stepping.  With a target, tracks the best point visited anywhere
-    along the chain (start included).
-    """
-    if burn_in < 0:
-        raise PreconditionError("burn_in must be >= 0")
-    if thin < 1:
-        raise PreconditionError("thin must be >= 1")
-    man = body.manifold
-    validate_delta(params, man, body, delta_safety)
-    rng = stream(params.seed, chain_id)
-    x = rejection_sample_uniform(body, rng) if start is None else _start_coords(start, body)
-    kept = max(0, (params.max_steps - burn_in) // thin)
-    steps = np.arange(burn_in + thin, burn_in + thin * kept + 1, thin, dtype=np.int64)
-    coords = np.empty((kept, man.ambient_dim))
-    rejected = np.empty(kept, dtype=bool)
-    f_values = None if target is None else np.empty(kept)
-    stats = RejectionStats()
-    record = (burn_in + thin, thin, coords, rejected, f_values)
-    x, _, best_coords, best_f = _advance(
-        x, body, target, params.delta, params.max_steps, rng, stats, record
-    )
-    return ChainResult(
-        steps, coords, rejected, f_values, stats, x.copy(), best_coords, best_f
-    )
+    stats = RejectionStats(params.max_steps, boundary, filtered, cut_locus_hits)
+    return ChainResult(steps, coords, rejected_rows, f_values, stats, x.copy())
 
 
 def _box_rejection(points: np.ndarray, body: EuclideanBox, delta: float) -> np.ndarray:

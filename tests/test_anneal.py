@@ -13,6 +13,7 @@ from geowalk.errors import (
     DegenerateSchedule,
     OracleError,
     PreconditionError,
+    StepSizeWarning,
 )
 
 
@@ -131,52 +132,82 @@ def test_anneal_config_validation():
 # The optimization loops.
 
 
-def test_sequential_anneal_descends(cap60):
+def _replay_trial(body, target, result, seed, t):
+    """Trial ``t`` of ``anneal_trials(body, target.f_many, ...)`` replayed
+    one step at a time from the block draws of ``stream(seed, t)``."""
+    man = body.manifold
+    n = man.tangent_dim
+    rng = gw.stream(seed, t)
+    x = gw.rejection_sample_uniform(body, rng)[None, :]
+    fx = target.f_many(x)[0]
+    last = len(result.schedule.temps) - 1
+    trace = []
+    for phase, (temperature, steps) in enumerate(
+        zip(result.schedule.temps, result.allocations)
+    ):
+        if phase == last:
+            best_x, best_f = x, fx
+        phase_best, accepted, done = fx, 0, 0
+        while done < steps:
+            m = min(4096, steps - done)
+            normals = rng.standard_normal((m, n))
+            thresholds = -temperature * np.log(rng.random(m))
+            for j in range(m):
+                y = man.propose_many(x, normals[j : j + 1], result.delta)
+                fy = target.f_many(y)[0]
+                if body.contains_many(y)[0] and fy - fx < thresholds[j]:
+                    x, fx, accepted = y, fy, accepted + 1
+                phase_best = min(phase_best, fx)
+                if phase == last and fx < best_f:
+                    best_x, best_f = x, fx
+            done += m
+        trace.append(
+            gw.PhaseRecord(phase, temperature, steps, steps - accepted, phase_best, fx)
+        )
+    return tuple(trace), best_x[0], best_f
+
+
+CAP60 = gw.SphericalCap(gw.Sphere(2), np.array([0.0, 0.0, 1.0]), math.pi / 3)
+
+
+@pytest.mark.parametrize("cap, seed", [(CAP60, 11), (s5_cap(), 3)], ids=["sphere2", "sphere5"])
+def test_lockstep_trials_equal_per_step_replay(cap, seed):
+    target = gw.distance_to(cap.manifold, cap.axis)
+    # On sphere:2 the final phase takes 5,748 steps, two blocks of draws.
+    config = gw.AnnealConfig(
+        epsilon=2.0, fail_prob=0.5, lipschitz=target.lipschitz, max_total_steps=8_000
+    )
+    result = gw.anneal_trials(cap, target.f_many, config, seed=seed, trials=3)
+    assert len(result.schedule.temps) > 1
+    for t in (0, 2):
+        trace, minimizer, value = _replay_trial(cap, target, result, seed, t)
+        assert result.traces[t] == trace
+        assert np.array_equal(result.minimizers[t], minimizer)
+        assert result.values[t] == value
+    assert any(rec.rejections for rec in result.traces[0])
+
+
+def test_lockstep_trial_does_not_depend_on_its_neighbours(cap60):
     target = gw.distance_to(cap60.manifold, cap60.axis)
     config = gw.AnnealConfig(
-        epsilon=0.2, fail_prob=0.2, lipschitz=target.lipschitz, max_total_steps=50_000
+        epsilon=0.3, fail_prob=0.2, lipschitz=target.lipschitz, max_total_steps=10_000
     )
-    result = gw.anneal(cap60, target.f, config, gw.stream(17))
-    assert result.value < 0.05
-    assert cap60.contains_coords(result.minimizer)
-    assert result.value == pytest.approx(
-        cap60.manifold.dist(result.minimizer, cap60.axis), abs=1e-12
-    )
-    assert len(result.trace) == len(result.schedule.temps)
-    # Phase temperatures decrease and step counts were actually spent.
-    temps = [rec.temperature for rec in result.trace]
-    assert temps == sorted(temps, reverse=True)
-    assert sum(rec.steps for rec in result.trace) <= 50_000
+    alone = gw.anneal_trials(cap60, target.f_many, config, seed=11, trials=1)
+    many = gw.anneal_trials(cap60, target.f_many, config, seed=11, trials=20)
+    assert np.array_equal(many.minimizers[0], alone.minimizers[0])
+    assert many.values[0] == alone.values[0]
+    assert many.traces[0] == alone.traces[0]
 
 
-def test_anneal_equals_per_phase_metropolis_replay(cap60):
+def test_step_size_warning_points_at_the_caller(cap60):
     target = gw.distance_to(cap60.manifold, cap60.axis)
     config = gw.AnnealConfig(
-        epsilon=0.3, fail_prob=0.2, lipschitz=target.lipschitz, steps_per_phase=200
+        epsilon=0.3, fail_prob=0.2, lipschitz=target.lipschitz, max_total_steps=100,
+        delta=0.5, override_delta=True,
     )
-    start = np.array([math.sin(0.8), 0.0, math.cos(0.8)])
-    result = gw.anneal(cap60, target.f, config, gw.stream(11), start=start)
-    assert len(result.trace) > 1
-
-    rng = gw.stream(11)
-    params = gw.WalkParams(delta=result.delta)
-    x, fx = start, target.f(start)
-    for rec, temperature in zip(result.trace, result.schedule.temps):
-        gibbs = gw.GibbsTarget(target.f, target.lipschitz, temperature)
-        state = gw.WalkState(x, f_value=fx)
-        best_x, best_f = x, fx
-        for _ in range(200):
-            state = gw.metropolis_step(state, cap60, gibbs, params, rng)
-            if state.f_value < best_f:
-                best_x, best_f = state.point, state.f_value
-        x, fx = state.point, state.f_value
-        assert rec.temperature == temperature and rec.steps == 200
-        assert rec.rejections == state.cumulative_rejections
-        assert rec.best_f == best_f
-        assert rec.final_f == fx
-    assert np.array_equal(result.minimizer, best_x)
-    assert result.value == best_f
-    assert any(rec.rejections for rec in result.trace)
+    with pytest.warns(StepSizeWarning) as record:
+        gw.anneal_trials(cap60, target.f_many, config, seed=0, trials=1)
+    assert record[0].filename == __file__
 
 
 def test_lockstep_trials_are_deterministic(cap60):
@@ -291,18 +322,6 @@ def _toward_band():
         epsilon=0.3, fail_prob=0.2, lipschitz=target.lipschitz, max_total_steps=6_000
     )
     return target, config
-
-
-def test_anneal_counts_cut_locus_hits_as_rejections():
-    target, config = _toward_band()
-    cut, outside = BandCap(raises=True), BandCap(raises=False)
-    start = np.array([0.0, 0.0, 1.0])
-    hit = gw.anneal(cut, target.f, config, gw.stream(5), start=start)
-    plain = gw.anneal(outside, target.f, config, gw.stream(5), start=start)
-    assert cut.band_hits > 0
-    assert np.array_equal(hit.minimizer, plain.minimizer)
-    assert hit.trace == plain.trace
-    assert hit.minimizer[0] <= 0.8
 
 
 def test_lockstep_counts_cut_locus_hits_as_rejections():

@@ -98,7 +98,6 @@ def test_as_gibbs_wraps_target():
     target = gw.distance_to(man, np.array([0.0, 0.0, 1.0]))
     gibbs = gw.as_gibbs(target, 0.3)
     assert gibbs.temperature == 0.3
-    assert gibbs.lipschitz == target.lipschitz
     assert gibbs.f is target.f
     with pytest.raises(PreconditionError):
         gw.as_gibbs(target, 0.0)
