@@ -76,7 +76,6 @@ from .rng import stream
 from .targets import Target, as_gibbs, distance_to, linear, sqdist_to
 from .walk import (
     ChainResult,
-    ChainSample,
     GibbsTarget,
     RejectionStats,
     WalkParams,
@@ -86,8 +85,6 @@ from .walk import (
     metropolis_step,
     run_chain,
     step_ensemble,
-    suggested_burn_in,
-    uniform_step,
     validate_delta,
 )
 

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .bodies import ConvexBody, rejection_sample_uniform
+from .bodies import ConvexBody, _contains_rows, rejection_sample_uniform
 from .errors import (
     BudgetWarning,
     DegenerateSchedule,
@@ -41,7 +41,7 @@ from .errors import (
 )
 from .manifolds import Manifold
 from .rng import stream
-from .walk import WalkParams, _contains_rows, delta_bound, validate_delta
+from .walk import delta_bound, validate_delta
 
 # Steps per drawn block of anneal_trials.  It fixes how each trial's stream
 # splits into blocks of normals then uniforms, so changing it changes results.
@@ -103,7 +103,7 @@ class AnnealConfig:
                 )
         elif self.steps_per_phase < 1:
             raise PreconditionError("steps_per_phase must be >= 1 when explicit")
-        if self.budget_constant <= 0.0:
+        if not self.budget_constant > 0.0:
             raise PreconditionError("budget_constant must be positive")
         if self.max_total_steps < 1:
             raise PreconditionError("max_total_steps must be >= 1")
@@ -268,7 +268,7 @@ def anneal_trials(
         delta = delta_bound(man, body)
     else:
         delta = config.delta
-        validate_delta(WalkParams(delta=delta, override_delta=config.override_delta), man, body)
+        validate_delta(delta, config.override_delta, man, body)
     t0 = initial_temperature(body, config.lipschitz)
     schedule = make_schedule(t0, n, config.epsilon, config.fail_prob)
     allocations = allocate_steps(schedule, man, body, config)

@@ -24,7 +24,7 @@ import operator
 
 import numpy as np
 
-from .errors import AcceptanceTooLow, DimensionMismatch, NotConvex, PreconditionError
+from .errors import AcceptanceTooLow, CutLocusError, DimensionMismatch, NotConvex, PreconditionError
 from .manifolds import (
     Euclidean,
     Manifold,
@@ -201,6 +201,22 @@ class EuclideanBox(ConvexBody):
         return f"box:{lo}:{hi}"
 
 
+def _contains_rows(body: ConvexBody, points: np.ndarray) -> np.ndarray:
+    """Membership of each row of ``points``.  When the batched test hits
+    the cut locus, the rows are tested one by one and a row on the cut
+    locus counts as outside the body."""
+    try:
+        return body.contains_many(points)
+    except CutLocusError:
+        inside = np.zeros(len(points), dtype=bool)
+        for i, row in enumerate(points):
+            try:
+                inside[i] = body.contains_coords(row)
+            except CutLocusError:
+                pass
+        return inside
+
+
 def _propose_global(
     body: ConvexBody, rng: np.random.Generator, count: int
 ) -> np.ndarray:
@@ -236,7 +252,8 @@ def sample_uniform_many(
     """``count`` exact uniform draws from the body, stacked row-wise.
 
     Proposals are uniform on the whole manifold (or drawn directly for
-    Euclidean built-ins) and filtered through the membership oracle.  Raises
+    Euclidean built-ins) and filtered through the membership oracle; a
+    proposal on the cut locus of that test counts as outside.  Raises
     :class:`AcceptanceTooLow` once ``max_consecutive_rejections`` proposals
     in a row have all missed, which flags bodies too small for rejection
     sampling to be viable.
@@ -253,7 +270,7 @@ def sample_uniform_many(
     chunk = max(1024, min(count, 1 << 16))
     while have < count:
         proposals = _propose_global(body, rng, chunk)
-        keep = body.contains_many(proposals)
+        keep = _contains_rows(body, proposals)
         hits = int(np.count_nonzero(keep))
         if hits == 0:
             misses += chunk
@@ -281,8 +298,11 @@ def rejection_sample_uniform(
     misses = 0
     while True:
         x = _propose_global(body, rng, 1)[0]
-        if body.contains_coords(x):
-            return x
+        try:
+            if body.contains_coords(x):
+                return x
+        except CutLocusError:
+            pass
         misses += 1
         if misses >= max_consecutive_rejections:
             raise AcceptanceTooLow(

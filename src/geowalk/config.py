@@ -156,6 +156,10 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError("epsilon must be positive")
         if cfg.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if not cfg.budget_constant > 0.0:
+            raise ConfigError("budget_constant must be positive")
+        if cfg.max_total_steps < 1:
+            raise ConfigError("max_total_steps must be at least 1")
     if cfg.mode == "diagnose":
         known = builtin_check_names()
         unknown = [name for name in cfg.checks if name not in known]

@@ -11,8 +11,8 @@ Every ``exp`` re-projects its result (sphere: renormalisation, SO(n): polar
 factor), so long chains of composed steps do not drift off the manifold.
 
 The walk's proposal ``exp_x(delta * tangent_from_gaussian(x, g))`` has its
-own kernels: ``propose`` for one point (``run_chain`` and the single-step
-functions) and ``propose_many`` for a batch of rows.  Both take
+own kernels: ``propose`` for one point (``run_chain`` and the reference
+step ``metropolis_step``) and ``propose_many`` for a batch of rows.  Both take
 the raw normals ``g`` that the caller drew, so they consume no randomness
 and the walk's draw order does not depend on them.  ``Euclidean`` and
 ``Sphere`` evaluate them in closed form; the sphere's scalar kernel works on
@@ -21,8 +21,7 @@ overhead.
 
 The intrinsic dimension is ``tangent_dim``; curvature enters the walk only
 through ``curvature_bound``, an upper bound on the Frobenius norm of the
-curvature operator.  For ``S^n`` and ``SO(n)`` it defaults to ``n`` and can
-be overridden when sharper information is available.
+curvature operator.  For ``S^n`` and ``SO(n)`` it is ``n``.
 """
 
 from __future__ import annotations
@@ -239,13 +238,13 @@ class Sphere(Manifold):
     ``n`` normal variates and is tangent to machine precision.
     """
 
-    def __init__(self, n: int, curvature_bound: float | None = None):
+    def __init__(self, n: int):
         if n < 1:
             raise PreconditionError("sphere dimension must be >= 1")
         self.n = int(n)
         self.ambient_dim = self.n + 1
         self.tangent_dim = self.n
-        self.curvature_bound = float(n if curvature_bound is None else curvature_bound)
+        self.curvature_bound = float(n)
         self.injectivity_radius = math.pi
 
     @property
@@ -372,25 +371,17 @@ class SpecialOrthogonal(Manifold):
     degenerates and :class:`CutLocusError` is raised.
 
     The injectivity radius is declared as ``pi`` under this metric
-    normalisation (conservative; override via the constructor if you know
-    better), and the curvature bound defaults to ``n``.
+    normalisation (conservative), and the curvature bound is ``n``.
     """
 
-    def __init__(
-        self,
-        n: int,
-        curvature_bound: float | None = None,
-        injectivity_radius: float | None = None,
-    ):
+    def __init__(self, n: int):
         if n < 2:
             raise PreconditionError("SO(n) needs n >= 2")
         self.n = int(n)
         self.ambient_dim = self.n * self.n
         self.tangent_dim = self.n * (self.n - 1) // 2
-        self.curvature_bound = float(n if curvature_bound is None else curvature_bound)
-        self.injectivity_radius = float(
-            math.pi if injectivity_radius is None else injectivity_radius
-        )
+        self.curvature_bound = float(n)
+        self.injectivity_radius = math.pi
         self._iu = np.triu_indices(self.n, 1)
 
     @property

@@ -13,20 +13,19 @@ the step resolves.  A uniform walk and a Metropolis walk with constant
 ``f`` therefore produce bit-identical trajectories from the same seed,
 which the test suite relies on.
 
-The scalar loop of :func:`run_chain` and the reference steps
-:func:`uniform_step` and :func:`metropolis_step`, which the tests replay
-it against, draw ``standard_normal(tangent_dim)``, then the uniform, then
-propose with ``Manifold.propose(x, g, delta)``, which draws nothing.  The
-batched paths draw their normals as one block and propose with
-``Manifold.propose_many``.  A proposal on the cut locus of the body's
+The scalar loop of :func:`run_chain` and the reference step
+:func:`metropolis_step` (``target=None`` is the uniform walk), which the
+tests replay it against, draw ``standard_normal(tangent_dim)``, then the
+uniform, then propose with ``Manifold.propose(x, g, delta)``, which draws
+nothing.  The batched paths draw their normals as one block and propose
+with ``Manifold.propose_many``.  A proposal on the cut locus of the body's
 membership test counts as a boundary rejection, row by row.
 
 :func:`run_chain` keeps its emitted rows in columns of :class:`ChainResult`
 (``steps``, ``coords``, ``rejected``, ``f_values``), allocated once for
 ``max(0, (max_steps - burn_in) // thin)`` rows and written in place, so a
-kept row costs its bytes in those arrays and no Python object;
-``ChainResult.samples`` builds the per-row :class:`ChainSample` view on
-demand.  The one-row oracles the scalar step calls (``Sphere.dist``,
+kept row costs its bytes in those arrays and no Python object.  The
+one-row oracles the scalar step calls (``Sphere.dist``,
 ``SphericalCap.contains_coords``, ``EuclideanBox.contains_coords`` and the
 ``f`` of ``targets.linear``) compute on Python floats, as
 ``Sphere.propose`` does; their ``*_many`` twins stay on numpy.
@@ -47,7 +46,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bodies import ConvexBody, EuclideanBox, SphericalCap, rejection_sample_uniform
+from .bodies import ConvexBody, EuclideanBox, SphericalCap, _contains_rows, rejection_sample_uniform
 from .errors import (
     CutLocusError,
     InvalidStart,
@@ -63,12 +62,9 @@ __all__ = [
     "WalkState",
     "GibbsTarget",
     "RejectionStats",
-    "ChainSample",
     "ChainResult",
     "delta_bound",
     "validate_delta",
-    "suggested_burn_in",
-    "uniform_step",
     "metropolis_step",
     "run_chain",
     "estimate_local_conductance",
@@ -90,6 +86,11 @@ class WalkParams:
     override_delta: bool = False
 
     def __post_init__(self):
+        if self.delta is None:
+            raise PreconditionError(
+                "WalkParams needs a numeric delta; delta_bound(manifold, body) "
+                "gives the largest safe one"
+            )
         if self.delta <= 0.0 or not math.isfinite(self.delta):
             raise PreconditionError(f"step size must be finite and > 0, got {self.delta}")
         if self.max_steps < 0:
@@ -141,14 +142,6 @@ class RejectionStats:
 
 
 @dataclass
-class ChainSample:
-    step: int
-    coords: np.ndarray
-    rejected: bool
-    f_value: Optional[float] = None
-
-
-@dataclass
 class ChainResult:
     """The kept rows of one chain as columns, one entry per kept row.
 
@@ -164,21 +157,6 @@ class ChainResult:
     f_values: Optional[np.ndarray]
     stats: RejectionStats
     final: np.ndarray
-
-    @property
-    def samples(self) -> list[ChainSample]:
-        """The rows as :class:`ChainSample` objects, built on each access,
-        one object per row; long chains should read the columns instead."""
-        if self.f_values is None:
-            f_values = [None] * len(self.steps)
-        else:
-            f_values = self.f_values.tolist()
-        return [
-            ChainSample(step, coords, rejected, f_value)
-            for step, coords, rejected, f_value in zip(
-                self.steps.tolist(), self.coords.copy(), self.rejected.tolist(), f_values
-            )
-        ]
 
 
 def delta_bound(manifold: Manifold, body: ConvexBody, s: float = 0.5) -> float:
@@ -198,31 +176,27 @@ def delta_bound(manifold: Manifold, body: ConvexBody, s: float = 0.5) -> float:
     return min(curvature_term, ball_term)
 
 
-def validate_delta(params: WalkParams, manifold: Manifold, body: ConvexBody) -> float:
-    """Check ``params.delta`` against ``delta_bound``; returns the bound.
+def validate_delta(
+    delta: float, override_delta: bool, manifold: Manifold, body: ConvexBody
+) -> float:
+    """Check ``delta`` against ``delta_bound``; returns the bound.
 
-    Over-bound steps raise unless ``params.override_delta`` is set, in
-    which case a :class:`StepSizeWarning` is emitted instead (stationarity
-    is unaffected by the step size; only the mixing guarantees are).
+    Over-bound steps raise unless ``override_delta`` is set, in which case
+    a :class:`StepSizeWarning` is emitted instead (stationarity is
+    unaffected by the step size; only the mixing guarantees are).  The
+    warning points at the caller of the function that called this one.
     """
     bound = delta_bound(manifold, body)
-    if params.delta > bound:
+    if delta > bound:
         message = (
-            f"step size {params.delta:.6g} exceeds the guaranteed-safe bound "
+            f"step size {delta:.6g} exceeds the guaranteed-safe bound "
             f"{bound:.6g} for {manifold.descriptor}"
         )
-        if params.override_delta:
+        if override_delta:
             warnings.warn(message, StepSizeWarning, stacklevel=3)
         else:
             raise PreconditionError(message + " (set override_delta to proceed)")
     return bound
-
-
-def suggested_burn_in(manifold: Manifold, delta: float) -> int:
-    """Heuristic burn-in ``ceil(10 n^2 / delta^2)``, scaled like the mixing
-    bound's step-size dependence.  Advisory only; nothing enforces it."""
-    n = manifold.tangent_dim
-    return int(math.ceil(10.0 * n * n / (delta * delta)))
 
 
 def _start_coords(start, body: ConvexBody) -> np.ndarray:
@@ -233,52 +207,18 @@ def _start_coords(start, body: ConvexBody) -> np.ndarray:
     return coords.copy()
 
 
-def _contains_rows(body: ConvexBody, points: np.ndarray) -> np.ndarray:
-    """Membership of each row of ``points``.  When the batched test hits
-    the cut locus, the rows are tested one by one and a row on the cut
-    locus counts as outside the body."""
-    try:
-        return body.contains_many(points)
-    except CutLocusError:
-        inside = np.zeros(len(points), dtype=bool)
-        for i, row in enumerate(points):
-            try:
-                inside[i] = body.contains_coords(row)
-            except CutLocusError:
-                pass
-        return inside
-
-
-def uniform_step(
-    state: WalkState, body: ConvexBody, params: WalkParams, rng: np.random.Generator
-) -> WalkState:
-    """One lazy step toward the uniform distribution on the body.
-
-    Consumes ``tangent_dim`` normals plus one (unused) uniform so that it
-    stays stream-aligned with :func:`metropolis_step`.
-    """
-    man = body.manifold
-    x = state.point
-    g = rng.standard_normal(man.tangent_dim)
-    rng.random()
-    y = man.propose(x, g, params.delta)
-    try:
-        inside = body.contains_coords(y)
-    except CutLocusError:
-        inside = False
-    if inside:
-        return WalkState(y, state.step_index + 1, False, state.cumulative_rejections)
-    return WalkState(x, state.step_index + 1, True, state.cumulative_rejections + 1)
-
-
 def metropolis_step(
     state: WalkState,
     body: ConvexBody,
-    target: GibbsTarget,
+    target: Optional[GibbsTarget],
     params: WalkParams,
     rng: np.random.Generator,
 ) -> WalkState:
-    """One lazy step filtered toward the Gibbs density ``exp(-f/T)``."""
+    """One lazy step, filtered toward the Gibbs density ``exp(-f/T)`` when
+    ``target`` is given; ``target=None`` is the uniform walk.
+
+    Draws as each step of :func:`run_chain` does, with or without a target.
+    """
     man = body.manifold
     x = state.point
     g = rng.standard_normal(man.tangent_dim)
@@ -288,20 +228,20 @@ def metropolis_step(
         inside = body.contains_coords(y)
     except CutLocusError:
         inside = False
-    fx = state.f_value
-    if fx is None:
-        fx = float(target.f(x))
-        if not math.isfinite(fx):
-            raise OracleError(f"target returned non-finite value {fx} at the current point")
+    fx = fy = state.f_value
+    if target is not None:
+        if fx is None:
+            fx = float(target.f(x))
+            if not math.isfinite(fx):
+                raise OracleError(f"target returned non-finite value {fx} at the current point")
+        if inside:
+            fy = float(target.f(y))
+            if not math.isfinite(fy):
+                raise OracleError(f"target returned non-finite value {fy} at a proposal")
+            inside = fy <= fx or w < math.exp((fx - fy) / target.temperature)
     if inside:
-        fy = float(target.f(y))
-        if not math.isfinite(fy):
-            raise OracleError(f"target returned non-finite value {fy} at a proposal")
-        if fy <= fx or w < math.exp((fx - fy) / target.temperature):
-            return WalkState(y, state.step_index + 1, False, state.cumulative_rejections, fy)
-    return WalkState(
-        x, state.step_index + 1, True, state.cumulative_rejections + 1, fx
-    )
+        return WalkState(y, state.step_index + 1, False, state.cumulative_rejections, fy)
+    return WalkState(x, state.step_index + 1, True, state.cumulative_rejections + 1, fx)
 
 
 def run_chain(
@@ -328,7 +268,7 @@ def run_chain(
     if thin < 1:
         raise PreconditionError("thin must be >= 1")
     man = body.manifold
-    validate_delta(params, man, body)
+    validate_delta(params.delta, params.override_delta, man, body)
     rng = stream(params.seed, chain_id)
     x = rejection_sample_uniform(body, rng) if start is None else _start_coords(start, body)
     kept = max(0, (params.max_steps - burn_in) // thin)

@@ -63,7 +63,7 @@ def test_long_walk_matches_uniform_cap_law():
     params = gw.WalkParams(delta=0.35, max_steps=10**5, seed=0, override_delta=True)
     with pytest.warns(gw.StepSizeWarning):
         result = gw.run_chain(start, CAP60, params, thin=10)
-    angles = polar_angle(np.array([s.coords for s in result.samples]))
+    angles = polar_angle(result.coords)
     assert len(angles) == 10**4
     ks = gw.ks_one_sample(angles, cap60_polar_cdf)
     assert ks < 0.02
@@ -132,8 +132,7 @@ def test_cold_chain_concentrates_near_minimum():
     target = gw.as_gibbs(gw.distance_to(gw.Sphere(2), CAP60.axis), 0.05)
     params = gw.WalkParams(delta=0.04, max_steps=150_000, seed=9)
     result = gw.run_chain(CAP60.axis, CAP60, params, target=target, burn_in=20_000)
-    f_values = np.array([s.f_value for s in result.samples])
-    report = gw.check_low_temp_expectation(f_values, n=2, temperature=0.05)
+    report = gw.check_low_temp_expectation(result.f_values, n=2, temperature=0.05)
     assert report.passed
     assert report.lhs <= 0.15 + 3.0 * report.mc_stderr
 

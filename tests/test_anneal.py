@@ -126,6 +126,8 @@ def test_anneal_config_validation():
         gw.AnnealConfig(epsilon=0.1, fail_prob=1.0, lipschitz=1.0)
     with pytest.raises(PreconditionError):
         gw.AnnealConfig(epsilon=0.1, fail_prob=0.1, lipschitz=1.0, steps_per_phase="most")
+    with pytest.raises(PreconditionError):
+        gw.AnnealConfig(epsilon=0.1, fail_prob=0.1, lipschitz=1.0, budget_constant=math.nan)
 
 
 # ---------------------------------------------------------------------------

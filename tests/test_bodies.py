@@ -1,5 +1,6 @@
 """Membership, metadata, convexity, and uniform sampling of the bodies."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geowalk as gw
-from geowalk.errors import AcceptanceTooLow, NotConvex, PreconditionError
+from geowalk import bodies
+from geowalk.errors import AcceptanceTooLow, CutLocusError, NotConvex, PreconditionError
 
 
 def test_cap_membership_spot_checks(cap60):
@@ -180,6 +182,23 @@ def test_rejection_sampler_is_deterministic(cap60):
     a = gw.rejection_sample_uniform(cap60, gw.stream(11))
     b = gw.rejection_sample_uniform(cap60, gw.stream(11))
     assert np.array_equal(a, b)
+
+
+def test_uniform_samplers_treat_cut_locus_proposals_as_outside(monkeypatch):
+    # diag(1, -1, -1) is a half turn, on the cut locus of the ball's centre:
+    # its membership test raises, and the samplers must count it as outside.
+    man = gw.SpecialOrthogonal(3)
+    ball = gw.GeodesicBall(man, np.eye(3).ravel(), 1.0)
+    flip = np.diag([1.0, -1.0, -1.0]).ravel()
+    c, s = math.cos(0.3), math.sin(0.3)
+    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]).ravel()
+    batches = itertools.cycle([np.stack([flip, turn]), np.stack([np.eye(3).ravel(), flip])])
+    monkeypatch.setattr(bodies, "_propose_global", lambda body, rng, count: next(batches))
+    with pytest.raises(CutLocusError):
+        ball.contains_many(np.stack([turn, flip]))
+    drawn = gw.sample_uniform_many(ball, gw.stream(0), 3)
+    assert np.array_equal(drawn, np.stack([turn, np.eye(3).ravel(), turn]))
+    assert np.array_equal(gw.rejection_sample_uniform(ball, gw.stream(0)), np.eye(3).ravel())
 
 
 def test_tiny_body_trips_acceptance_guard():

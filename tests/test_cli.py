@@ -170,6 +170,18 @@ def test_start_outside_body_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_bad_anneal_budget_is_a_config_error(tmp_path, capsys):
+    good = anneal_config(tmp_path, tmp_path / "out")
+    assert main(["run", "--config", good, "--budget-constant", "-1"]) == 2
+    assert "config error" in capsys.readouterr().err
+    text = (tmp_path / "anneal.ini").read_text()
+    bad = write_config(
+        tmp_path, "bad.ini", text.replace("max_total_steps = 4000", "max_total_steps = 0")
+    )
+    assert main(["run", "--config", bad]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_failed_check_sets_exit_code(tmp_path, monkeypatch, capsys):
     import geowalk.cli as cli
     import geowalk.diagnostics as diag

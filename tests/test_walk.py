@@ -53,13 +53,9 @@ def test_oversized_delta_raises_unless_overridden():
     with pytest.raises(PreconditionError):
         gw.run_chain(cap.axis, cap, params)
     loose = gw.WalkParams(delta=0.5, max_steps=10, seed=0, override_delta=True)
-    with pytest.warns(StepSizeWarning):
+    with pytest.warns(StepSizeWarning) as record:
         gw.run_chain(cap.axis, cap, loose)
-
-
-def test_suggested_burn_in_formula():
-    man = gw.Sphere(2)
-    assert gw.suggested_burn_in(man, 0.1) == math.ceil(10 * 4 / 0.01)
+    assert record[0].filename == __file__
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +68,7 @@ def test_chains_are_deterministic_and_distinct():
     a = gw.run_chain(cap.axis, cap, params, thin=5)
     b = gw.run_chain(cap.axis, cap, params, thin=5)
     assert np.array_equal(a.final, b.final)
-    assert all(
-        np.array_equal(sa.coords, sb.coords) for sa, sb in zip(a.samples, b.samples)
-    )
+    assert np.array_equal(a.coords, b.coords)
     other = gw.run_chain(cap.axis, cap, params, thin=5, chain_id=1)
     assert not np.array_equal(a.final, other.final)
 
@@ -86,10 +80,9 @@ def test_uniform_walk_equals_constant_target_walk():
     flat = gw.GibbsTarget(f=lambda x: 1.0, temperature=0.7)
     filtered = gw.run_chain(cap.axis, cap, params, target=flat, thin=3)
     assert np.array_equal(plain.final, filtered.final)
-    for sa, sb in zip(plain.samples, filtered.samples):
-        assert sa.step == sb.step
-        assert np.array_equal(sa.coords, sb.coords)
-        assert sa.rejected == sb.rejected
+    assert np.array_equal(plain.steps, filtered.steps)
+    assert np.array_equal(plain.coords, filtered.coords)
+    assert np.array_equal(plain.rejected, filtered.rejected)
 
 
 def test_single_steps_stay_stream_aligned():
@@ -101,9 +94,11 @@ def test_single_steps_stay_stream_aligned():
     state_a = gw.WalkState(cap.axis.copy())
     state_b = gw.WalkState(cap.axis.copy())
     for _ in range(50):
-        state_a = gw.uniform_step(state_a, cap, params, rng_a)
+        state_a = gw.metropolis_step(state_a, cap, None, params, rng_a)
         state_b = gw.metropolis_step(state_b, cap, flat, params, rng_b)
         assert np.array_equal(state_a.point, state_b.point)
+        assert state_a.rejected_last == state_b.rejected_last
+        assert state_a.f_value is None and state_b.f_value == 2.5
     assert rng_a.random() == rng_b.random()
 
 
@@ -114,13 +109,14 @@ def test_run_chain_equals_iterated_metropolis_steps():
     chain = gw.run_chain(cap.axis, cap, params, target=gibbs, chain_id=3)
     rng = gw.stream(12, 3)
     state = gw.WalkState(cap.axis.copy())
-    for sample in chain.samples:
+    columns = zip(chain.steps, chain.coords, chain.rejected, chain.f_values)
+    for step, coords, rejected, f_value in columns:
         state = gw.metropolis_step(state, cap, gibbs, params, rng)
-        assert sample.step == state.step_index
-        assert np.array_equal(sample.coords, state.point)
-        assert sample.rejected == state.rejected_last
-        assert sample.f_value == state.f_value
-    assert len(chain.samples) == 400
+        assert step == state.step_index
+        assert np.array_equal(coords, state.point)
+        assert rejected == state.rejected_last
+        assert f_value == state.f_value
+    assert len(chain.steps) == 400
     assert chain.stats.rejections == state.cumulative_rejections > 0
 
 
@@ -146,9 +142,9 @@ def test_thin_and_burn_in_emission():
     cap = cap_on_sphere()
     params = gw.WalkParams(delta=0.04, max_steps=10, seed=1)
     result = gw.run_chain(cap.axis, cap, params, thin=2, burn_in=3)
-    assert [s.step for s in result.samples] == [5, 7, 9]
+    assert result.steps.tolist() == [5, 7, 9]
     everything = gw.run_chain(cap.axis, cap, params, thin=1, burn_in=0)
-    assert [s.step for s in everything.samples] == list(range(1, 11))
+    assert everything.steps.tolist() == list(range(1, 11))
 
 
 def test_thin_below_one_and_negative_burn_in_raise():
@@ -181,10 +177,7 @@ def record_chain(target, max_steps, thin, burn_in, seed=4, replay=False):
     rng = gw.stream(seed)
     states = [gw.WalkState(cap.axis.copy())]
     for _ in range(max_steps):
-        if gibbs is None:
-            states.append(gw.uniform_step(states[-1], cap, params, rng))
-        else:
-            states.append(gw.metropolis_step(states[-1], cap, gibbs, params, rng))
+        states.append(gw.metropolis_step(states[-1], cap, gibbs, params, rng))
     return result, states
 
 
@@ -201,24 +194,12 @@ def test_chain_columns_equal_the_samples_view(target, max_steps, thin, burn_in):
     points = np.array([st.point for st in kept_states]).reshape(kept, 3)
     assert np.array_equal(points, result.coords)
     assert result.rejected.tolist() == [st.rejected_last for st in kept_states]
-    samples = result.samples
-    assert len(samples) == kept
-    assert [s.step for s in samples] == result.steps.tolist()
-    assert all(type(s.step) is int and type(s.rejected) is bool for s in samples)
-    views = np.array([s.coords for s in samples]).reshape(kept, 3)
-    assert np.array_equal(views, result.coords)
-    assert [s.rejected for s in samples] == result.rejected.tolist()
     if target:
         assert result.f_values.dtype == np.float64 and result.f_values.shape == (kept,)
-        assert [s.f_value for s in samples] == result.f_values.tolist()
         assert result.f_values.tolist() == [st.f_value for st in kept_states]
     else:
         assert result.f_values is None
-        assert all(s.f_value is None for s in samples)
-    # Each access builds fresh objects; editing one leaves the columns alone.
-    if kept:
-        samples[0].coords[:] = 9.0
-        assert not np.any(result.coords == 9.0)
+        assert all(st.f_value is None for st in kept_states)
 
 
 @pytest.mark.parametrize("target", [False, True])
@@ -227,7 +208,6 @@ def test_burn_in_past_the_end_keeps_zero_rows(target, burn_in):
     result = record_chain(target, 40, 3, burn_in)
     assert result.steps.shape == (0,) and result.rejected.shape == (0,)
     assert result.coords.shape == (0, 3)
-    assert result.samples == []
     assert result.stats.steps == 40
     if target:
         assert result.f_values.shape == (0,)
@@ -255,11 +235,9 @@ def test_metropolis_samples_carry_f_values():
     params = gw.WalkParams(delta=0.04, max_steps=100, seed=2)
     gibbs = gw.as_gibbs(target, 0.2)
     result = gw.run_chain(cap.axis, cap, params, target=gibbs, thin=10)
-    assert all(s.f_value is not None for s in result.samples)
-    for s in result.samples:
-        assert s.f_value == pytest.approx(
-            cap.manifold.dist(s.coords, cap.axis), abs=1e-12
-        )
+    assert result.f_values.shape == (10,)
+    for f_value, coords in zip(result.f_values, result.coords):
+        assert f_value == pytest.approx(cap.manifold.dist(coords, cap.axis), abs=1e-12)
 
 
 def test_warm_start_threads_between_runs():
@@ -293,6 +271,8 @@ def test_non_finite_target_raises():
 def test_walk_params_validation():
     with pytest.raises(PreconditionError):
         gw.WalkParams(delta=0.0)
+    with pytest.raises(PreconditionError, match="delta_bound"):
+        gw.WalkParams(delta=None)
     with pytest.raises(PreconditionError):
         gw.WalkParams(delta=0.1, max_steps=-1)
     with pytest.raises(PreconditionError):
