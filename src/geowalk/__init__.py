@@ -16,7 +16,6 @@ from .anneal import (
     anneal_trials,
     initial_temperature,
     make_schedule,
-    phase_step_budget,
 )
 from .bodies import (
     ConvexBody,
@@ -48,7 +47,6 @@ from .diagnostics import (
 )
 from .errors import (
     AcceptanceTooLow,
-    BudgetWarning,
     ConfigError,
     CutLocusError,
     DegenerateSchedule,
@@ -65,10 +63,8 @@ from .errors import (
 from .manifolds import (
     Euclidean,
     Manifold,
-    ManifoldPoint,
     SpecialOrthogonal,
     Sphere,
-    distance,
     from_descriptor,
 )
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
@@ -89,3 +85,8 @@ from .walk import (
 )
 
 __version__ = "0.1.0"
+
+# The submodule would otherwise be reachable as ``geowalk.anneal``, where a
+# reader expects an annealing function; ``anneal_trials`` is the annealer.
+# ``from geowalk.anneal import ...`` still works through ``sys.modules``.
+del anneal

@@ -8,7 +8,7 @@ previous phase's final point, and the reported minimizer is the best point
 seen during the final (coldest) phase.
 
 The theory's per-phase step demand, ``C D^2 n^3 (1+R) L^2 / (r^2 T^2)``
-times ``ln(1/fail_prob)``, explodes at low temperature, so "auto" budgeting
+times ``ln(1/fail_prob)``, explodes at low temperature, so the budget
 waterfills a global step cap across phases: each phase takes the smaller of
 its demand and an equal share of what remains, and the savings from cheap
 hot phases roll over to the cold ones.  The constant ``C`` is exposed
@@ -28,17 +28,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from .bodies import ConvexBody, _contains_rows, rejection_sample_uniform
-from .errors import (
-    BudgetWarning,
-    DegenerateSchedule,
-    OracleError,
-    PreconditionError,
-)
+from .errors import DegenerateSchedule, OracleError, PreconditionError
 from .manifolds import Manifold
 from .rng import stream
 from .walk import delta_bound, validate_delta
@@ -54,7 +49,6 @@ __all__ = [
     "TrialsResult",
     "make_schedule",
     "initial_temperature",
-    "phase_step_budget",
     "allocate_steps",
     "anneal_trials",
 ]
@@ -73,16 +67,14 @@ class AnnealSchedule:
 class AnnealConfig:
     """Optimization-run parameters.
 
-    ``steps_per_phase`` is either an explicit per-phase count or "auto",
-    which waterfills ``max_total_steps`` against the theoretical demand
-    scaled by ``budget_constant``.  ``delta`` of ``None`` means the safe
-    default step size for the body.
+    :func:`allocate_steps` waterfills ``max_total_steps`` across the
+    phases against the theoretical demand scaled by ``budget_constant``.
+    ``delta`` of ``None`` means the safe default step size for the body.
     """
 
     epsilon: float
     fail_prob: float
     lipschitz: float
-    steps_per_phase: Union[int, str] = "auto"
     budget_constant: float = 1.0
     max_total_steps: int = 10**6
     delta: Optional[float] = None
@@ -95,14 +87,6 @@ class AnnealConfig:
             raise PreconditionError("fail_prob must lie in (0, 1)")
         if self.lipschitz <= 0.0:
             raise PreconditionError("lipschitz must be positive")
-        if isinstance(self.steps_per_phase, str):
-            if self.steps_per_phase != "auto":
-                raise PreconditionError(
-                    f"steps_per_phase must be a positive integer or 'auto', "
-                    f"got {self.steps_per_phase!r}"
-                )
-        elif self.steps_per_phase < 1:
-            raise PreconditionError("steps_per_phase must be >= 1 when explicit")
         if not self.budget_constant > 0.0:
             raise PreconditionError("budget_constant must be positive")
         if self.max_total_steps < 1:
@@ -186,43 +170,20 @@ def _raw_demand(
     )
 
 
-def phase_step_budget(
-    manifold: Manifold, body: ConvexBody, temperature: float, config: AnnealConfig
-) -> int:
-    """Step demand for one phase at the given temperature, capped at the
-    configured global maximum (with a warning when the cap bites)."""
-    if temperature <= 0.0:
-        raise PreconditionError("temperature must be positive")
-    raw = _raw_demand(manifold, body, temperature, config)
-    demand = int(math.ceil(raw))
-    if demand > config.max_total_steps:
-        warnings.warn(
-            f"phase demand {raw:.3g} steps at T={temperature:.4g} exceeds the "
-            f"global cap {config.max_total_steps}; truncating",
-            BudgetWarning,
-            stacklevel=2,
-        )
-        return config.max_total_steps
-    return max(1, demand)
-
-
 def allocate_steps(
     schedule: AnnealSchedule,
     manifold: Manifold,
     body: ConvexBody,
     config: AnnealConfig,
 ) -> list[int]:
-    """Per-phase step counts.
+    """Per-phase step counts, waterfilled from ``config.max_total_steps``.
 
-    Explicit ``steps_per_phase`` applies verbatim to every phase.  With
-    "auto", each phase receives the smaller of its theoretical demand and
-    an equal split of the remaining global budget, so unused demand from
-    hot phases flows to the cold end where demand is astronomical.  Any
+    Each phase receives the smaller of its theoretical demand and an equal
+    split of the remaining global budget, so unused demand from hot phases
+    flows to the cold end where demand is astronomical.  Any
     integer-division remainder is simply left unspent.
     """
     count = len(schedule.temps)
-    if not isinstance(config.steps_per_phase, str):
-        return [int(config.steps_per_phase)] * count
     remaining = config.max_total_steps
     allocations = []
     for k, temperature in enumerate(schedule.temps):

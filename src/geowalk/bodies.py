@@ -25,13 +25,7 @@ import operator
 import numpy as np
 
 from .errors import AcceptanceTooLow, CutLocusError, DimensionMismatch, NotConvex, PreconditionError
-from .manifolds import (
-    Euclidean,
-    Manifold,
-    ManifoldPoint,
-    SpecialOrthogonal,
-    Sphere,
-)
+from .manifolds import Euclidean, Manifold, SpecialOrthogonal, Sphere
 
 __all__ = [
     "ConvexBody",
@@ -64,19 +58,6 @@ class ConvexBody:
         return np.fromiter(
             (self.contains_coords(p) for p in points), dtype=bool, count=len(points)
         )
-
-    def contains(self, x) -> bool:
-        """Validated membership test; accepts coords or a ManifoldPoint."""
-        if isinstance(x, ManifoldPoint):
-            if x.manifold.descriptor != self.manifold.descriptor:
-                raise PreconditionError(
-                    f"point on {x.manifold.descriptor} tested against a body "
-                    f"on {self.manifold.descriptor}"
-                )
-            x = x.coords
-        x = np.asarray(x, dtype=float)
-        self.manifold.validate_point(x)
-        return bool(self.contains_coords(x))
 
     @property
     def spec_string(self) -> str:
@@ -201,20 +182,25 @@ class EuclideanBox(ConvexBody):
         return f"box:{lo}:{hi}"
 
 
+def _contains_row(body: ConvexBody, x: np.ndarray) -> bool:
+    """Membership of one point; a point on the cut locus of the test
+    counts as outside the body."""
+    try:
+        return body.contains_coords(x)
+    except CutLocusError:
+        return False
+
+
 def _contains_rows(body: ConvexBody, points: np.ndarray) -> np.ndarray:
     """Membership of each row of ``points``.  When the batched test hits
-    the cut locus, the rows are tested one by one and a row on the cut
-    locus counts as outside the body."""
+    the cut locus, the rows are tested one by one with
+    :func:`_contains_row`."""
     try:
         return body.contains_many(points)
     except CutLocusError:
-        inside = np.zeros(len(points), dtype=bool)
-        for i, row in enumerate(points):
-            try:
-                inside[i] = body.contains_coords(row)
-            except CutLocusError:
-                pass
-        return inside
+        return np.fromiter(
+            (_contains_row(body, row) for row in points), dtype=bool, count=len(points)
+        )
 
 
 def _propose_global(
@@ -298,11 +284,8 @@ def rejection_sample_uniform(
     misses = 0
     while True:
         x = _propose_global(body, rng, 1)[0]
-        try:
-            if body.contains_coords(x):
-                return x
-        except CutLocusError:
-            pass
+        if _contains_row(body, x):
+            return x
         misses += 1
         if misses >= max_consecutive_rejections:
             raise AcceptanceTooLow(

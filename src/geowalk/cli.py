@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from .anneal import AnnealConfig, anneal_trials
+from .bodies import _contains_row
 from .config import (
     RunConfig,
     body_from_string,
@@ -48,27 +49,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = sub.add_parser("run", help="execute a run described by an INI config")
+    run_parser = sub.add_parser(
+        "run",
+        help="execute a run described by an INI config",
+        description="Execute a run described by an INI config.  Every setting "
+        "lives in the config; the three overrides below are the values that "
+        "change between runs of one config.",
+    )
     run_parser.add_argument("--config", required=True, help="path to the INI file")
-    run_parser.add_argument("--seed", type=int, default=None, help="override the seed")
-    run_parser.add_argument(
-        "--output-dir", default=None, help="override the output directory"
-    )
-    run_parser.add_argument(
-        "--override-delta",
-        action="store_true",
-        default=None,
-        help="downgrade an over-bound step size from an error to a warning",
-    )
-    run_parser.add_argument(
-        "--budget-constant",
-        type=float,
-        default=None,
-        help="scale on the annealing phase-step demand",
-    )
-    run_parser.add_argument(
-        "--trials", type=int, default=None, help="override the annealing trial count"
-    )
+    run_parser.add_argument("--seed", type=int, default=None, help="override [run] seed")
+    run_parser.add_argument("--output-dir", default=None, help="override [run] output_dir")
+    run_parser.add_argument("--trials", type=int, default=None, help="override [anneal] trials")
 
     sub.add_parser(
         "list-builtins",
@@ -116,10 +107,6 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         updates["seed"] = args.seed
     if args.output_dir is not None:
         updates["output_dir"] = args.output_dir
-    if args.override_delta:
-        updates["override_delta"] = True
-    if args.budget_constant is not None:
-        updates["budget_constant"] = args.budget_constant
     if args.trials is not None:
         updates["trials"] = args.trials
     if updates:
@@ -146,7 +133,7 @@ def _build_space(cfg: RunConfig):
     start = None
     if cfg.start:
         start = parse_point_spec(cfg.start, man)
-        if not body.contains_coords(start):
+        if not _contains_row(body, start):
             raise ConfigError(f"start point {cfg.start!r} lies outside the body")
     return man, body, start
 

@@ -288,7 +288,13 @@ def target_from_string(text: str, manifold: Manifold, body: ConvexBody) -> Targe
         if kind == "linear":
             if not isinstance(body, EuclideanBox):
                 raise ConfigError("linear targets require a box body")
-            return linear(_parse_floats(rest), box=body)
+            coefficients = _parse_floats(rest)
+            if coefficients.size != body.manifold.n:
+                raise ConfigError(
+                    f"linear target {text!r} has {coefficients.size} coefficients "
+                    f"for a box in {body.manifold.descriptor}"
+                )
+            return linear(coefficients)
     except ConfigError:
         raise
     except GeoWalkError as exc:

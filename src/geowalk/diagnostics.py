@@ -26,6 +26,8 @@ from .bodies import (
     ConvexBody,
     EuclideanBox,
     SphericalCap,
+    _contains_row,
+    _contains_rows,
     sample_uniform_many,
 )
 from .errors import (
@@ -567,7 +569,7 @@ def estimate_one_step_tv(
     man = body.manifold
     xc = np.asarray(x, dtype=float)
     yc = np.asarray(y, dtype=float)
-    if not (body.contains_coords(xc) and body.contains_coords(yc)):
+    if not (_contains_row(body, xc) and _contains_row(body, yc)):
         raise PreconditionError("both starts must lie inside the body")
     d = man.dist(xc, yc)
     transport_term = min(1.0, math.erf(d / (2.0 * math.sqrt(2.0) * params.delta)))
@@ -581,8 +583,8 @@ def estimate_one_step_tv(
     prop_y = man.exp_many(
         np.broadcast_to(yc, (mc_proposals, man.ambient_dim)), params.delta * v
     )
-    in_x = body.contains_many(prop_x)
-    in_y = body.contains_many(prop_y)
+    in_x = _contains_rows(body, prop_x)
+    in_y = _contains_rows(body, prop_y)
     disagreement = float(np.mean(in_x != in_y))
     stderr = math.sqrt(max(disagreement * (1.0 - disagreement), 1e-300) / mc_proposals)
     return TvEstimate(
@@ -644,14 +646,13 @@ def check_low_temp_expectation(
     f_values: np.ndarray,
     n: int,
     temperature: float,
-    min_f: float = 0.0,
     abs_tol: float = 1e-12,
 ) -> InequalityReport:
-    """Chain mean of the energy against ``T (n+1) + min f``.
+    """Chain mean of the energy against ``T (n+1)``.
 
-    ``f_values`` is the energy along a converged Metropolis chain; the
-    standard error uses batch means with ``floor(sqrt(N))`` batches to
-    absorb autocorrelation.
+    ``f_values`` is the energy along a converged Metropolis chain, for an
+    energy whose minimum over the body is 0; the standard error uses batch
+    means with ``floor(sqrt(N))`` batches to absorb autocorrelation.
     """
     values = np.asarray(f_values, dtype=float)
     if values.ndim != 1 or values.size < 4:
@@ -664,7 +665,7 @@ def check_low_temp_expectation(
     return _report(
         "low_temp_expectation",
         float(values.mean()),
-        temperature * (n + 1) + min_f,
+        temperature * (n + 1),
         mc_stderr=stderr,
         abs_tol=abs_tol,
         details={"n": int(n), "temperature": temperature, "chain_length": values.size},
@@ -903,16 +904,13 @@ def _check_one_step_tv(seed: int) -> list[InequalityReport]:
 
 
 def _check_warmness(seed: int) -> list[InequalityReport]:
-    from .anneal import make_schedule
+    from .anneal import initial_temperature, make_schedule
     from .targets import distance_to
 
     rng = stream(seed)
-    man = Sphere(5)
-    axis = np.zeros(man.ambient_dim)
-    axis[-1] = 1.0
-    cap = SphericalCap(man, axis, math.pi / 3.0)
-    target = distance_to(man, axis)
-    schedule = make_schedule(cap.diameter * target.lipschitz, 5, 0.1, 0.1)
+    cap = _default_cap(5)
+    target = distance_to(cap.manifold, cap.axis)
+    schedule = make_schedule(initial_temperature(cap, target.lipschitz), 5, 0.1, 0.1)
     t_hot, t_cold = schedule.temps[0], schedule.temps[1]
     estimate = estimate_l2_warmness(target.f_many, cap, t_hot, t_cold, 20000, rng)
     main = _report(

@@ -59,8 +59,3 @@ class DegenerateSchedule(UserWarning):
 
 class StepSizeWarning(UserWarning):
     """A walk is being run with a step size above the validated bound."""
-
-
-class BudgetWarning(UserWarning):
-    """A theory-demanded step count exceeds the configured cap and has been
-    truncated to it."""

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +38,6 @@ __all__ = [
     "Euclidean",
     "Sphere",
     "SpecialOrthogonal",
-    "ManifoldPoint",
-    "distance",
     "matexp",
     "from_descriptor",
 ]
@@ -139,9 +136,6 @@ class Manifold:
     def validate_point(self, x: np.ndarray, atol: float = 1e-8) -> None:
         raise NotImplementedError
 
-    def validate_tangent(self, x: np.ndarray, v: np.ndarray, atol: float = 1e-8) -> None:
-        raise NotImplementedError
-
     def propose(self, x: np.ndarray, g: np.ndarray, delta: float) -> np.ndarray:
         """Walk proposal ``exp_x(delta * tangent_from_gaussian(x, g))`` from
         one point, for the raw normals ``g``; the one-row twin of
@@ -167,15 +161,15 @@ class Manifold:
     def dist_many(self, points: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.array([self.dist(x, y) for x in points])
 
-    def _check_shape(self, x: np.ndarray, what: str = "point") -> np.ndarray:
+    def _check_shape(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.ambient_dim,):
             raise DimensionMismatch(
-                f"{what} for {self.descriptor} must have shape ({self.ambient_dim},), "
+                f"point for {self.descriptor} must have shape ({self.ambient_dim},), "
                 f"got {x.shape}"
             )
         if not np.all(np.isfinite(x)):
-            raise PreconditionError(f"non-finite {what} for {self.descriptor}")
+            raise PreconditionError(f"non-finite point for {self.descriptor}")
         return x
 
 
@@ -210,9 +204,6 @@ class Euclidean(Manifold):
 
     def validate_point(self, x, atol=1e-8):
         self._check_shape(x)
-
-    def validate_tangent(self, x, v, atol=1e-8):
-        self._check_shape(v, "tangent")
 
     def exp_many(self, points, tangents):
         return points + tangents
@@ -300,11 +291,6 @@ class Sphere(Manifold):
             raise PreconditionError(
                 f"point is off the unit sphere by {abs(math.sqrt(x @ x) - 1.0):.3g}"
             )
-
-    def validate_tangent(self, x, v, atol=1e-8):
-        v = self._check_shape(v, "tangent")
-        if abs(x @ v) > atol * max(1.0, math.sqrt(v @ v)):
-            raise PreconditionError("vector is not tangent to the sphere at x")
 
     def exp_many(self, points, tangents):
         t = np.sqrt(np.einsum("ij,ij->i", tangents, tangents))
@@ -440,12 +426,6 @@ class SpecialOrthogonal(Manifold):
         if np.linalg.det(xm) < 0.0:
             raise PreconditionError("matrix has determinant -1, not in SO(n)")
 
-    def validate_tangent(self, x, v, atol=1e-8):
-        v = self._check_shape(v, "tangent")
-        om = self._mat(x).T @ self._mat(v)
-        if np.linalg.norm(om + om.T) > atol * max(1.0, np.linalg.norm(om)):
-            raise PreconditionError("X^T V is not skew-symmetric: not a tangent vector")
-
     def dist_many(self, points, y):
         xs = points.reshape(-1, self.n, self.n)
         rel = np.einsum("kji,jl->kil", xs, self._mat(y))
@@ -468,26 +448,6 @@ class SpecialOrthogonal(Manifold):
         dets = np.linalg.det(q)
         q[dets < 0.0, :, -1] *= -1.0
         return q.reshape(count, self.ambient_dim)
-
-
-# ---------------------------------------------------------------------------
-# Wrapper type: a point that knows its manifold.
-
-
-@dataclass(eq=False)
-class ManifoldPoint:
-    manifold: Manifold
-    coords: np.ndarray
-
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=float)
-        self.manifold.validate_point(self.coords)
-
-
-def distance(a: ManifoldPoint, b: ManifoldPoint) -> float:
-    if a.manifold is not b.manifold and a.manifold.descriptor != b.manifold.descriptor:
-        raise PreconditionError("points live on different manifolds")
-    return a.manifold.dist(a.coords, b.coords)
 
 
 def from_descriptor(text: str) -> Manifold:

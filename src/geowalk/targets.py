@@ -1,7 +1,7 @@
-"""Built-in convex energies with known minima.
+"""Built-in convex energies with known Lipschitz constants.
 
-Three families, chosen because their minima are analytic, which is what
-lets the optimization tests assert absolute optimality gaps:
+Three families; the annealer reads only ``f_many`` and ``lipschitz``, and
+the Metropolis walk only ``f``:
 
 - ``distance_to(p)``: geodesic distance to an anchor, Lipschitz 1, minimum
   0 at the anchor.  Geodesically convex on the bodies this package builds
@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .bodies import EuclideanBox
-from .errors import DimensionMismatch, PreconditionError
-from .manifolds import Euclidean, Manifold
+from .errors import PreconditionError
+from .manifolds import Manifold
 from .walk import GibbsTarget
 
 __all__ = ["Target", "distance_to", "sqdist_to", "linear", "as_gibbs"]
@@ -36,8 +35,6 @@ class Target:
     f: Callable[[np.ndarray], float]
     f_many: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
-    min_value: Optional[float] = None
-    minimizer: Optional[np.ndarray] = None
 
 
 def distance_to(manifold: Manifold, point: np.ndarray) -> Target:
@@ -50,7 +47,7 @@ def distance_to(manifold: Manifold, point: np.ndarray) -> Target:
     def f_many(points: np.ndarray) -> np.ndarray:
         return manifold.dist_many(points, point)
 
-    return Target("distance_to", f, f_many, 1.0, 0.0, point)
+    return Target("distance_to", f, f_many, 1.0)
 
 
 def sqdist_to(manifold: Manifold, point: np.ndarray, diameter: float) -> Target:
@@ -69,12 +66,11 @@ def sqdist_to(manifold: Manifold, point: np.ndarray, diameter: float) -> Target:
         d = manifold.dist_many(points, point)
         return 0.5 * d * d
 
-    return Target("sqdist_to", f, f_many, float(diameter), 0.0, point)
+    return Target("sqdist_to", f, f_many, float(diameter))
 
 
-def linear(coefficients: np.ndarray, box: Optional[EuclideanBox] = None) -> Target:
-    """Linear functional on flat space; pass the box to get its analytic
-    minimum filled in."""
+def linear(coefficients: np.ndarray) -> Target:
+    """Linear functional ``x -> c . x`` on flat space."""
     c = np.asarray(coefficients, dtype=float)
     if c.ndim != 1 or c.size < 1:
         raise PreconditionError("coefficients must be a 1-D vector")
@@ -89,14 +85,7 @@ def linear(coefficients: np.ndarray, box: Optional[EuclideanBox] = None) -> Targ
     def f_many(points: np.ndarray) -> np.ndarray:
         return points @ c
 
-    min_value = None
-    minimizer = None
-    if box is not None:
-        if not isinstance(box.manifold, Euclidean) or box.manifold.n != c.size:
-            raise DimensionMismatch("box dimension does not match the coefficients")
-        minimizer = np.where(c > 0.0, box.lo, box.hi)
-        min_value = float(c @ minimizer)
-    return Target("linear", f, f_many, norm, min_value, minimizer)
+    return Target("linear", f, f_many, norm)
 
 
 def as_gibbs(target: Target, temperature: float) -> GibbsTarget:

@@ -46,7 +46,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bodies import ConvexBody, EuclideanBox, SphericalCap, _contains_rows, rejection_sample_uniform
+from .bodies import (
+    ConvexBody,
+    EuclideanBox,
+    SphericalCap,
+    _contains_row,
+    _contains_rows,
+    rejection_sample_uniform,
+)
 from .errors import (
     CutLocusError,
     InvalidStart,
@@ -54,7 +61,7 @@ from .errors import (
     PreconditionError,
     StepSizeWarning,
 )
-from .manifolds import Manifold, ManifoldPoint
+from .manifolds import Manifold
 from .rng import stream
 
 __all__ = [
@@ -200,9 +207,9 @@ def validate_delta(
 
 
 def _start_coords(start, body: ConvexBody) -> np.ndarray:
-    coords = start.coords if isinstance(start, ManifoldPoint) else np.asarray(start, dtype=float)
+    coords = np.asarray(start, dtype=float)
     body.manifold.validate_point(coords)
-    if not body.contains_coords(coords):
+    if not _contains_row(body, coords):
         raise InvalidStart("chain start lies outside the body")
     return coords.copy()
 
@@ -224,10 +231,7 @@ def metropolis_step(
     g = rng.standard_normal(man.tangent_dim)
     w = rng.random()
     y = man.propose(x, g, params.delta)
-    try:
-        inside = body.contains_coords(y)
-    except CutLocusError:
-        inside = False
+    inside = _contains_row(body, y)
     fx = fy = state.f_value
     if target is not None:
         if fx is None:

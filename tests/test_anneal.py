@@ -8,8 +8,6 @@ import pytest
 
 import geowalk as gw
 from geowalk.errors import (
-    BudgetWarning,
-    CutLocusError,
     DegenerateSchedule,
     OracleError,
     PreconditionError,
@@ -73,30 +71,6 @@ def test_initial_temperature_is_lipschitz_times_diameter():
 # Budgets.
 
 
-def test_phase_step_budget_frozen_example():
-    # Ball on S^5: n=5, D=1, r=0.5, R=5, L=1, T=1, fail_prob=1/e.
-    # Demand is 1 * 125 * 6 * 1 / (0.25 * 1) * 1 = 3000 per unit constant.
-    man = gw.Sphere(5)
-    ball = gw.GeodesicBall(man, np.array([0.0] * 5 + [1.0]), 0.5)
-    config = gw.AnnealConfig(
-        epsilon=0.1, fail_prob=math.exp(-1.0), lipschitz=1.0, budget_constant=1.0
-    )
-    assert gw.phase_step_budget(man, ball, 1.0, config) == 3000
-    config.budget_constant = 2.5
-    assert gw.phase_step_budget(man, ball, 1.0, config) == 7500
-
-
-def test_phase_step_budget_caps_with_warning():
-    man = gw.Sphere(5)
-    ball = gw.GeodesicBall(man, np.array([0.0] * 5 + [1.0]), 0.5)
-    config = gw.AnnealConfig(
-        epsilon=0.1, fail_prob=0.5, lipschitz=1.0, max_total_steps=1000
-    )
-    with pytest.warns(BudgetWarning):
-        capped = gw.phase_step_budget(man, ball, 0.001, config)
-    assert capped == 1000
-
-
 def test_auto_allocation_waterfills_to_cold_phases():
     cap = s5_cap(math.radians(75.0))
     target = gw.distance_to(cap.manifold, cap.inner_center)
@@ -111,12 +85,6 @@ def test_auto_allocation_waterfills_to_cold_phases():
     # Hot phases take their (smaller) demand; cold phases split the rest.
     assert allocations[0] < allocations[-1]
     assert allocations[-1] == allocations[-2]
-    explicit = gw.AnnealConfig(
-        epsilon=0.1, fail_prob=0.1, lipschitz=1.0, steps_per_phase=37
-    )
-    assert gw.allocate_steps(schedule, cap.manifold, cap, explicit) == [37] * len(
-        schedule.temps
-    )
 
 
 def test_anneal_config_validation():
@@ -124,8 +92,8 @@ def test_anneal_config_validation():
         gw.AnnealConfig(epsilon=0.0, fail_prob=0.1, lipschitz=1.0)
     with pytest.raises(PreconditionError):
         gw.AnnealConfig(epsilon=0.1, fail_prob=1.0, lipschitz=1.0)
-    with pytest.raises(PreconditionError):
-        gw.AnnealConfig(epsilon=0.1, fail_prob=0.1, lipschitz=1.0, steps_per_phase="most")
+    with pytest.raises(TypeError):
+        gw.AnnealConfig(epsilon=0.1, fail_prob=0.1, lipschitz=1.0, steps_per_phase=37)
     with pytest.raises(PreconditionError):
         gw.AnnealConfig(epsilon=0.1, fail_prob=0.1, lipschitz=1.0, budget_constant=math.nan)
 
@@ -243,7 +211,7 @@ def test_long_lockstep_run_stays_on_sphere_and_in_cap():
     cap = s5_cap(math.radians(75.0))
     target = gw.distance_to(cap.manifold, cap.axis)
     config = gw.AnnealConfig(
-        epsilon=0.1, fail_prob=0.1, lipschitz=target.lipschitz, steps_per_phase=6000
+        epsilon=0.1, fail_prob=0.1, lipschitz=target.lipschitz, max_total_steps=108_000
     )
     result = gw.anneal_trials(cap, target.f_many, config, seed=2, trials=2)
     assert sum(result.allocations) >= 10**5
@@ -288,34 +256,6 @@ def test_lockstep_ignores_non_finite_values_outside_the_body(cap60):
     assert masked.traces == plain.traces
 
 
-class BandCap(gw.SphericalCap):
-    """The 60-degree cap on the 2-sphere whose membership test hits a
-    stand-in cut locus on the band ``x[0] > 0.8`` at its rim.  With
-    ``raises`` off the band is simply outside the body."""
-
-    def __init__(self, raises):
-        super().__init__(gw.Sphere(2), np.array([0.0, 0.0, 1.0]), math.pi / 3)
-        self.raises = raises
-        self.band_hits = 0
-
-    def _band(self):
-        self.band_hits += 1
-        if self.raises:
-            raise CutLocusError("proposal on the stand-in cut locus")
-
-    def contains_coords(self, x):
-        if x[0] > 0.8:
-            self._band()
-            return False
-        return super().contains_coords(x)
-
-    def contains_many(self, points):
-        band = points[:, 0] > 0.8
-        if band.any():
-            self._band()
-        return super().contains_many(points) & ~band
-
-
 def _toward_band():
     # The minimum sits in the band, 55 degrees from the axis.
     rim = np.array([math.sin(math.radians(55.0)), 0.0, math.cos(math.radians(55.0))])
@@ -326,9 +266,9 @@ def _toward_band():
     return target, config
 
 
-def test_lockstep_counts_cut_locus_hits_as_rejections():
+def test_lockstep_counts_cut_locus_hits_as_rejections(band_cap):
     target, config = _toward_band()
-    cut, outside = BandCap(raises=True), BandCap(raises=False)
+    cut, outside = band_cap(raises=True), band_cap(raises=False)
     hit = gw.anneal_trials(cut, target.f_many, config, seed=5, trials=3)
     plain = gw.anneal_trials(outside, target.f_many, config, seed=5, trials=3)
     assert cut.band_hits > 0

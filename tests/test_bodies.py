@@ -206,11 +206,3 @@ def test_tiny_body_trips_acceptance_guard():
     sliver = gw.SphericalCap(man, np.array([0.0, 0.0, 1.0]), 1e-4)
     with pytest.raises(AcceptanceTooLow):
         gw.sample_uniform_many(sliver, gw.stream(0), 10, max_consecutive_rejections=2000)
-
-
-def test_contains_wrapper_validates_manifold(cap60):
-    point = gw.ManifoldPoint(cap60.manifold, np.array([0.0, 0.0, 1.0]))
-    assert cap60.contains(point)
-    other = gw.ManifoldPoint(gw.Sphere(3), np.array([0.0, 0.0, 0.0, 1.0]))
-    with pytest.raises(PreconditionError):
-        cap60.contains(other)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from geowalk.cli import main
 
 
@@ -170,16 +172,47 @@ def test_start_outside_body_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_start_on_the_cut_locus_is_a_config_error(tmp_path, capsys):
+    # A half-turn is on the cut locus of the ball's centre, the identity.
+    cfg = write_config(
+        tmp_path,
+        "so3.ini",
+        f"""
+[run]
+mode = sample
+output_dir = {tmp_path / "out"}
+
+[space]
+manifold = so:3
+body = ball:identity:1.2
+start = 1,0,0,0,-1,0,0,0,-1
+
+[walk]
+steps = 10
+delta = 0.02
+""",
+    )
+    assert main(["run", "--config", cfg]) == 2
+    assert "lies outside the body" in capsys.readouterr().err
+
+
 def test_bad_anneal_budget_is_a_config_error(tmp_path, capsys):
-    good = anneal_config(tmp_path, tmp_path / "out")
-    assert main(["run", "--config", good, "--budget-constant", "-1"]) == 2
-    assert "config error" in capsys.readouterr().err
+    anneal_config(tmp_path, tmp_path / "out")
     text = (tmp_path / "anneal.ini").read_text()
     bad = write_config(
         tmp_path, "bad.ini", text.replace("max_total_steps = 4000", "max_total_steps = 0")
     )
     assert main(["run", "--config", bad]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_only_the_per_run_overrides_are_flags(tmp_path, capsys):
+    good = anneal_config(tmp_path, tmp_path / "out")
+    for flag in (["--budget-constant", "1"], ["--override-delta"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", good, *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_failed_check_sets_exit_code(tmp_path, monkeypatch, capsys):

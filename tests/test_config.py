@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +48,24 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.delta == 0.01
     assert cfg.override_delta is False
     cfgmod.validate_config(cfg)
+
+
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
+def test_shipped_configs_load_and_build(path):
+    cfg = cfgmod.load_config(str(path))
+    if cfg.manifold:
+        man = cfgmod.manifold_from_string(cfg.manifold)
+        body = cfgmod.body_from_string(cfg.body, man)
+        if cfg.target:
+            cfgmod.target_from_string(cfg.target, man, body)
+
+
+def test_shipped_configs_cover_every_mode():
+    modes = {cfgmod.load_config(str(path)).mode for path in SHIPPED}
+    assert modes == {"sample", "anneal", "diagnose"}
 
 
 def test_load_config_rejects_unknown_section(tmp_path):
@@ -199,5 +218,7 @@ def test_target_from_string():
     assert math.isclose(lin.f(np.array([1.0, 1.0])), -1.0)
     with pytest.raises(gw.ConfigError):
         cfgmod.target_from_string("linear:1,-2", sphere, cap)
+    with pytest.raises(gw.ConfigError):
+        cfgmod.target_from_string("linear:1,2,3", gw.Euclidean(2), box)
     with pytest.raises(gw.ConfigError):
         cfgmod.target_from_string("entropy:1", sphere, cap)

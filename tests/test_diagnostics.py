@@ -306,6 +306,20 @@ def test_one_step_tv_grows_with_distance(cap60):
     assert far.value == 1.0
 
 
+def test_one_step_tv_counts_cut_locus_hits_as_outside(band_cap):
+    # Both starts sit near the rim below the band, so many of the coupled
+    # proposals land on it.
+    cut, outside = band_cap(raises=True), band_cap(raises=False)
+    man = cut.manifold
+    x, y = (man.exp(cut.axis, np.array([t, 0.0, 0.0])) for t in (0.85, 0.88))
+    params = gw.WalkParams(delta=0.05)
+    hit = gw.estimate_one_step_tv(x, y, cut, params, 4000, gw.stream(43))
+    plain = gw.estimate_one_step_tv(x, y, outside, params, 4000, gw.stream(43))
+    assert cut.band_hits > 0
+    assert hit == plain
+    assert hit.rejection_term > 0.0
+
+
 def test_warmness_equal_temperatures_is_exactly_one(cap60):
     target = gw.distance_to(gw.Sphere(2), cap60.axis)
     est = gw.estimate_l2_warmness(
@@ -330,8 +344,8 @@ def test_warmness_rejects_aggressive_or_inverted_schedules(cap60):
 
 
 def test_low_temp_expectation_bounds():
-    flat = np.full(100, 2.0)
-    report = gw.check_low_temp_expectation(flat, n=3, temperature=1.0, min_f=2.0)
+    flat = np.zeros(100)
+    report = gw.check_low_temp_expectation(flat, n=3, temperature=1.0)
     assert report.passed
     assert math.isclose(report.margin, 4.0)
     hot = np.full(100, 10.0)

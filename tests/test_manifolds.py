@@ -349,21 +349,7 @@ def test_rotation_orthogonality_drift_over_a_million_steps():
 
 
 # ---------------------------------------------------------------------------
-# Wrapper types and the descriptor grammar.
-
-
-def test_manifold_point_and_tangent_wrappers():
-    man = gw.Sphere(2)
-    x = gw.ManifoldPoint(man, np.array([0.0, 0.0, 1.0]))
-    rng = gw.stream(1)
-    u = man.tangent_gaussian(x.coords, rng)
-    man.validate_tangent(x.coords, u)
-    y = gw.ManifoldPoint(man, man.exp(x.coords, u))
-    assert gw.distance(x, y) == pytest.approx(
-        man.dist(x.coords, y.coords), abs=1e-15
-    )
-    mid = man.exp(x.coords, 0.5 * u)
-    assert abs(mid @ mid - 1.0) < 1e-12
+# Point validation and the descriptor grammar.
 
 
 def test_point_validation_rejects_bad_inputs():

@@ -260,6 +260,21 @@ def test_invalid_starts_are_rejected():
         gw.run_chain(np.array([0.3, 0.3, 0.3]), cap, params)
 
 
+def test_start_on_the_cut_locus_is_outside_the_body():
+    # A half-turn about the x axis has two eigenvalues at -1: it sits on the
+    # cut locus of the ball's centre, where the distance is undefined.
+    man = gw.SpecialOrthogonal(3)
+    ball = gw.GeodesicBall(man, np.eye(3).ravel(), 1.2)
+    half_turn = np.diag([1.0, -1.0, -1.0]).ravel()
+    params = gw.WalkParams(delta=0.02, max_steps=10)
+    with pytest.raises(InvalidStart):
+        gw.run_chain(half_turn, ball, params)
+    with pytest.raises(InvalidStart):
+        gw.estimate_local_conductance(half_turn, ball, params, 10, gw.stream(0))
+    with pytest.raises(PreconditionError, match="inside the body"):
+        gw.estimate_one_step_tv(half_turn, ball.center, ball, params, 10, gw.stream(0))
+
+
 def test_non_finite_target_raises():
     cap = cap_on_sphere()
     params = gw.WalkParams(delta=0.04, max_steps=50, seed=0)
