@@ -50,8 +50,10 @@ class ConvexBody:
     inner_radius: float
     diameter: float
 
-    def contains_coords(self, x: np.ndarray) -> bool:
-        """Membership test on a raw coordinate array, no validation."""
+    def contains_coords(self, x) -> bool:
+        """Membership test of one point, no validation.  On ``sphere:n``
+        and ``euclidean:n`` the walk passes the point as a list of floats;
+        the built-in bodies take either form."""
         raise NotImplementedError
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
@@ -100,7 +102,9 @@ class SphericalCap(ConvexBody):
         self.diameter = 2.0 * angle
 
     def contains_coords(self, x):
-        return sum(map(operator.mul, x.tolist(), self._axis)) >= self.cos_angle
+        if isinstance(x, np.ndarray):
+            x = x.tolist()
+        return sum(map(operator.mul, x, self._axis)) >= self.cos_angle
 
     def contains_many(self, points):
         return points @ self.axis >= self.cos_angle
@@ -169,7 +173,8 @@ class EuclideanBox(ConvexBody):
         self.diameter = float(np.linalg.norm(hi - lo))
 
     def contains_coords(self, x):
-        x = x.tolist()
+        if isinstance(x, np.ndarray):
+            x = x.tolist()
         return all(map(operator.le, self._lo, x)) and all(map(operator.le, x, self._hi))
 
     def contains_many(self, points):

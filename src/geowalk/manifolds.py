@@ -200,7 +200,11 @@ class Euclidean(Manifold):
         return g
 
     def propose(self, x, g, delta):
-        return x + delta * g
+        if isinstance(x, np.ndarray):
+            x = x.tolist()
+        if isinstance(g, np.ndarray):
+            g = g.tolist()
+        return [a + delta * b for a, b in zip(x, g)]
 
     def validate_point(self, x, atol=1e-8):
         self._check_shape(x)
@@ -251,7 +255,11 @@ class Sphere(Manifold):
         return y
 
     def dist(self, x, y):
-        c = sum(map(operator.mul, x.tolist(), y.tolist()))
+        if isinstance(x, np.ndarray):
+            x = x.tolist()
+        if isinstance(y, np.ndarray):
+            y = y.tolist()
+        c = sum(map(operator.mul, x, y))
         if c > 1.0:
             c = 1.0
         elif c < -1.0:
@@ -269,21 +277,25 @@ class Sphere(Manifold):
         return u
 
     def propose(self, x, g, delta):
-        # The closed form of propose_many below, on Python floats.
-        head = x.tolist()
-        normals = g.tolist()
-        norm = math.hypot(*normals)
+        # The closed form of propose_many below, on Python floats.  ``g``
+        # has one entry fewer than ``x``, so zipping the two pairs the
+        # normals with x[:-1].
+        if isinstance(x, np.ndarray):
+            x = x.tolist()
+        if isinstance(g, np.ndarray):
+            g = g.tolist()
+        norm = math.hypot(*g)
         if norm == 0.0:
-            return x.copy()
+            return list(x)
         t = norm * delta
         k = math.sin(t) / norm
-        last = head.pop()
-        q = k * sum(map(operator.mul, head, normals)) / (1.0 + abs(last))
+        last = x[-1]
+        q = k * sum(map(operator.mul, x, g)) / (1.0 + abs(last))
         c = math.cos(t) - q
-        y = [c * a + k * b for a, b in zip(head, normals)]
+        y = [c * a + k * b for a, b in zip(x, g)]
         y.append(c * last - q if last >= 0.0 else c * last + q)
         r = math.hypot(*y)
-        return np.array([v / r for v in y])
+        return [v / r for v in y]
 
     def validate_point(self, x, atol=1e-8):
         x = self._check_shape(x)

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError
-from .manifolds import Manifold
+from .manifolds import Manifold, Sphere
 from .walk import GibbsTarget
 
 __all__ = ["Target", "distance_to", "sqdist_to", "linear", "as_gibbs"]
@@ -37,12 +37,18 @@ class Target:
     lipschitz: float
 
 
+def _one_row_anchor(manifold: Manifold, point: np.ndarray):
+    # The sphere's one-row distance computes on Python floats.
+    return point.tolist() if isinstance(manifold, Sphere) else point
+
+
 def distance_to(manifold: Manifold, point: np.ndarray) -> Target:
     point = np.asarray(point, dtype=float)
     manifold.validate_point(point)
+    anchor = _one_row_anchor(manifold, point)
 
     def f(x: np.ndarray) -> float:
-        return manifold.dist(point, x)
+        return manifold.dist(anchor, x)
 
     def f_many(points: np.ndarray) -> np.ndarray:
         return manifold.dist_many(points, point)
@@ -57,9 +63,10 @@ def sqdist_to(manifold: Manifold, point: np.ndarray, diameter: float) -> Target:
     manifold.validate_point(point)
     if diameter <= 0.0:
         raise PreconditionError("diameter must be positive")
+    anchor = _one_row_anchor(manifold, point)
 
     def f(x: np.ndarray) -> float:
-        d = manifold.dist(point, x)
+        d = manifold.dist(anchor, x)
         return 0.5 * d * d
 
     def f_many(points: np.ndarray) -> np.ndarray:
@@ -80,7 +87,9 @@ def linear(coefficients: np.ndarray) -> Target:
     terms = c.tolist()
 
     def f(x: np.ndarray) -> float:
-        return sum(map(operator.mul, terms, x.tolist()))
+        if isinstance(x, np.ndarray):
+            x = x.tolist()
+        return sum(map(operator.mul, terms, x))
 
     def f_many(points: np.ndarray) -> np.ndarray:
         return points @ c

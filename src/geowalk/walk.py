@@ -61,7 +61,7 @@ from .errors import (
     PreconditionError,
     StepSizeWarning,
 )
-from .manifolds import Manifold
+from .manifolds import Euclidean, Manifold, Sphere
 from .rng import stream
 
 __all__ = [
@@ -275,6 +275,11 @@ def run_chain(
     validate_delta(params.delta, params.override_delta, man, body)
     rng = stream(params.seed, chain_id)
     x = rejection_sample_uniform(body, rng) if start is None else _start_coords(start, body)
+    # Sphere and Euclidean oracles take and return lists of floats, so the
+    # state stays a list between steps; other manifolds stay on numpy.
+    floats = isinstance(man, (Sphere, Euclidean))
+    if floats:
+        x = x.tolist()
     kept = max(0, (params.max_steps - burn_in) // thin)
     steps = np.arange(burn_in + thin, burn_in + thin * kept + 1, thin, dtype=np.int64)
     coords = np.empty((kept, man.ambient_dim))
@@ -301,6 +306,8 @@ def run_chain(
     boundary = filtered = cut_locus_hits = 0
     for step in range(1, params.max_steps + 1):
         g = next_normals(dim)
+        if floats:
+            g = g.tolist()
         w = next_uniform()
         y = propose(x, g, delta)
         try:
@@ -330,7 +337,7 @@ def run_chain(
             row += 1
             emit += thin
     stats = RejectionStats(params.max_steps, boundary, filtered, cut_locus_hits)
-    return ChainResult(steps, coords, rejected_rows, f_values, stats, x.copy())
+    return ChainResult(steps, coords, rejected_rows, f_values, stats, np.array(x))
 
 
 def _box_rejection(points: np.ndarray, body: EuclideanBox, delta: float) -> np.ndarray:

@@ -118,6 +118,7 @@ def test_cap_one_row_membership_matches_contains_many(n):
         flags = cap.contains_many(rows)
         assert 0 < np.count_nonzero(flags) < len(rows)
         assert [cap.contains_coords(row) for row in rows] == flags.tolist()
+        assert [cap.contains_coords(row) for row in rows.tolist()] == flags.tolist()
     cap = gw.SphericalCap(man, north, 1.1)
     rim = rim_rows(cap)
     assert cap.contains_many(rim).tolist() == [True, True, False]
@@ -144,6 +145,7 @@ def test_box_one_row_membership_matches_contains_many():
     flags = box.contains_many(rows)
     assert 0 < np.count_nonzero(flags) < len(rows)
     assert [box.contains_coords(row) for row in rows] == flags.tolist()
+    assert [box.contains_coords(row) for row in rows.tolist()] == flags.tolist()
 
 
 def test_cap_uniform_sampling_fraction_matches_area():

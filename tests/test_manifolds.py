@@ -214,12 +214,18 @@ def test_propose_matches_tangent_then_exp_and_propose_many(descriptor):
     # Only the sphere's float kernel changes the arithmetic; every other
     # case computes exactly the composition, so matches it bit for bit.
     exact = not isinstance(man, gw.Sphere)
+    # Sphere and Euclidean propose on Python floats and return a list, from
+    # arrays or lists alike.
+    floats = isinstance(man, (gw.Sphere, gw.Euclidean))
     for delta in (0.05, 0.3):
         batched = man.propose_many(pts, g, delta)
         for x, gi, row in zip(pts, g, batched):
             x_before = x.copy()
             reference = man.exp(x, delta * man.tangent_from_gaussian(x, gi))
             proposed = man.propose(x, gi, delta)
+            if floats:
+                assert man.propose(x.tolist(), gi.tolist(), delta) == proposed
+                proposed = np.array(proposed)
             assert proposed.shape == x.shape
             assert np.array_equal(x, x_before)
             if exact:

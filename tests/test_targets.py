@@ -89,6 +89,20 @@ def test_vectorized_twin_matches_scalar(seed):
             assert batch[i] == pytest.approx(target.f(pts[i]), abs=1e-12)
 
 
+def test_one_row_values_take_lists():
+    # run_chain passes sphere and Euclidean points as lists of floats.
+    sphere = gw.Sphere(2)
+    anchor = np.array([0.0, 0.6, 0.8])
+    probe = np.array([0.36, 0.48, 0.8])
+    assert sphere.dist(anchor.tolist(), probe.tolist()) == sphere.dist(anchor, probe)
+    for target in (gw.distance_to(sphere, anchor), gw.sqdist_to(sphere, anchor, 2.0)):
+        assert target.f(probe.tolist()) == target.f(probe) > 0.0
+    flat = gw.distance_to(gw.Euclidean(2), np.zeros(2))
+    assert flat.f([3.0, 4.0]) == flat.f(np.array([3.0, 4.0])) == 5.0
+    lin = gw.linear(np.array([1.0, -2.0]))
+    assert lin.f([0.3, 0.7]) == lin.f(np.array([0.3, 0.7]))
+
+
 def test_as_gibbs_wraps_target():
     man = gw.Sphere(2)
     target = gw.distance_to(man, np.array([0.0, 0.0, 1.0]))
