@@ -75,10 +75,8 @@ from .walk import (
     GibbsTarget,
     RejectionStats,
     WalkParams,
-    WalkState,
     delta_bound,
     estimate_local_conductance,
-    metropolis_step,
     run_chain,
     step_ensemble,
     validate_delta,

@@ -35,12 +35,8 @@ import numpy as np
 from .bodies import ConvexBody, _contains_rows, rejection_sample_uniform
 from .errors import DegenerateSchedule, OracleError, PreconditionError
 from .manifolds import Manifold
-from .rng import stream
+from .rng import BLOCK, stream
 from .walk import delta_bound, validate_delta
-
-# Steps per drawn block of anneal_trials.  It fixes how each trial's stream
-# splits into blocks of normals then uniforms, so changing it changes results.
-_CHUNK = 4096
 
 __all__ = [
     "AnnealSchedule",
@@ -206,7 +202,7 @@ def anneal_trials(
 
     Each trial owns the RNG stream ``(seed, trial_index)``, draws its start
     uniformly from the body, and then draws its randomness in per-phase
-    blocks of at most ``_CHUNK`` steps: its normals ``standard_normal((m,
+    blocks of at most ``rng.BLOCK`` steps: its normals ``standard_normal((m,
     n))``, then its uniforms ``random(m)``.  A trial's result therefore
     does not depend on how many trials run beside it.
 
@@ -246,9 +242,9 @@ def anneal_trials(
     best_points = points.copy()
     best_values = values.copy()
 
-    normals = np.empty((trials, _CHUNK, n))
-    thresholds = np.empty((trials, _CHUNK))
-    accepts = np.empty((_CHUNK, trials), dtype=bool)
+    normals = np.empty((trials, BLOCK, n))
+    thresholds = np.empty((trials, BLOCK))
+    accepts = np.empty((BLOCK, trials), dtype=bool)
     rise = np.empty(trials)
     improved = np.empty(trials, dtype=bool)
     for phase, (temperature, steps) in enumerate(zip(schedule.temps, allocations)):
@@ -260,7 +256,7 @@ def anneal_trials(
             np.copyto(best_values, values)
         done = 0
         while done < steps:
-            m = min(_CHUNK, steps - done)
+            m = min(BLOCK, steps - done)
             for t, g in enumerate(gens):
                 normals[t, :m] = g.standard_normal((m, n))
                 thresholds[t, :m] = g.random(m)

@@ -11,13 +11,13 @@ Every ``exp`` re-projects its result (sphere: renormalisation, SO(n): polar
 factor), so long chains of composed steps do not drift off the manifold.
 
 The walk's proposal ``exp_x(delta * tangent_from_gaussian(x, g))`` has its
-own kernels: ``propose`` for one point (``run_chain`` and the reference
-step ``metropolis_step``) and ``propose_many`` for a batch of rows.  Both take
-the raw normals ``g`` that the caller drew, so they consume no randomness
-and the walk's draw order does not depend on them.  ``Euclidean`` and
-``Sphere`` evaluate them in closed form; the sphere's scalar kernel works on
-Python floats, which on arrays of a few elements avoids numpy's per-call
-overhead.
+own kernels: ``propose`` for one point (the step of ``run_chain``) and
+``propose_many`` for a batch of rows.  Both take the raw normals ``g`` that
+the caller drew, so they consume no randomness and the walk's draw order
+does not depend on them.  ``Euclidean`` and ``Sphere`` evaluate them in
+closed form.  Their one-row kernels, ``propose`` and ``Sphere.dist``, work
+on Python floats: they take lists or arrays and return lists, which on a
+few elements avoids numpy's per-call overhead.
 
 The intrinsic dimension is ``tangent_dim``; curvature enters the walk only
 through ``curvature_bound``, an upper bound on the Frobenius norm of the
@@ -139,7 +139,8 @@ class Manifold:
     def propose(self, x: np.ndarray, g: np.ndarray, delta: float) -> np.ndarray:
         """Walk proposal ``exp_x(delta * tangent_from_gaussian(x, g))`` from
         one point, for the raw normals ``g``; the one-row twin of
-        :meth:`propose_many`.  Never writes to ``x``."""
+        :meth:`propose_many`.  Never writes to ``x``.  ``Sphere`` and
+        ``Euclidean`` return a list of floats."""
         return self.exp(x, delta * self.tangent_from_gaussian(x, g))
 
     # Vectorised fallbacks; Sphere and Euclidean override with array code.

@@ -7,28 +7,30 @@ propose ``y = exp_x(delta * u)``, and stay put if ``y`` leaves the body
 Metropolis filter ``min(1, exp(-(f(y) - f(x)) / T))``, so the chain targets
 the distribution with density proportional to ``exp(-f/T)`` on the body.
 
-RNG discipline: every step consumes exactly ``tangent_dim`` normals plus
-one uniform, in that order, whether or not the filter is active and however
-the step resolves.  A uniform walk and a Metropolis walk with constant
-``f`` therefore produce bit-identical trajectories from the same seed,
-which the test suite relies on.
-
-The scalar loop of :func:`run_chain` and the reference step
-:func:`metropolis_step` (``target=None`` is the uniform walk), which the
-tests replay it against, draw ``standard_normal(tangent_dim)``, then the
-uniform, then propose with ``Manifold.propose(x, g, delta)``, which draws
-nothing.  The batched paths draw their normals as one block and propose
-with ``Manifold.propose_many``.  A proposal on the cut locus of the body's
+RNG discipline: a chain draws its steps in blocks of at most ``rng.BLOCK``,
+``standard_normal((m, tangent_dim))`` and then ``random(m)``, as each
+annealing trial does; step ``j`` of a block uses row ``j`` of the normals
+and uniform ``j``, whether or not the filter is active and however the
+step resolves.  A uniform walk and a Metropolis walk with constant ``f``
+therefore produce bit-identical trajectories from the same seed, which the
+test suite relies on; the tests also replay :func:`run_chain` one step at
+a time from the same blocks.  Proposals come from ``Manifold.propose(x, g,
+delta)``, which draws nothing; the batched paths propose with
+``Manifold.propose_many``.  A proposal on the cut locus of the body's
 membership test counts as a boundary rejection, row by row.
 
 :func:`run_chain` keeps its emitted rows in columns of :class:`ChainResult`
 (``steps``, ``coords``, ``rejected``, ``f_values``), allocated once for
 ``max(0, (max_steps - burn_in) // thin)`` rows and written in place, so a
-kept row costs its bytes in those arrays and no Python object.  The
-one-row oracles the scalar step calls (``Sphere.dist``,
-``SphericalCap.contains_coords``, ``EuclideanBox.contains_coords`` and the
-``f`` of ``targets.linear``) compute on Python floats, as
-``Sphere.propose`` does; their ``*_many`` twins stay on numpy.
+kept row costs its bytes in those arrays and no Python object.  On
+``sphere:n`` and ``euclidean:n`` the chain's state is a list of Python
+floats between steps, and the one-row oracles the step calls take and
+return float lists: ``Sphere.propose`` and ``Euclidean.propose``,
+``SphericalCap.contains_coords`` and ``EuclideanBox.contains_coords``,
+``Sphere.dist`` and the ``f`` of the built-in targets.  They accept numpy
+rows as well; their ``*_many`` twins stay on numpy, and so does the whole
+step on ``so:n``.  A kept row becomes numpy only when it is written into
+``coords``.
 
 Local-conductance counts (how many of ``trials`` one-step proposals from a
 point stay in the body) are one ``Binomial`` draw per point on spherical
@@ -62,17 +64,17 @@ from .errors import (
     StepSizeWarning,
 )
 from .manifolds import Euclidean, Manifold, Sphere
-from .rng import stream
+from .rng import BLOCK, stream
+
+_SLICE = 256  # rows of a drawn block turned into Python floats at a time
 
 __all__ = [
     "WalkParams",
-    "WalkState",
     "GibbsTarget",
     "RejectionStats",
     "ChainResult",
     "delta_bound",
     "validate_delta",
-    "metropolis_step",
     "run_chain",
     "estimate_local_conductance",
     "step_ensemble",
@@ -105,20 +107,13 @@ class WalkParams:
 
 
 @dataclass
-class WalkState:
-    point: np.ndarray
-    step_index: int = 0
-    rejected_last: bool = False
-    cumulative_rejections: int = 0
-    f_value: Optional[float] = None
-
-
-@dataclass
 class GibbsTarget:
     """Convex energy and a temperature.
 
     ``f`` maps coordinates to a finite real on the body (values off the
-    body may be anything finite; the walk only compares them).
+    body may be anything finite; the walk only compares them).  On
+    ``sphere:n`` and ``euclidean:n``, :func:`run_chain` passes the
+    coordinates as a list of floats.
     """
 
     f: Callable[[np.ndarray], float]
@@ -214,38 +209,22 @@ def _start_coords(start, body: ConvexBody) -> np.ndarray:
     return coords.copy()
 
 
-def metropolis_step(
-    state: WalkState,
-    body: ConvexBody,
-    target: Optional[GibbsTarget],
-    params: WalkParams,
-    rng: np.random.Generator,
-) -> WalkState:
-    """One lazy step, filtered toward the Gibbs density ``exp(-f/T)`` when
-    ``target`` is given; ``target=None`` is the uniform walk.
-
-    Draws as each step of :func:`run_chain` does, with or without a target.
-    """
-    man = body.manifold
-    x = state.point
-    g = rng.standard_normal(man.tangent_dim)
-    w = rng.random()
-    y = man.propose(x, g, params.delta)
-    inside = _contains_row(body, y)
-    fx = fy = state.f_value
-    if target is not None:
-        if fx is None:
-            fx = float(target.f(x))
-            if not math.isfinite(fx):
-                raise OracleError(f"target returned non-finite value {fx} at the current point")
-        if inside:
-            fy = float(target.f(y))
-            if not math.isfinite(fy):
-                raise OracleError(f"target returned non-finite value {fy} at a proposal")
-            inside = fy <= fx or w < math.exp((fx - fy) / target.temperature)
-    if inside:
-        return WalkState(y, state.step_index + 1, False, state.cumulative_rejections, fy)
-    return WalkState(x, state.step_index + 1, True, state.cumulative_rejections + 1, fx)
+def _step_draws(rng: np.random.Generator, steps: int, dim: int, floats: bool):
+    """The ``(normals, uniform)`` pair of each of ``steps`` steps, drawn in
+    blocks of at most ``BLOCK`` steps: ``standard_normal((m, dim))``, then
+    ``random(m)``, into buffers allocated once.  With ``floats`` the normals
+    come as lists of floats, converted ``_SLICE`` rows at a time to keep the
+    lists small; otherwise as rows of the buffer, valid until the next."""
+    normals = np.empty((min(steps, BLOCK), dim))
+    uniforms = np.empty(len(normals))
+    for done in range(0, steps, BLOCK):
+        m = min(BLOCK, steps - done)
+        rng.standard_normal(out=normals[:m])
+        rng.random(out=uniforms[:m])
+        for lo in range(0, m, _SLICE):
+            hi = min(lo + _SLICE, m)
+            rows = normals[lo:hi]
+            yield from zip(rows.tolist() if floats else rows, uniforms[lo:hi].tolist())
 
 
 def run_chain(
@@ -265,7 +244,8 @@ def run_chain(
     :class:`ChainResult`, which are allocated once.  Deterministic given
     ``(params.seed, chain_id)``: the RNG stream is derived here, not passed
     in.  ``start=None`` draws an exact uniform start from that same stream
-    before stepping.  Each step draws as :func:`metropolis_step` does.
+    before stepping.  The steps draw from that stream in blocks, as
+    :mod:`geowalk.rng` describes.
     """
     if burn_in < 0:
         raise PreconditionError("burn_in must be >= 0")
@@ -288,9 +268,6 @@ def run_chain(
 
     propose = man.propose
     inside_body = body.contains_coords
-    next_normals = rng.standard_normal
-    next_uniform = rng.random
-    dim = man.tangent_dim
     delta = params.delta
     emit = burn_in + thin
     row = 0
@@ -304,11 +281,8 @@ def run_chain(
             raise OracleError("target is non-finite at the start point")
 
     boundary = filtered = cut_locus_hits = 0
-    for step in range(1, params.max_steps + 1):
-        g = next_normals(dim)
-        if floats:
-            g = g.tolist()
-        w = next_uniform()
+    draws = _step_draws(rng, params.max_steps, man.tangent_dim, floats)
+    for step, (g, w) in enumerate(draws, 1):
         y = propose(x, g, delta)
         try:
             inside = inside_body(y)

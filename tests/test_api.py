@@ -18,14 +18,14 @@ PUBLIC = [
     "PreconditionError", "QuadratureSpec", "RejectionStats",
     "ScheduleTooAggressive", "SeparationViolated", "SpecialOrthogonal", "Sphere",
     "SphericalCap", "StepSizeWarning", "Target", "TrialsResult", "TvEstimate",
-    "WalkParams", "WalkState", "WarmnessEstimate", "allocate_steps",
+    "WalkParams", "WarmnessEstimate", "allocate_steps",
     "anneal_trials", "as_gibbs", "box_shell_fraction", "builtin_check_names",
     "check_affine_needle_lemma", "check_interior_volume", "check_isoperimetry",
     "check_low_temp_expectation", "check_needle_moment_lemma",
     "check_partition_function_logconcavity", "delta_bound", "distance_to",
     "estimate_l2_warmness", "estimate_local_conductance", "estimate_one_step_tv",
     "from_descriptor", "initial_temperature", "integrate", "ks_one_sample",
-    "ks_sigma", "ks_two_sample", "linear", "make_schedule", "metropolis_step",
+    "ks_sigma", "ks_two_sample", "linear", "make_schedule",
     "rejection_sample_uniform", "run_builtin_check", "run_chain",
     "sample_uniform_many", "sqdist_to", "step_ensemble", "stream", "tv_decay_curve",
     "validate_delta",

@@ -9,7 +9,9 @@ import pytest
 
 import geowalk as gw
 from geowalk import walk
+from geowalk.bodies import _contains_row
 from geowalk.quadrature import QuadratureSpec, integrate
+from geowalk.rng import BLOCK
 from geowalk.errors import InvalidStart, OracleError, PreconditionError, StepSizeWarning
 
 
@@ -58,6 +60,47 @@ def test_oversized_delta_raises_unless_overridden():
     assert record[0].filename == __file__
 
 
+def replay_chain(start, body, params, target=None, chain_id=0):
+    """``run_chain`` replayed one step at a time on numpy points, from the
+    block draws of ``stream(params.seed, chain_id)``.  Returns the ``(point,
+    rejected, f value)`` after each step, the start first."""
+    man = body.manifold
+    rng = gw.stream(params.seed, chain_id)
+    x = np.array(start, dtype=float)
+    fx = None if target is None else target.f(x)
+    states = [(x, False, fx)]
+    for done in range(0, params.max_steps, BLOCK):
+        m = min(BLOCK, params.max_steps - done)
+        normals = rng.standard_normal((m, man.tangent_dim))
+        uniforms = rng.random(m)
+        for g, w in zip(normals, uniforms):
+            y = np.array(man.propose(x, g, params.delta))
+            inside = _contains_row(body, y)
+            if inside and target is not None:
+                fy = target.f(y)
+                inside = fy <= fx or w < math.exp((fx - fy) / target.temperature)
+            if inside:
+                x, fx = y, (None if target is None else fy)
+            states.append((x, not inside, fx))
+    return states
+
+
+def assert_chain_replays(start, body, params, target=None, thin=1, burn_in=0, chain_id=0):
+    """Every column of the chain equals the per-step replay, bit for bit."""
+    chain = gw.run_chain(start, body, params, target, thin, burn_in, chain_id)
+    states = replay_chain(start, body, params, target, chain_id)
+    kept = [states[step] for step in chain.steps]
+    assert np.array_equal(chain.coords, np.array([p for p, _, _ in kept]).reshape(chain.coords.shape))
+    assert chain.rejected.tolist() == [r for _, r, _ in kept]
+    if target is None:
+        assert chain.f_values is None
+    else:
+        assert chain.f_values.tolist() == [f for _, _, f in kept]
+    assert np.array_equal(chain.final, states[-1][0])
+    assert chain.stats.rejections == sum(r for _, r, _ in states)
+    return chain
+
+
 # ---------------------------------------------------------------------------
 # Determinism and stream discipline.
 
@@ -85,39 +128,62 @@ def test_uniform_walk_equals_constant_target_walk():
     assert np.array_equal(plain.rejected, filtered.rejected)
 
 
-def test_single_steps_stay_stream_aligned():
-    cap = cap_on_sphere()
-    params = gw.WalkParams(delta=0.04)
-    flat = gw.GibbsTarget(f=lambda x: 2.5, temperature=1.0)
-    rng_a = gw.stream(3)
-    rng_b = gw.stream(3)
-    state_a = gw.WalkState(cap.axis.copy())
-    state_b = gw.WalkState(cap.axis.copy())
-    for _ in range(50):
-        state_a = gw.metropolis_step(state_a, cap, None, params, rng_a)
-        state_b = gw.metropolis_step(state_b, cap, flat, params, rng_b)
-        assert np.array_equal(state_a.point, state_b.point)
-        assert state_a.rejected_last == state_b.rejected_last
-        assert state_a.f_value is None and state_b.f_value == 2.5
-    assert rng_a.random() == rng_b.random()
-
-
 def test_run_chain_equals_iterated_metropolis_steps():
     cap = cap_on_sphere()
     gibbs = gw.as_gibbs(gw.distance_to(cap.manifold, cap.axis), 0.2)
     params = gw.WalkParams(delta=0.04, max_steps=400, seed=12)
-    chain = gw.run_chain(cap.axis, cap, params, target=gibbs, chain_id=3)
-    rng = gw.stream(12, 3)
-    state = gw.WalkState(cap.axis.copy())
-    columns = zip(chain.steps, chain.coords, chain.rejected, chain.f_values)
-    for step, coords, rejected, f_value in columns:
-        state = gw.metropolis_step(state, cap, gibbs, params, rng)
-        assert step == state.step_index
-        assert np.array_equal(coords, state.point)
-        assert rejected == state.rejected_last
-        assert f_value == state.f_value
+    chain = assert_chain_replays(cap.axis, cap, params, gibbs, chain_id=3)
     assert len(chain.steps) == 400
-    assert chain.stats.rejections == state.cumulative_rejections > 0
+    assert chain.stats.rejections > 0
+
+
+# A chain across the first block boundary: the kept rows at steps 4093,
+# 4095, ... fall on both sides of step BLOCK = 4096.
+ACROSS = dict(max_steps=BLOCK + 37, thin=2, burn_in=BLOCK - 5)
+
+
+def _so3_ball():
+    man = gw.SpecialOrthogonal(3)
+    return gw.GeodesicBall(man, np.eye(3).ravel(), 0.5)
+
+
+@pytest.mark.parametrize("case", ["sphere2-cap-gibbs", "euclidean2-box-linear", "so3-ball-uniform"])
+def test_run_chain_replays_across_a_block_boundary(case):
+    if case == "sphere2-cap-gibbs":
+        body = cap_on_sphere()
+        target = gw.as_gibbs(gw.distance_to(body.manifold, body.axis), 0.2)
+        delta = 0.04
+    elif case == "euclidean2-box-linear":
+        body = gw.EuclideanBox(np.zeros(2), np.array([1.0, 2.0]))
+        target = gw.as_gibbs(gw.linear(np.array([1.0, -0.5])), 0.25)
+        delta = 0.05
+    else:
+        body = _so3_ball()
+        target = None
+        delta = 0.05
+    params = gw.WalkParams(delta=delta, max_steps=ACROSS["max_steps"], seed=21, override_delta=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepSizeWarning)
+        chain = assert_chain_replays(
+            body.inner_center, body, params, target, ACROSS["thin"], ACROSS["burn_in"], chain_id=1
+        )
+    assert chain.steps[0] < BLOCK < chain.steps[-1]
+    assert len(chain.steps) == 21
+    assert 0 < chain.stats.rejections < ACROSS["max_steps"]
+
+
+def test_uniform_and_constant_target_chains_agree_across_a_block_boundary():
+    cap = cap_on_sphere()
+    params = gw.WalkParams(delta=0.04, max_steps=ACROSS["max_steps"], seed=22)
+    flat = gw.GibbsTarget(f=lambda x: 1.0, temperature=0.7)
+    keep = dict(thin=ACROSS["thin"], burn_in=ACROSS["burn_in"])
+    plain = gw.run_chain(cap.axis, cap, params, **keep)
+    filtered = gw.run_chain(cap.axis, cap, params, target=flat, **keep)
+    assert plain.steps[0] < BLOCK < plain.steps[-1]
+    assert np.array_equal(plain.coords, filtered.coords)
+    assert np.array_equal(plain.rejected, filtered.rejected)
+    assert np.array_equal(plain.final, filtered.final)
+    assert filtered.stats.filter_rejections == 0
 
 
 def test_start_none_draws_uniformly_from_chain_stream():
@@ -174,11 +240,7 @@ def record_chain(target, max_steps, thin, burn_in, seed=4, replay=False):
     result = gw.run_chain(cap.axis, cap, params, target=gibbs, thin=thin, burn_in=burn_in)
     if not replay:
         return result
-    rng = gw.stream(seed)
-    states = [gw.WalkState(cap.axis.copy())]
-    for _ in range(max_steps):
-        states.append(gw.metropolis_step(states[-1], cap, gibbs, params, rng))
-    return result, states
+    return result, replay_chain(cap.axis, cap, params, gibbs)
 
 
 @pytest.mark.parametrize("target", [False, True])
@@ -191,15 +253,15 @@ def test_chain_columns_equal_the_samples_view(target, max_steps, thin, burn_in):
     assert result.rejected.dtype == bool and result.rejected.shape == (kept,)
     assert np.array_equal(result.steps, burn_in + thin * np.arange(1, kept + 1))
     kept_states = [states[step] for step in result.steps]
-    points = np.array([st.point for st in kept_states]).reshape(kept, 3)
+    points = np.array([point for point, _, _ in kept_states]).reshape(kept, 3)
     assert np.array_equal(points, result.coords)
-    assert result.rejected.tolist() == [st.rejected_last for st in kept_states]
+    assert result.rejected.tolist() == [rejected for _, rejected, _ in kept_states]
     if target:
         assert result.f_values.dtype == np.float64 and result.f_values.shape == (kept,)
-        assert result.f_values.tolist() == [st.f_value for st in kept_states]
+        assert result.f_values.tolist() == [f_value for _, _, f_value in kept_states]
     else:
         assert result.f_values is None
-        assert all(st.f_value is None for st in kept_states)
+        assert all(f_value is None for _, _, f_value in kept_states)
 
 
 @pytest.mark.parametrize("target", [False, True])
