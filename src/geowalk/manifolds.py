@@ -112,6 +112,10 @@ class Manifold:
     tangent_dim: int
     curvature_bound: float
     injectivity_radius: float
+    # Whether the one-row oracles ``propose`` and ``dist`` take lists of
+    # Python floats (``propose`` then returns one); ``run_chain`` keeps a
+    # chain's state in that form between steps when they do.
+    float_rows = False
 
     @property
     def descriptor(self) -> str:
@@ -177,6 +181,8 @@ class Manifold:
 class Euclidean(Manifold):
     """Flat ``R^n``: exp is addition, distance is the Euclidean norm."""
 
+    float_rows = True
+
     def __init__(self, n: int):
         if n < 1:
             raise PreconditionError("Euclidean dimension must be >= 1")
@@ -194,7 +200,7 @@ class Euclidean(Manifold):
         return x + v
 
     def dist(self, x, y):
-        d = x - y
+        d = np.subtract(x, y)
         return math.sqrt(d @ d)
 
     def tangent_from_gaussian(self, x, g):
@@ -233,6 +239,8 @@ class Sphere(Manifold):
     swaps ``x`` with the last coordinate axis, so each draw consumes exactly
     ``n`` normal variates and is tangent to machine precision.
     """
+
+    float_rows = True
 
     def __init__(self, n: int):
         if n < 1:

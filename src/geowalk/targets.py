@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError
-from .manifolds import Manifold, Sphere
+from .manifolds import Manifold
 from .walk import GibbsTarget
 
 __all__ = ["Target", "distance_to", "sqdist_to", "linear", "as_gibbs"]
@@ -37,15 +37,10 @@ class Target:
     lipschitz: float
 
 
-def _one_row_anchor(manifold: Manifold, point: np.ndarray):
-    # The sphere's one-row distance computes on Python floats.
-    return point.tolist() if isinstance(manifold, Sphere) else point
-
-
 def distance_to(manifold: Manifold, point: np.ndarray) -> Target:
     point = np.asarray(point, dtype=float)
     manifold.validate_point(point)
-    anchor = _one_row_anchor(manifold, point)
+    anchor = point.tolist() if manifold.float_rows else point
 
     def f(x: np.ndarray) -> float:
         return manifold.dist(anchor, x)
@@ -63,7 +58,7 @@ def sqdist_to(manifold: Manifold, point: np.ndarray, diameter: float) -> Target:
     manifold.validate_point(point)
     if diameter <= 0.0:
         raise PreconditionError("diameter must be positive")
-    anchor = _one_row_anchor(manifold, point)
+    anchor = point.tolist() if manifold.float_rows else point
 
     def f(x: np.ndarray) -> float:
         d = manifold.dist(anchor, x)

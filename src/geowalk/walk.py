@@ -23,9 +23,9 @@ membership test counts as a boundary rejection, row by row.
 (``steps``, ``coords``, ``rejected``, ``f_values``), allocated once for
 ``max(0, (max_steps - burn_in) // thin)`` rows and written in place, so a
 kept row costs its bytes in those arrays and no Python object.  On
-``sphere:n`` and ``euclidean:n`` the chain's state is a list of Python
-floats between steps, and the one-row oracles the step calls take and
-return float lists: ``Sphere.propose`` and ``Euclidean.propose``,
+``sphere:n`` and ``euclidean:n`` (``Manifold.float_rows``) the chain's
+state is a list of Python floats between steps, and the one-row oracles
+the step calls take and return float lists: ``Sphere.propose`` and ``Euclidean.propose``,
 ``SphericalCap.contains_coords`` and ``EuclideanBox.contains_coords``,
 ``Sphere.dist`` and the ``f`` of the built-in targets.  They accept numpy
 rows as well; their ``*_many`` twins stay on numpy, and so does the whole
@@ -63,7 +63,7 @@ from .errors import (
     PreconditionError,
     StepSizeWarning,
 )
-from .manifolds import Euclidean, Manifold, Sphere
+from .manifolds import Manifold
 from .rng import BLOCK, stream
 
 _SLICE = 256  # rows of a drawn block turned into Python floats at a time
@@ -255,9 +255,7 @@ def run_chain(
     validate_delta(params.delta, params.override_delta, man, body)
     rng = stream(params.seed, chain_id)
     x = rejection_sample_uniform(body, rng) if start is None else _start_coords(start, body)
-    # Sphere and Euclidean oracles take and return lists of floats, so the
-    # state stays a list between steps; other manifolds stay on numpy.
-    floats = isinstance(man, (Sphere, Euclidean))
+    floats = man.float_rows
     if floats:
         x = x.tolist()
     kept = max(0, (params.max_steps - burn_in) // thin)
