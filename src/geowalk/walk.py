@@ -25,12 +25,12 @@ membership test counts as a boundary rejection, row by row.
 kept row costs its bytes in those arrays and no Python object.  On
 ``sphere:n`` and ``euclidean:n`` (``Manifold.float_rows``) the chain's
 state is a list of Python floats between steps, and the one-row oracles
-the step calls take and return float lists: ``Sphere.propose`` and ``Euclidean.propose``,
-``SphericalCap.contains_coords`` and ``EuclideanBox.contains_coords``,
-``Sphere.dist`` and the ``f`` of the built-in targets.  They accept numpy
-rows as well; their ``*_many`` twins stay on numpy, and so does the whole
-step on ``so:n``.  A kept row becomes numpy only when it is written into
-``coords``.
+the step calls take float lists: ``Sphere.propose`` and
+``Euclidean.propose`` (which return lists), ``Sphere.dist``, the cap's
+and box's ``contains_coords`` and the ``f`` of the built-in targets.
+They accept numpy rows as well; their ``*_many`` twins stay on numpy, and
+so does the whole step on ``so:n``.  A kept row becomes numpy only when
+it is written into ``coords``.
 
 Local-conductance counts (how many of ``trials`` one-step proposals from a
 point stay in the body) are one ``Binomial`` draw per point on spherical
@@ -214,7 +214,8 @@ def _step_draws(rng: np.random.Generator, steps: int, dim: int, floats: bool):
     blocks of at most ``BLOCK`` steps: ``standard_normal((m, dim))``, then
     ``random(m)``, into buffers allocated once.  With ``floats`` the normals
     come as lists of floats, converted ``_SLICE`` rows at a time to keep the
-    lists small; otherwise as rows of the buffer, valid until the next."""
+    lists small; otherwise as rows of the buffer, which the next block
+    overwrites."""
     normals = np.empty((min(steps, BLOCK), dim))
     uniforms = np.empty(len(normals))
     for done in range(0, steps, BLOCK):

@@ -142,11 +142,6 @@ def test_run_chain_equals_iterated_metropolis_steps():
 ACROSS = dict(max_steps=BLOCK + 37, thin=2, burn_in=BLOCK - 5)
 
 
-def _so3_ball():
-    man = gw.SpecialOrthogonal(3)
-    return gw.GeodesicBall(man, np.eye(3).ravel(), 0.5)
-
-
 @pytest.mark.parametrize("case", ["sphere2-cap-gibbs", "euclidean2-box-linear", "so3-ball-uniform"])
 def test_run_chain_replays_across_a_block_boundary(case):
     if case == "sphere2-cap-gibbs":
@@ -158,7 +153,7 @@ def test_run_chain_replays_across_a_block_boundary(case):
         target = gw.as_gibbs(gw.linear(np.array([1.0, -0.5])), 0.25)
         delta = 0.05
     else:
-        body = _so3_ball()
+        body = gw.GeodesicBall(gw.SpecialOrthogonal(3), np.eye(3).ravel(), 0.5)
         target = None
         delta = 0.05
     params = gw.WalkParams(delta=delta, max_steps=ACROSS["max_steps"], seed=21, override_delta=True)
