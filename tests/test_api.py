@@ -57,3 +57,5 @@ def test_anneal_submodule_is_not_a_package_attribute():
 def test_removed_members_stay_removed():
     assert not hasattr(gw.ConvexBody, "contains")
     assert not hasattr(gw.Manifold, "validate_tangent")
+    walk = importlib.import_module("geowalk.walk")
+    assert not hasattr(walk, "metropolis_step") and not hasattr(walk, "WalkState")
