@@ -18,9 +18,11 @@ No minimum shift is applied to the objective: the Metropolis filter only
 ever sees differences ``f(y) - f(x)``, so shifting ``f`` by any constant,
 including a running minimum estimate, changes nothing.
 
-:func:`anneal_trials` runs the trials in lockstep: one step makes one
-``Manifold.propose_many`` call for all trials and counts a proposal on the
-cut locus of the body's membership test as a rejection, row by row.
+:func:`anneal_trials` runs the trials in lockstep: per sub-block of drawn
+normals it computes ``Manifold.proposal_factors``, then each step makes
+one ``Manifold.propose_factored`` call for all trials, bit for bit one
+``propose_many`` call.  A proposal on the cut locus of the body's
+membership test counts as a rejection, row by row.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,7 +39,7 @@ from .bodies import ConvexBody, _contains_rows, rejection_sample_uniform
 from .errors import DegenerateSchedule, OracleError, PreconditionError
 from .manifolds import Manifold
 from .rng import BLOCK, stream
-from .walk import delta_bound, validate_delta
+from .walk import _SLICE, delta_bound, validate_delta
 
 __all__ = [
     "AnnealSchedule",
@@ -117,8 +120,13 @@ def make_schedule(
     """Geometric cooling schedule reaching ``epsilon*fail_prob/(n+1)``.
 
     A start temperature already at or below the final target degenerates to
-    a single phase, with a :class:`DegenerateSchedule` warning.
+    a single phase, with a :class:`DegenerateSchedule` warning naming the caller.
     """
+    return _schedule(t0, n, epsilon, fail_prob)
+
+
+def _schedule(t0: float, n: int, epsilon: float, fail_prob: float) -> AnnealSchedule:
+    # stacklevel=3 names the caller of make_schedule or of anneal_trials.
     if n < 2:
         raise PreconditionError("schedule needs intrinsic dimension n >= 2")
     if t0 <= 0.0 or epsilon <= 0.0 or not 0.0 < fail_prob < 1.0:
@@ -130,7 +138,7 @@ def make_schedule(
             f"start temperature {t0:.6g} is already below the final target "
             f"{target:.6g}; returning a single-phase schedule",
             DegenerateSchedule,
-            stacklevel=2,
+            stacklevel=3,
         )
         return AnnealSchedule(t0, n, 0, (t0,), ratio)
     phases = max(0, math.ceil(math.sqrt(n) * math.log(t0 / target)))
@@ -203,14 +211,17 @@ def anneal_trials(
     Each trial owns the RNG stream ``(seed, trial_index)``, draws its start
     uniformly from the body, and then draws its randomness in per-phase
     blocks of at most ``rng.BLOCK`` steps: its normals ``standard_normal((m,
-    n))``, then its uniforms ``random(m)``.  A trial's result therefore
-    does not depend on how many trials run beside it.
+    n))``, then its uniforms ``random(m)``, into step-major buffers (row
+    ``j`` holds every trial's draws for step ``j``).  A trial's result
+    therefore does not depend on how many trials run beside it.
 
-    One step makes one ``propose_many`` call for all trials, tests
-    membership and scores the proposals with ``f_many``, then accepts the
-    in-body rows with ``f(y) - f(x) < -T log w``, the Metropolis filter
-    ``w < exp(-(f(y) - f(x)) / T)`` with the thresholds replacing the
-    uniforms in place once per block.  Points, values and best-so-far
+    ``Manifold.proposal_factors`` runs on at most ``walk._SLICE`` steps of
+    normals at a time, so memory stays flat.  One step makes one
+    ``propose_factored`` call for all trials, tests membership and scores
+    the proposals with ``f_many``, then accepts the in-body rows with
+    ``f(y) - f(x) < -T log w``, the Metropolis filter ``w < exp(-(f(y) -
+    f(x)) / T)`` with the thresholds replacing the uniforms in place once
+    per block.  Points, values and best-so-far
     arrays are updated in place in workspaces preallocated once per call.
     ``f_many`` must accept any batch of manifold points, on or off the
     body; a non-finite value at an in-body proposal raises
@@ -227,7 +238,7 @@ def anneal_trials(
         delta = config.delta
         validate_delta(delta, config.override_delta, man, body)
     t0 = initial_temperature(body, config.lipschitz)
-    schedule = make_schedule(t0, n, config.epsilon, config.fail_prob)
+    schedule = _schedule(t0, n, config.epsilon, config.fail_prob)
     allocations = allocate_steps(schedule, man, body, config)
 
     gens = [stream(seed, t) for t in range(trials)]
@@ -236,14 +247,14 @@ def anneal_trials(
     if not np.all(np.isfinite(values)):
         raise OracleError("objective is non-finite at a start point")
 
-    propose = man.propose_many
+    propose = man.propose_factored
     last = len(schedule.temps) - 1
     records: list[list[PhaseRecord]] = [[] for _ in range(trials)]
     best_points = points.copy()
     best_values = values.copy()
 
-    normals = np.empty((trials, BLOCK, n))
-    thresholds = np.empty((trials, BLOCK))
+    normals = np.empty((BLOCK, trials, n))
+    thresholds = np.empty((BLOCK, trials))
     accepts = np.empty((BLOCK, trials), dtype=bool)
     rise = np.empty(trials)
     improved = np.empty(trials, dtype=bool)
@@ -258,15 +269,21 @@ def anneal_trials(
         while done < steps:
             m = min(BLOCK, steps - done)
             for t, g in enumerate(gens):
-                normals[t, :m] = g.standard_normal((m, n))
-                thresholds[t, :m] = g.random(m)
-            block = thresholds[:, :m]
+                normals[:m, t] = g.standard_normal((m, n))
+                thresholds[:m, t] = g.random(m)
+            block = thresholds[:m]
             # w = 0 maps to an infinite threshold: always accept.
             with np.errstate(divide="ignore"):
                 np.log(block, out=block)
             block *= -temperature
-            for j in range(m):
-                proposals = propose(points, normals[:, j], delta)
+            # Each step's proposal factors, computed _SLICE steps at a time.
+            drawn = normals[:m]
+            factor_rows = chain.from_iterable(
+                zip(*man.proposal_factors(drawn[s : s + _SLICE], delta))
+                for s in range(0, m, _SLICE)
+            )
+            for step, threshold, accept in zip(factor_rows, block, accepts):
+                proposals = propose(points, step)
                 inside = _contains_rows(body, proposals)
                 trial_values = np.asarray(f_many(proposals), dtype=float)
                 # A finite sum clears the whole batch; otherwise only the
@@ -277,9 +294,8 @@ def anneal_trials(
                     raise OracleError(
                         "objective returned a non-finite value at an in-body proposal"
                     )
-                accept = accepts[j]
                 np.subtract(trial_values, values, out=rise)
-                np.less(rise, block[:, j], out=accept)
+                np.less(rise, threshold, out=accept)
                 accept &= inside
                 np.copyto(points, proposals, where=accept[:, None])
                 np.copyto(values, trial_values, where=accept)

@@ -19,6 +19,12 @@ closed form.  Their one-row kernels, ``propose`` and ``Sphere.dist``, work
 on Python floats: they take lists or arrays and return lists, which on a
 few elements avoids numpy's per-call overhead.
 
+``propose_many`` composes two stages, which ``anneal_trials`` calls apart:
+``proposal_factors(g, delta)`` does what does not read the points, for
+normals of any leading shape (on the sphere ``cos t``, ``k = sin(t)/|g|``
+and ``k g``, ``t = delta |g|``; ``delta g`` on ``R^n``), and
+``propose_factored(points, factors)`` does the rest for one step's rows.
+
 The intrinsic dimension is ``tangent_dim``; curvature enters the walk only
 through ``curvature_bound``, an upper bound on the Frobenius norm of the
 curvature operator.  For ``S^n`` and ``SO(n)`` it is ``n``.
@@ -161,7 +167,18 @@ class Manifold:
         """Walk proposals ``exp_x(delta * tangent_from_gaussian(x, g))``, one
         per row of ``points`` and of the raw normals ``g``.  Never writes to
         ``points``, which may be a broadcast view."""
-        return self.exp_many(points, delta * self.tangent_from_gaussian_many(points, g))
+        return self.propose_factored(points, self.proposal_factors(g, delta))
+
+    def proposal_factors(self, g: np.ndarray, delta: float) -> tuple:
+        """The part of :meth:`propose_many` that does not read the points:
+        arrays with the leading axes of ``g``, so for normals ``(steps,
+        rows, tangent_dim)`` step ``j``'s factors are their ``[j]`` rows."""
+        return g, np.full(g.shape[:-1], delta)
+
+    def propose_factored(self, points: np.ndarray, factors: tuple) -> np.ndarray:
+        """:meth:`propose_many` from a step's :meth:`proposal_factors`, which it may overwrite."""
+        g, delta = factors
+        return self.exp_many(points, delta[:, None] * self.tangent_from_gaussian_many(points, g))
 
     def dist_many(self, points: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.array([self.dist(x, y) for x in points])
@@ -222,8 +239,11 @@ class Euclidean(Manifold):
     def tangent_from_gaussian_many(self, points, g):
         return g
 
-    def propose_many(self, points, g, delta):
-        return points + delta * g
+    def proposal_factors(self, g, delta):
+        return (delta * g,)
+
+    def propose_factored(self, points, factors):
+        return points + factors[0]
 
     def dist_many(self, points, y):
         d = points - y
@@ -286,7 +306,7 @@ class Sphere(Manifold):
         return u
 
     def propose(self, x, g, delta):
-        # The closed form of propose_many below, on Python floats.  ``g``
+        # The closed form of propose_factored below, on Python floats.  ``g``
         # has one entry fewer than ``x``, so zipping the two pairs the
         # normals with x[:-1].
         if isinstance(x, np.ndarray):
@@ -330,14 +350,12 @@ class Sphere(Manifold):
         u[:, -1] = -c * w[:, -1]
         return u
 
-    def propose_many(self, points, g, delta):
-        # Householder embedding and great-circle step fused in closed form.
-        # With a = x[:-1].g, h = 1 + |x_n|, s = sign(x_n) (+1 at zero) and
-        # t = delta |g| = delta |u|, the embedded tangent is
-        # u = (g - (a/h) x[:-1], -s a), so exp_x(delta u) is
-        # (cos t - q) x + (k g, -s q) with k = delta sin(t)/t and q = k a/h.
-        head = points[:, :-1]
-        last = points[:, -1]
+    # Householder embedding and great-circle step fused in closed form.
+    # With a = x[:-1].g, h = 1 + |x_n|, s = sign(x_n) (+1 at zero) and
+    # t = delta |g| = delta |u|, the embedded tangent is
+    # u = (g - (a/h) x[:-1], -s a), so exp_x(delta u) is
+    # (cos t - q) x + (k g, -s q) with k = delta sin(t)/t and q = k a/h.
+    def proposal_factors(self, g, delta):
         norm = np.sqrt(np.vecdot(g, g))
         # A floor far below any normal draw keeps sin(t)/|g| finite at
         # g = 0, where it rounds to delta and multiplies zeros anyway.
@@ -346,17 +364,23 @@ class Sphere(Manifold):
         cos_t = np.cos(t)
         k = np.sin(t, out=t)
         k /= norm
-        q = np.vecdot(head, g)
+        # (k g, -s q): propose_factored writes each row's -s q into the last
+        # column, so the step is one contiguous add.
+        step = np.empty(g.shape[:-1] + (self.ambient_dim,))
+        np.multiply(g, k[..., None], out=step[..., :-1])
+        return g, cos_t, k, step
+
+    def propose_factored(self, points, factors):
+        g, cos_t, k, step = factors
+        last = points[:, -1]
+        q = np.vecdot(points[:, :-1], g, out=step[:, -1])
         q *= k
         h = np.abs(last)
         h += 1.0
         q /= h
-        cos_t -= q
-        step = np.empty_like(points)
-        np.multiply(g, k[:, None], out=step[:, :-1])
+        c = cos_t - q
         np.negative(q, out=q, where=last >= 0.0)
-        step[:, -1] = q
-        y = points * cos_t[:, None]
+        y = points * c[:, None]
         y += step
         y /= np.sqrt(np.vecdot(y, y))[:, None]
         return y

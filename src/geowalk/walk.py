@@ -66,7 +66,7 @@ from .errors import (
 from .manifolds import Manifold
 from .rng import BLOCK, stream
 
-_SLICE = 256  # rows of a drawn block turned into Python floats at a time
+_SLICE = 256  # rows of a drawn block converted at a time, here and in anneal
 
 __all__ = [
     "WalkParams",

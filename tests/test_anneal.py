@@ -47,8 +47,9 @@ def test_schedule_reaches_target_generally():
 
 
 def test_degenerate_schedule_warns_and_collapses():
-    with pytest.warns(DegenerateSchedule):
+    with pytest.warns(DegenerateSchedule) as record:
         schedule = gw.make_schedule(1e-6, 4, 0.5, 0.5)
+    assert record[0].filename == __file__
     assert schedule.phases == 0
     assert schedule.temps == (1e-6,)
 
@@ -138,19 +139,30 @@ def _replay_trial(body, target, result, seed, t):
 
 
 CAP60 = gw.SphericalCap(gw.Sphere(2), np.array([0.0, 0.0, 1.0]), math.pi / 3)
+S5CAP = s5_cap()
+BOX2 = gw.EuclideanBox(np.zeros(2), np.array([1.0, 2.0]))
+SO3BALL = gw.GeodesicBall(gw.SpecialOrthogonal(3), np.eye(3).ravel(), 1.2)
 
 
-@pytest.mark.parametrize("cap, seed", [(CAP60, 11), (s5_cap(), 3)], ids=["sphere2", "sphere5"])
-def test_lockstep_trials_equal_per_step_replay(cap, seed):
-    target = gw.distance_to(cap.manifold, cap.axis)
+@pytest.mark.parametrize(
+    "body, target, budget, seed",
+    [
+        (CAP60, gw.distance_to(CAP60.manifold, CAP60.axis), 8_000, 11),
+        (S5CAP, gw.distance_to(S5CAP.manifold, S5CAP.axis), 8_000, 3),
+        (BOX2, gw.linear(np.array([1.0, -0.5])), 1_500, 5),
+        (SO3BALL, gw.distance_to(SO3BALL.manifold, SO3BALL.center), 300, 2),
+    ],
+    ids=["sphere2", "sphere5", "euclidean2", "so3"],
+)
+def test_lockstep_trials_equal_per_step_replay(body, target, budget, seed):
     # On sphere:2 the final phase takes 5,748 steps, two blocks of draws.
     config = gw.AnnealConfig(
-        epsilon=2.0, fail_prob=0.5, lipschitz=target.lipschitz, max_total_steps=8_000
+        epsilon=2.0, fail_prob=0.5, lipschitz=target.lipschitz, max_total_steps=budget
     )
-    result = gw.anneal_trials(cap, target.f_many, config, seed=seed, trials=3)
+    result = gw.anneal_trials(body, target.f_many, config, seed=seed, trials=3)
     assert len(result.schedule.temps) > 1
     for t in (0, 2):
-        trace, minimizer, value = _replay_trial(cap, target, result, seed, t)
+        trace, minimizer, value = _replay_trial(body, target, result, seed, t)
         assert result.traces[t] == trace
         assert np.array_equal(result.minimizers[t], minimizer)
         assert result.values[t] == value
@@ -178,6 +190,18 @@ def test_step_size_warning_points_at_the_caller(cap60):
     with pytest.warns(StepSizeWarning) as record:
         gw.anneal_trials(cap60, target.f_many, config, seed=0, trials=1)
     assert record[0].filename == __file__
+
+
+def test_degenerate_schedule_warning_points_at_the_caller(cap60):
+    target = gw.distance_to(cap60.manifold, cap60.axis)
+    # T_0 = L D = 2.09 is already below the target 50 * 0.5 / 3.
+    config = gw.AnnealConfig(
+        epsilon=50.0, fail_prob=0.5, lipschitz=target.lipschitz, max_total_steps=100
+    )
+    with pytest.warns(DegenerateSchedule) as record:
+        result = gw.anneal_trials(cap60, target.f_many, config, seed=0, trials=1)
+    assert record[0].filename == __file__
+    assert result.schedule.phases == 0
 
 
 def test_lockstep_trials_are_deterministic(cap60):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import geowalk as gw
 from geowalk.errors import CutLocusError, DimensionMismatch, PreconditionError
 from geowalk.manifolds import matexp
+from geowalk.walk import _SLICE
 
 
 def random_sphere_point(man, rng):
@@ -203,6 +204,23 @@ def test_propose_many_matches_tangent_then_exp(descriptor):
     # Read-only broadcast rows, as the conductance estimators pass them.
     fanned = man.propose_many(np.broadcast_to(pts[0], pts.shape), g, 0.05)
     assert np.max(np.abs(fanned[0] - man.propose_many(pts[:1], g[:1], 0.05)[0])) < 1e-15
+
+
+@pytest.mark.parametrize("descriptor", ["euclidean:3", "sphere:2", "sphere:5", "so:3"])
+def test_proposal_stages_equal_propose_many_across_a_sub_block(descriptor):
+    # anneal_trials computes the factors of a step-major block of normals
+    # _SLICE steps at a time, then proposes one step's rows at a time.
+    man = gw.from_descriptor(descriptor)
+    pts, g = proposal_rows(man)
+    block = gw.stream(12).standard_normal((_SLICE + 2, len(pts), man.tangent_dim))
+    block[_SLICE - 1] = block[_SLICE] = g
+    for delta in (0.05, 0.3):
+        for start in (0, _SLICE):
+            factors = man.proposal_factors(block[start : start + _SLICE], delta)
+            for j, step in enumerate(zip(*factors), start):
+                proposed = man.propose_factored(pts, step)
+                assert np.array_equal(proposed, man.propose_many(pts, block[j], delta))
+        assert j == _SLICE + 1
 
 
 @pytest.mark.parametrize(
