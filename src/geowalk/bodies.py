@@ -102,8 +102,6 @@ class SphericalCap(ConvexBody):
         self.diameter = 2.0 * angle
 
     def contains_coords(self, x):
-        if isinstance(x, np.ndarray):
-            x = x.tolist()
         return sum(map(operator.mul, x, self._axis)) >= self.cos_angle
 
     def contains_many(self, points):
@@ -173,8 +171,6 @@ class EuclideanBox(ConvexBody):
         self.diameter = float(np.linalg.norm(hi - lo))
 
     def contains_coords(self, x):
-        if isinstance(x, np.ndarray):
-            x = x.tolist()
         return all(map(operator.le, self._lo, x)) and all(map(operator.le, x, self._hi))
 
     def contains_many(self, points):

@@ -10,20 +10,19 @@ same 1-D coordinate layout to the walk, the CLI, and the output files.
 Every ``exp`` re-projects its result (sphere: renormalisation, SO(n): polar
 factor), so long chains of composed steps do not drift off the manifold.
 
-The walk's proposal ``exp_x(delta * tangent_from_gaussian(x, g))`` has its
-own kernels: ``propose`` for one point (the step of ``run_chain``) and
-``propose_many`` for a batch of rows.  Both take the raw normals ``g`` that
-the caller drew, so they consume no randomness and the walk's draw order
-does not depend on them.  ``Euclidean`` and ``Sphere`` evaluate them in
-closed form.  Their one-row kernels, ``propose`` and ``Sphere.dist``, work
-on Python floats: they take lists or arrays and return lists, which on a
-few elements avoids numpy's per-call overhead.
-
-``propose_many`` composes two stages, which ``anneal_trials`` calls apart:
-``proposal_factors(g, delta)`` does what does not read the points, for
-normals of any leading shape (on the sphere ``cos t``, ``k = sin(t)/|g|``
-and ``k g``, ``t = delta |g|``; ``delta g`` on ``R^n``), and
-``propose_factored(points, factors)`` does the rest for one step's rows.
+The walk's proposal ``exp_x(delta * tangent_from_gaussian(x, g))`` is
+computed in two stages, from the raw normals ``g`` that the caller drew,
+so it consumes no randomness and the walk's draw order does not depend on
+it.  ``proposal_factors(g, delta)`` does what does not read the points,
+for normals of any leading shape (on the sphere ``cos t``, ``k =
+sin(t)/|g|`` and ``k g``, ``t = delta |g|``; ``delta g`` on ``R^n``).
+``propose_factored(points, factors)`` does the rest for one step's rows,
+and ``propose_row(x, factors)`` for one point (the step of ``run_chain``).
+``propose_many`` composes the first two.  ``Euclidean`` and ``Sphere``
+evaluate the stages in closed form, and their one-row kernels,
+``propose_row`` and ``Sphere.dist``, work on Python floats: they take
+lists (``dist`` also numpy rows) and return lists, which on a few
+elements avoids numpy's per-call overhead.
 
 The intrinsic dimension is ``tangent_dim``; curvature enters the walk only
 through ``curvature_bound``, an upper bound on the Frobenius norm of the
@@ -118,9 +117,10 @@ class Manifold:
     tangent_dim: int
     curvature_bound: float
     injectivity_radius: float
-    # Whether the one-row oracles ``propose`` and ``dist`` take lists of
-    # Python floats (``propose`` then returns one); ``run_chain`` keeps a
-    # chain's state in that form between steps when they do.
+    # Whether the one-row oracles ``propose_row`` and ``dist`` take lists
+    # of Python floats (``propose_row`` then returns one, from factor rows
+    # converted with ``tolist``); ``run_chain`` keeps a chain's state in
+    # that form between steps when they do.
     float_rows = False
 
     @property
@@ -145,13 +145,6 @@ class Manifold:
 
     def validate_point(self, x: np.ndarray, atol: float = 1e-8) -> None:
         raise NotImplementedError
-
-    def propose(self, x: np.ndarray, g: np.ndarray, delta: float) -> np.ndarray:
-        """Walk proposal ``exp_x(delta * tangent_from_gaussian(x, g))`` from
-        one point, for the raw normals ``g``; the one-row twin of
-        :meth:`propose_many`.  Never writes to ``x``.  ``Sphere`` and
-        ``Euclidean`` return a list of floats."""
-        return self.exp(x, delta * self.tangent_from_gaussian(x, g))
 
     # Vectorised fallbacks; Sphere and Euclidean override with array code.
 
@@ -179,6 +172,15 @@ class Manifold:
         """:meth:`propose_many` from a step's :meth:`proposal_factors`, which it may overwrite."""
         g, delta = factors
         return self.exp_many(points, delta[:, None] * self.tangent_from_gaussian_many(points, g))
+
+    def propose_row(self, x, factors):
+        """The one-row twin of :meth:`propose_factored`: the proposal from
+        the point ``x`` for one row of :meth:`proposal_factors`, which it
+        may overwrite.  Never writes to ``x``.  Where ``float_rows`` is
+        set, ``x`` and the factor row hold Python floats (array rows
+        converted with ``tolist``) and the result is a list of floats."""
+        g, delta = factors
+        return self.exp(x, delta * self.tangent_from_gaussian(x, g))
 
     def dist_many(self, points: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.array([self.dist(x, y) for x in points])
@@ -223,13 +225,6 @@ class Euclidean(Manifold):
     def tangent_from_gaussian(self, x, g):
         return g
 
-    def propose(self, x, g, delta):
-        if isinstance(x, np.ndarray):
-            x = x.tolist()
-        if isinstance(g, np.ndarray):
-            g = g.tolist()
-        return [a + delta * b for a, b in zip(x, g)]
-
     def validate_point(self, x, atol=1e-8):
         self._check_shape(x)
 
@@ -244,6 +239,9 @@ class Euclidean(Manifold):
 
     def propose_factored(self, points, factors):
         return points + factors[0]
+
+    def propose_row(self, x, factors):
+        return [a + b for a, b in zip(x, factors[0])]
 
     def dist_many(self, points, y):
         d = points - y
@@ -284,10 +282,6 @@ class Sphere(Manifold):
         return y
 
     def dist(self, x, y):
-        if isinstance(x, np.ndarray):
-            x = x.tolist()
-        if isinstance(y, np.ndarray):
-            y = y.tolist()
         c = sum(map(operator.mul, x, y))
         if c > 1.0:
             c = 1.0
@@ -304,27 +298,6 @@ class Sphere(Manifold):
         u[:-1] = g - c * w[:-1]
         u[-1] = -c * w[-1]
         return u
-
-    def propose(self, x, g, delta):
-        # The closed form of propose_factored below, on Python floats.  ``g``
-        # has one entry fewer than ``x``, so zipping the two pairs the
-        # normals with x[:-1].
-        if isinstance(x, np.ndarray):
-            x = x.tolist()
-        if isinstance(g, np.ndarray):
-            g = g.tolist()
-        norm = math.hypot(*g)
-        if norm == 0.0:
-            return list(x)
-        t = norm * delta
-        k = math.sin(t) / norm
-        last = x[-1]
-        q = k * sum(map(operator.mul, x, g)) / (1.0 + abs(last))
-        c = math.cos(t) - q
-        y = [c * a + k * b for a, b in zip(x, g)]
-        y.append(c * last - q if last >= 0.0 else c * last + q)
-        r = math.hypot(*y)
-        return [v / r for v in y]
 
     def validate_point(self, x, atol=1e-8):
         x = self._check_shape(x)
@@ -384,6 +357,18 @@ class Sphere(Manifold):
         y += step
         y /= np.sqrt(np.vecdot(y, y))[:, None]
         return y
+
+    def propose_row(self, x, factors):
+        # propose_factored on Python floats.  ``g`` has one entry fewer than
+        # ``x``, so zipping the two pairs the normals with x[:-1].
+        g, cos_t, k, step = factors
+        last = x[-1]
+        q = k * sum(map(operator.mul, x, g)) / (1.0 + abs(last))
+        c = cos_t - q
+        step[-1] = -q if last >= 0.0 else q
+        y = [c * a + b for a, b in zip(x, step)]
+        r = math.hypot(*y)
+        return [v / r for v in y]
 
     def dist_many(self, points, y):
         c = points @ y

@@ -82,8 +82,6 @@ def linear(coefficients: np.ndarray) -> Target:
     terms = c.tolist()
 
     def f(x: np.ndarray) -> float:
-        if isinstance(x, np.ndarray):
-            x = x.tolist()
         return sum(map(operator.mul, terms, x))
 
     def f_many(points: np.ndarray) -> np.ndarray:

@@ -14,23 +14,30 @@ and uniform ``j``, whether or not the filter is active and however the
 step resolves.  A uniform walk and a Metropolis walk with constant ``f``
 therefore produce bit-identical trajectories from the same seed, which the
 test suite relies on; the tests also replay :func:`run_chain` one step at
-a time from the same blocks.  Proposals come from ``Manifold.propose(x, g,
-delta)``, which draws nothing; the batched paths propose with
-``Manifold.propose_many``.  A proposal on the cut locus of the body's
-membership test counts as a boundary rejection, row by row.
+a time from the same blocks.  Both walks filter by one rule: each block's
+uniforms become thresholds ``-T log w`` in place (``w = 0`` gives an
+infinite one), and an in-body proposal is accepted iff ``f(y) - f(x) <
+threshold``, the Metropolis test ``w < exp(-(f(y) - f(x)) / T)``.  The
+proposal is staged the same way too: ``Manifold.proposal_factors`` runs on
+``_SLICE`` steps of drawn normals at a time, and each step does only the
+point-dependent rest, ``propose_factored`` for the lockstep trials and its
+one-row twin ``propose_row`` for a chain.  None of these draws anything.
+A proposal on the cut locus of the body's membership test counts as a
+boundary rejection, row by row.
 
 :func:`run_chain` keeps its emitted rows in columns of :class:`ChainResult`
 (``steps``, ``coords``, ``rejected``, ``f_values``), allocated once for
-``max(0, (max_steps - burn_in) // thin)`` rows and written in place, so a
-kept row costs its bytes in those arrays and no Python object.  On
-``sphere:n`` and ``euclidean:n`` (``Manifold.float_rows``) the chain's
-state is a list of Python floats between steps, and the one-row oracles
-the step calls take float lists: ``Sphere.propose`` and
-``Euclidean.propose`` (which return lists), ``Sphere.dist``, the cap's
-and box's ``contains_coords`` and the ``f`` of the built-in targets.
-They accept numpy rows as well; their ``*_many`` twins stay on numpy, and
-so does the whole step on ``so:n``.  A kept row becomes numpy only when
-it is written into ``coords``.
+``max(0, (max_steps - burn_in) // thin)`` rows; the rows a slice keeps are
+written with one slice assignment per column, so a kept row costs its
+bytes in those arrays and no lasting Python object.  On ``sphere:n`` and
+``euclidean:n`` (``Manifold.float_rows``) the chain's state is a list of
+Python floats between steps, the slice's factors are converted with one
+``tolist`` each, and the one-row oracles the step calls take float lists:
+``propose_row`` (which returns a list), ``Sphere.dist``, the cap's and
+box's ``contains_coords`` and the ``f`` of the built-in targets.  The
+oracles other than ``propose_row`` read numpy rows as well, with no
+conversion; their ``*_many`` twins stay on numpy, and so does the whole
+step on ``so:n``.
 
 Local-conductance counts (how many of ``trials`` one-step proposals from a
 point stay in the body) are one ``Binomial`` draw per point on spherical
@@ -66,7 +73,7 @@ from .errors import (
 from .manifolds import Manifold
 from .rng import BLOCK, stream
 
-_SLICE = 256  # rows of a drawn block converted at a time, here and in anneal
+_SLICE = 256  # steps of a drawn block staged at a time, here and in anneal
 
 __all__ = [
     "WalkParams",
@@ -209,25 +216,6 @@ def _start_coords(start, body: ConvexBody) -> np.ndarray:
     return coords.copy()
 
 
-def _step_draws(rng: np.random.Generator, steps: int, dim: int, floats: bool):
-    """The ``(normals, uniform)`` pair of each of ``steps`` steps, drawn in
-    blocks of at most ``BLOCK`` steps: ``standard_normal((m, dim))``, then
-    ``random(m)``, into buffers allocated once.  With ``floats`` the normals
-    come as lists of floats, converted ``_SLICE`` rows at a time to keep the
-    lists small; otherwise as rows of the buffer, which the next block
-    overwrites."""
-    normals = np.empty((min(steps, BLOCK), dim))
-    uniforms = np.empty(len(normals))
-    for done in range(0, steps, BLOCK):
-        m = min(BLOCK, steps - done)
-        rng.standard_normal(out=normals[:m])
-        rng.random(out=uniforms[:m])
-        for lo in range(0, m, _SLICE):
-            hi = min(lo + _SLICE, m)
-            rows = normals[lo:hi]
-            yield from zip(rows.tolist() if floats else rows, uniforms[lo:hi].tolist())
-
-
 def run_chain(
     start,
     body: ConvexBody,
@@ -265,7 +253,7 @@ def run_chain(
     rejected_rows = np.empty(kept, dtype=bool)
     f_values = None if target is None else np.empty(kept)
 
-    propose = man.propose
+    propose = man.propose_row
     inside_body = body.contains_coords
     delta = params.delta
     emit = burn_in + thin
@@ -280,35 +268,59 @@ def run_chain(
             raise OracleError("target is non-finite at the start point")
 
     boundary = filtered = cut_locus_hits = 0
-    draws = _step_draws(rng, params.max_steps, man.tangent_dim, floats)
-    for step, (g, w) in enumerate(draws, 1):
-        y = propose(x, g, delta)
-        try:
-            inside = inside_body(y)
-        except CutLocusError:
-            inside = False
-            cut_locus_hits += 1
-        if not inside:
-            rejected = True
-            boundary += 1
-        elif f is None:
-            x, rejected = y, False
-        else:
-            fy = float(f(y))
-            if not math.isfinite(fy):
-                raise OracleError(f"target returned non-finite value at step {step}")
-            if fy <= fx or w < math.exp((fx - fy) / temperature):
-                x, fx, rejected = y, fy, False
-            else:
-                rejected = True
-                filtered += 1
-        if step == emit:
-            coords[row] = x
-            rejected_rows[row] = rejected
-            if f_values is not None:
-                f_values[row] = fx
-            row += 1
-            emit += thin
+    step = 0
+    normals = np.empty((min(params.max_steps, BLOCK), man.tangent_dim))
+    thresholds = np.empty(len(normals))
+    for done in range(0, params.max_steps, BLOCK):
+        m = min(BLOCK, params.max_steps - done)
+        rng.standard_normal(out=normals[:m])
+        rng.random(out=thresholds[:m])
+        if f is not None:
+            block = thresholds[:m]
+            # w = 0 maps to an infinite threshold: always accept.
+            with np.errstate(divide="ignore"):
+                np.log(block, out=block)
+            block *= -temperature
+        for lo in range(0, m, _SLICE):
+            hi = min(lo + _SLICE, m)
+            factors = man.proposal_factors(normals[lo:hi], delta)
+            if floats:
+                factors = [a.tolist() for a in factors]
+            kept_x, kept_rejected, kept_f = [], [], []
+            for factor_row, threshold in zip(zip(*factors), thresholds[lo:hi].tolist()):
+                step += 1
+                y = propose(x, factor_row)
+                try:
+                    inside = inside_body(y)
+                except CutLocusError:
+                    inside = False
+                    cut_locus_hits += 1
+                if not inside:
+                    rejected = True
+                    boundary += 1
+                elif f is None:
+                    x, rejected = y, False
+                else:
+                    fy = float(f(y))
+                    if not math.isfinite(fy):
+                        raise OracleError(f"target returned non-finite value at step {step}")
+                    if fy - fx < threshold:
+                        x, fx, rejected = y, fy, False
+                    else:
+                        rejected = True
+                        filtered += 1
+                if step == emit:
+                    kept_x.append(x)
+                    kept_rejected.append(rejected)
+                    kept_f.append(fx)
+                    emit += thin
+            if kept_x:
+                end = row + len(kept_x)
+                coords[row:end] = kept_x
+                rejected_rows[row:end] = kept_rejected
+                if f_values is not None:
+                    f_values[row:end] = kept_f
+                row = end
     stats = RejectionStats(params.max_steps, boundary, filtered, cut_locus_hits)
     return ChainResult(steps, coords, rejected_rows, f_values, stats, np.array(x))
 
@@ -497,6 +509,5 @@ def step_ensemble(
     for _ in range(steps):
         g = rng.standard_normal((len(x), man.tangent_dim))
         y = man.propose_many(x, g, delta)
-        ok = _contains_rows(body, y)
-        x[ok] = y[ok]
+        np.copyto(x, y, where=_contains_rows(body, y)[:, None])
     return x

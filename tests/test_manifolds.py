@@ -223,36 +223,63 @@ def test_proposal_stages_equal_propose_many_across_a_sub_block(descriptor):
         assert j == _SLICE + 1
 
 
+def one_row_proposals(man, pts, g, delta):
+    """``propose_row`` from each row of ``pts`` with that row's factors, fed
+    as ``run_chain`` feeds it: as Python floats where ``float_rows`` is set."""
+    factors = man.proposal_factors(g, delta)
+    rows = pts
+    if man.float_rows:
+        rows, factors = pts.tolist(), [a.tolist() for a in factors]
+    proposed = [man.propose_row(x, step) for x, step in zip(rows, zip(*factors))]
+    if man.float_rows:
+        assert all(type(v) is float for y in proposed for v in y)
+        assert rows == pts.tolist()
+    return np.array(proposed)
+
+
 @pytest.mark.parametrize(
     "descriptor", ["euclidean:3", "sphere:2", "sphere:5", "sphere:50", "so:3"]
 )
 def test_propose_matches_tangent_then_exp_and_propose_many(descriptor):
     man = gw.from_descriptor(descriptor)
     pts, g = proposal_rows(man)
+    before = pts.copy()
     # Only the sphere's float kernel changes the arithmetic; every other
     # case computes exactly the composition, so matches it bit for bit.
     exact = not isinstance(man, gw.Sphere)
-    # Sphere and Euclidean propose on Python floats and return a list, from
-    # arrays or lists alike.
-    floats = isinstance(man, (gw.Sphere, gw.Euclidean))
     for delta in (0.05, 0.3):
-        batched = man.propose_many(pts, g, delta)
-        for x, gi, row in zip(pts, g, batched):
-            x_before = x.copy()
-            reference = man.exp(x, delta * man.tangent_from_gaussian(x, gi))
-            proposed = man.propose(x, gi, delta)
-            if floats:
-                assert man.propose(x.tolist(), gi.tolist(), delta) == proposed
-                proposed = np.array(proposed)
-            assert proposed.shape == x.shape
-            assert np.array_equal(x, x_before)
-            if exact:
-                assert np.array_equal(proposed, reference)
-            assert np.max(np.abs(proposed - reference)) < 1e-12
-            assert np.max(np.abs(proposed - row)) < 1e-12
-        still = man.propose(pts[3], g[3], delta)
-        assert still is not pts[3]
-        assert np.max(np.abs(still - pts[3])) < 1e-12
+        proposed = one_row_proposals(man, pts, g, delta)
+        reference = np.stack(
+            [man.exp(x, delta * man.tangent_from_gaussian(x, gi)) for x, gi in zip(pts, g)]
+        )
+        assert proposed.shape == pts.shape
+        assert np.array_equal(pts, before)
+        if exact:
+            assert np.array_equal(proposed, reference)
+        assert np.max(np.abs(proposed - reference)) < 1e-12
+        assert np.max(np.abs(proposed - man.propose_many(pts, g, delta))) < 1e-12
+        assert np.max(np.abs(proposed[3] - pts[3])) < 1e-12
+
+
+@pytest.mark.parametrize("descriptor", ["euclidean:3", "sphere:2", "sphere:5"])
+def test_propose_row_equals_propose_factored(descriptor):
+    # The float stage of run_chain and the batched stage of anneal_trials do
+    # the same operations in the same order, except that the sphere's dot
+    # product and norm sum in another order.
+    man = gw.from_descriptor(descriptor)
+    pts, g = proposal_rows(man)
+    if isinstance(man, gw.Sphere):
+        # Row 1 has x_n = +0.0; add its twin at -0.0, and a g = 0 row there.
+        pts = np.vstack([pts, pts[1], pts[1]])
+        pts[-2:, -1] = -0.0
+        g = np.vstack([g, g[1], g[3]])
+    for delta in (0.05, 0.3):
+        proposed = one_row_proposals(man, pts, g, delta)
+        batched = man.propose_factored(pts, man.proposal_factors(g, delta))
+        if isinstance(man, gw.Sphere):
+            assert np.max(np.abs(proposed - batched)) <= 1e-15
+        else:
+            assert np.array_equal(proposed, batched)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from geowalk import walk
 from geowalk.bodies import _contains_row
 from geowalk.quadrature import QuadratureSpec, integrate
 from geowalk.rng import BLOCK
+from geowalk.walk import _SLICE
 from geowalk.errors import InvalidStart, OracleError, PreconditionError, StepSizeWarning
 
 
@@ -62,8 +63,10 @@ def test_oversized_delta_raises_unless_overridden():
 
 def replay_chain(start, body, params, target=None, chain_id=0):
     """``run_chain`` replayed one step at a time on numpy points, from the
-    block draws of ``stream(params.seed, chain_id)``.  Returns the ``(point,
-    rejected, f value)`` after each step, the start first."""
+    block draws of ``stream(params.seed, chain_id)``: per ``_SLICE`` steps
+    the proposal factors, per block the filter thresholds ``-T log w``.
+    Returns the ``(point, rejected, f value)`` after each step, the start
+    first."""
     man = body.manifold
     rng = gw.stream(params.seed, chain_id)
     x = np.array(start, dtype=float)
@@ -72,16 +75,23 @@ def replay_chain(start, body, params, target=None, chain_id=0):
     for done in range(0, params.max_steps, BLOCK):
         m = min(BLOCK, params.max_steps - done)
         normals = rng.standard_normal((m, man.tangent_dim))
-        uniforms = rng.random(m)
-        for g, w in zip(normals, uniforms):
-            y = np.array(man.propose(x, g, params.delta))
-            inside = _contains_row(body, y)
-            if inside and target is not None:
-                fy = target.f(y)
-                inside = fy <= fx or w < math.exp((fx - fy) / target.temperature)
-            if inside:
-                x, fx = y, (None if target is None else fy)
-            states.append((x, not inside, fx))
+        with np.errstate(divide="ignore"):
+            thresholds = np.log(rng.random(m))
+        if target is not None:
+            thresholds *= -target.temperature
+        for lo in range(0, m, _SLICE):
+            factors = man.proposal_factors(normals[lo : lo + _SLICE], params.delta)
+            if man.float_rows:
+                factors = [a.tolist() for a in factors]
+            for step, threshold in zip(zip(*factors), thresholds[lo : lo + _SLICE]):
+                y = np.array(man.propose_row(x, step))
+                inside = _contains_row(body, y)
+                if inside and target is not None:
+                    fy = target.f(y)
+                    inside = fy - fx < threshold
+                if inside:
+                    x, fx = y, (None if target is None else fy)
+                states.append((x, not inside, fx))
     return states
 
 
@@ -165,6 +175,19 @@ def test_run_chain_replays_across_a_block_boundary(case):
     assert chain.steps[0] < BLOCK < chain.steps[-1]
     assert len(chain.steps) == 21
     assert 0 < chain.stats.rejections < ACROSS["max_steps"]
+
+
+@pytest.mark.parametrize("gibbs", [False, True])
+def test_run_chain_replays_across_a_slice_boundary(gibbs):
+    # Burn-in ends mid-slice and the kept rows 203, 206, ..., 599 fall on
+    # both sides of the slice boundaries at steps 256 and 512.
+    cap = cap_on_sphere()
+    target = gw.as_gibbs(gw.distance_to(cap.manifold, cap.axis), 0.2) if gibbs else None
+    params = gw.WalkParams(delta=0.04, max_steps=2 * _SLICE + 88, seed=23)
+    chain = assert_chain_replays(cap.axis, cap, params, target, thin=3, burn_in=_SLICE - 56)
+    assert chain.steps[0] < _SLICE < 2 * _SLICE < chain.steps[-1]
+    assert len(chain.steps) == 133
+    assert 0 < chain.stats.rejections < params.max_steps
 
 
 def test_uniform_and_constant_target_chains_agree_across_a_block_boundary():
