@@ -83,8 +83,3 @@ from .walk import (
 )
 
 __version__ = "0.1.0"
-
-# The submodule would otherwise be reachable as ``geowalk.anneal``, where a
-# reader expects an annealing function; ``anneal_trials`` is the annealer.
-# ``from geowalk.anneal import ...`` still works through ``sys.modules``.
-del anneal

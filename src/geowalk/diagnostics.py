@@ -574,17 +574,19 @@ def estimate_one_step_tv(
     d = man.dist(xc, yc)
     transport_term = min(1.0, math.erf(d / (2.0 * math.sqrt(2.0) * params.delta)))
 
-    reps_x = np.broadcast_to(xc, (mc_proposals, man.ambient_dim))
-    u = man.tangent_from_gaussian_many(
-        reps_x, rng.standard_normal((mc_proposals, man.tangent_dim))
-    )
-    v = _transport(man, xc, yc, u)
-    prop_x = man.exp_many(reps_x, params.delta * u)
-    prop_y = man.exp_many(
-        np.broadcast_to(yc, (mc_proposals, man.ambient_dim)), params.delta * v
-    )
-    in_x = _contains_rows(body, prop_x)
-    in_y = _contains_rows(body, prop_y)
+    # In the frames that ``tangent_from_gaussian`` embeds the normals in,
+    # the transport is the orthogonal map ``rotation``: the normals ``g_x``
+    # at x move to ``g_x rotation^T`` at y, and both sides propose with
+    # the walk's own kernel.
+    basis = np.eye(man.tangent_dim)
+    frame_x = np.stack([man.tangent_from_gaussian(xc, e) for e in basis])
+    frame_y = np.stack([man.tangent_from_gaussian(yc, e) for e in basis])
+    rotation = frame_y @ _transport(man, xc, yc, frame_x).T
+    g_x = rng.standard_normal((mc_proposals, man.tangent_dim))
+    g_y = g_x @ rotation.T
+    shape = (mc_proposals, man.ambient_dim)
+    in_x = _contains_rows(body, man.propose_many(np.broadcast_to(xc, shape), g_x, params.delta))
+    in_y = _contains_rows(body, man.propose_many(np.broadcast_to(yc, shape), g_y, params.delta))
     disagreement = float(np.mean(in_x != in_y))
     stderr = math.sqrt(max(disagreement * (1.0 - disagreement), 1e-300) / mc_proposals)
     return TvEstimate(
@@ -646,7 +648,6 @@ def check_low_temp_expectation(
     f_values: np.ndarray,
     n: int,
     temperature: float,
-    abs_tol: float = 1e-12,
 ) -> InequalityReport:
     """Chain mean of the energy against ``T (n+1)``.
 
@@ -667,7 +668,7 @@ def check_low_temp_expectation(
         float(values.mean()),
         temperature * (n + 1),
         mc_stderr=stderr,
-        abs_tol=abs_tol,
+        abs_tol=1e-12,
         details={"n": int(n), "temperature": temperature, "chain_length": values.size},
     )
 

@@ -10,19 +10,24 @@ same 1-D coordinate layout to the walk, the CLI, and the output files.
 Every ``exp`` re-projects its result (sphere: renormalisation, SO(n): polar
 factor), so long chains of composed steps do not drift off the manifold.
 
-The walk's proposal ``exp_x(delta * tangent_from_gaussian(x, g))`` is
-computed in two stages, from the raw normals ``g`` that the caller drew,
-so it consumes no randomness and the walk's draw order does not depend on
-it.  ``proposal_factors(g, delta)`` does what does not read the points,
-for normals of any leading shape (on the sphere ``cos t``, ``k =
-sin(t)/|g|`` and ``k g``, ``t = delta |g|``; ``delta g`` on ``R^n``).
-``propose_factored(points, factors)`` does the rest for one step's rows,
-and ``propose_row(x, factors)`` for one point (the step of ``run_chain``).
-``propose_many`` composes the first two.  ``Euclidean`` and ``Sphere``
-evaluate the stages in closed form, and their one-row kernels,
-``propose_row`` and ``Sphere.dist``, work on Python floats: they take
-lists (``dist`` also numpy rows) and return lists, which on a few
-elements avoids numpy's per-call overhead.
+A manifold is defined by four oracles: ``exp``, ``dist``,
+``tangent_from_gaussian`` and ``validate_point``.  The staged proposal
+below and ``dist_many`` have defaults built from them, which a subclass
+may override for speed.
+
+The walk's proposal ``exp_x(delta * tangent_from_gaussian(x, g))`` is the
+one step kernel.  It is computed in two stages, from the raw normals ``g``
+that the caller drew, so it consumes no randomness and the walk's draw
+order does not depend on it.  ``proposal_factors(g, delta)`` does what
+does not read the points, for normals of any leading shape (on the sphere
+``cos t``, ``k = sin(t)/|g|`` and ``k g``, ``t = delta |g|``; ``delta g``
+on ``R^n``).  ``propose_row(x, factors)`` does the rest for one point (the
+step of ``run_chain``), and ``propose_factored(points, factors)`` for one
+step's rows; by default it loops over ``propose_row``.  ``propose_many``
+composes the stages.  ``Euclidean`` and ``Sphere`` evaluate them in closed
+form, and their one-row kernels, ``propose_row`` and ``Sphere.dist``, work
+on Python floats: they take lists (``dist`` also numpy rows) and return
+lists, which on a few elements avoids numpy's per-call overhead.
 
 The intrinsic dimension is ``tangent_dim``; curvature enters the walk only
 through ``curvature_bound``, an upper bound on the Frobenius norm of the
@@ -140,21 +145,12 @@ class Manifold:
         pre-draw randomness in bulk."""
         raise NotImplementedError
 
-    def tangent_gaussian(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self.tangent_from_gaussian(x, rng.standard_normal(self.tangent_dim))
-
     def validate_point(self, x: np.ndarray, atol: float = 1e-8) -> None:
         raise NotImplementedError
 
-    # Vectorised fallbacks; Sphere and Euclidean override with array code.
-
-    def exp_many(self, points: np.ndarray, tangents: np.ndarray) -> np.ndarray:
-        return np.stack([self.exp(x, v) for x, v in zip(points, tangents)])
-
-    def tangent_from_gaussian_many(self, points: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [self.tangent_from_gaussian(x, gi) for x, gi in zip(points, g)]
-        )
+    # The staged proposal and the batched distance.  These defaults are
+    # built from the four oracles above, row by row; Sphere and Euclidean
+    # override them with closed forms for speed.
 
     def propose_many(self, points: np.ndarray, g: np.ndarray, delta: float) -> np.ndarray:
         """Walk proposals ``exp_x(delta * tangent_from_gaussian(x, g))``, one
@@ -170,8 +166,7 @@ class Manifold:
 
     def propose_factored(self, points: np.ndarray, factors: tuple) -> np.ndarray:
         """:meth:`propose_many` from a step's :meth:`proposal_factors`, which it may overwrite."""
-        g, delta = factors
-        return self.exp_many(points, delta[:, None] * self.tangent_from_gaussian_many(points, g))
+        return np.stack([self.propose_row(x, r) for x, r in zip(points, zip(*factors))])
 
     def propose_row(self, x, factors):
         """The one-row twin of :meth:`propose_factored`: the proposal from
@@ -228,12 +223,6 @@ class Euclidean(Manifold):
     def validate_point(self, x, atol=1e-8):
         self._check_shape(x)
 
-    def exp_many(self, points, tangents):
-        return points + tangents
-
-    def tangent_from_gaussian_many(self, points, g):
-        return g
-
     def proposal_factors(self, g, delta):
         return (delta * g,)
 
@@ -252,10 +241,10 @@ class Sphere(Manifold):
     """Unit sphere ``S^n`` in ``R^{n+1}`` with the round metric.
 
     Geodesics are great circles: ``exp_x(v) = cos|v| x + sin|v| v/|v|`` and
-    ``d(x, y) = arccos <x, y>``.  Tangent Gaussians are drawn in an explicit
+    ``d(x, y) = arccos <x, y>``.  Tangent Gaussians are built in an explicit
     orthonormal tangent basis obtained from the Householder reflection that
-    swaps ``x`` with the last coordinate axis, so each draw consumes exactly
-    ``n`` normal variates and is tangent to machine precision.
+    swaps ``x`` with the last coordinate axis, so each takes exactly ``n``
+    normal variates and is tangent to machine precision.
     """
 
     float_rows = True
@@ -305,23 +294,6 @@ class Sphere(Manifold):
             raise PreconditionError(
                 f"point is off the unit sphere by {abs(math.sqrt(x @ x) - 1.0):.3g}"
             )
-
-    def exp_many(self, points, tangents):
-        t = np.sqrt(np.einsum("ij,ij->i", tangents, tangents))
-        y = np.cos(t)[:, None] * points + np.sinc(t / np.pi)[:, None] * tangents
-        y /= np.sqrt(np.einsum("ij,ij->i", y, y))[:, None]
-        return y
-
-    def tangent_from_gaussian_many(self, points, g):
-        m = points.shape[0]
-        s = np.where(points[:, -1] >= 0.0, 1.0, -1.0)
-        w = points.copy()
-        w[:, -1] += s
-        c = 2.0 * np.einsum("ij,ij->i", w[:, :-1], g) / np.einsum("ij,ij->i", w, w)
-        u = np.empty((m, self.ambient_dim))
-        u[:, :-1] = g - c[:, None] * w[:, :-1]
-        u[:, -1] = -c * w[:, -1]
-        return u
 
     # Householder embedding and great-circle step fused in closed form.
     # With a = x[:-1].g, h = 1 + |x_n|, s = sign(x_n) (+1 at zero) and
@@ -439,14 +411,6 @@ class SpecialOrthogonal(Manifold):
         om[self._iu] = g * _INV_SQRT2
         om -= om.T
         return (self._mat(x) @ om).ravel()
-
-    def tangent_from_gaussian_many(self, points, g):
-        m = len(points)
-        om = np.zeros((m, self.n, self.n))
-        om[:, self._iu[0], self._iu[1]] = g * _INV_SQRT2
-        om -= np.transpose(om, (0, 2, 1))
-        xs = points.reshape(m, self.n, self.n)
-        return np.einsum("kij,kjl->kil", xs, om).reshape(m, self.ambient_dim)
 
     def validate_point(self, x, atol=1e-8):
         x = self._check_shape(x)

@@ -74,6 +74,7 @@ from .manifolds import Manifold
 from .rng import BLOCK, stream
 
 _SLICE = 256  # steps of a drawn block staged at a time, here and in anneal
+_CHUNK = 1 << 14  # rows of normals per pass of _accept_counts' proposal loop
 
 __all__ = [
     "WalkParams",
@@ -168,20 +169,18 @@ class ChainResult:
     final: np.ndarray
 
 
-def delta_bound(manifold: Manifold, body: ConvexBody, s: float = 0.5) -> float:
+def delta_bound(manifold: Manifold, body: ConvexBody) -> float:
     """Largest step size the mixing guarantees cover.
 
     The two constraints are ``delta^2 <= 1 / (100 sqrt(n) R)`` from the
-    curvature bound and ``delta <= s r / (4 n sqrt(n))`` from the inner
-    ball, with ``n`` the intrinsic dimension; the result is their minimum.
-    ``R = 0`` (flat space) leaves only the second constraint.
+    curvature bound and ``delta <= s r / (4 n sqrt(n))`` with ``s = 1/2``
+    from the inner ball, with ``n`` the intrinsic dimension; the result is
+    their minimum.  ``R = 0`` (flat space) leaves only the second one.
     """
-    if not 0.0 < s <= 0.5:
-        raise PreconditionError(f"s must lie in (0, 0.5], got {s}")
     n = manifold.tangent_dim
     r = body.inner_radius
     curvature_term = math.sqrt(1.0 / (100.0 * math.sqrt(n) * max(manifold.curvature_bound, 1e-12)))
-    ball_term = s * r / (4.0 * n * math.sqrt(n))
+    ball_term = r / (8.0 * n * math.sqrt(n))
     return min(curvature_term, ball_term)
 
 
@@ -442,7 +441,6 @@ def _accept_counts(
     delta: float,
     trials: int,
     rng: np.random.Generator,
-    chunk: int = 1 << 14,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """How many of ``trials`` independent proposals from each row of
     ``points`` land in the body, and the exact rejection chances behind
@@ -450,8 +448,8 @@ def _accept_counts(
 
     With a closed form each count is ``trials - Binomial(trials, q(x))``,
     one draw per row, which has the law of the Monte Carlo count.  Other
-    bodies propose ``trials`` moves per row, ``chunk`` rows of normals at a
-    time; a proposal on the cut locus counts as outside.
+    bodies propose ``trials`` moves per row, ``_CHUNK`` rows of normals at
+    a time; a proposal on the cut locus counts as outside.
     """
     q = _rejection_probability(points, body, delta)
     if q is not None:
@@ -461,7 +459,7 @@ def _accept_counts(
     for i, x in enumerate(points):
         done = 0
         while done < trials:
-            m = min(chunk, trials - done)
+            m = min(_CHUNK, trials - done)
             g = rng.standard_normal((m, man.tangent_dim))
             y = man.propose_many(np.broadcast_to(x, (m, man.ambient_dim)), g, delta)
             counts[i] += np.count_nonzero(_contains_rows(body, y))
@@ -475,19 +473,18 @@ def estimate_local_conductance(
     params: WalkParams,
     trials: int,
     rng: np.random.Generator,
-    chunk: int = 1 << 14,
 ) -> float:
     """Unbiased estimate of the accept probability from ``x``.
 
     Returns the fraction of ``trials`` independent one-step proposals that
     land inside the body.  On spherical caps and Euclidean boxes the count
     is one ``Binomial`` draw from the exact local conductance; on other
-    bodies the proposals are drawn, ``chunk`` at a time.
+    bodies the proposals are drawn.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
     coords = _start_coords(x, body)
-    counts, _ = _accept_counts(coords[None, :], body, params.delta, trials, rng, chunk)
+    counts, _ = _accept_counts(coords[None, :], body, params.delta, trials, rng)
     return int(counts[0]) / trials
 
 

@@ -1,9 +1,11 @@
 """The package's public surface: what ``import geowalk`` exports."""
 
 import importlib
+import os
+import subprocess
+import sys
 import types
-
-import pytest
+from pathlib import Path
 
 import geowalk as gw
 
@@ -41,17 +43,19 @@ def test_public_names_are_pinned():
     assert names == PUBLIC
 
 
-def test_anneal_submodule_is_not_a_package_attribute():
-    with pytest.raises(AttributeError):
-        gw.anneal
-    from geowalk import anneal as imported_from
-    from geowalk.anneal import anneal_trials
-    import geowalk.anneal as aliased
-
-    assert aliased is imported_from is importlib.import_module("geowalk.anneal")
-    assert anneal_trials is gw.anneal_trials
-    with pytest.raises(AttributeError):
-        gw.anneal
+def test_anneal_submodule_is_the_package_attribute():
+    # ``import geowalk.anneal`` must leave ``geowalk.anneal`` bound even when
+    # ``import geowalk`` has already loaded the submodule; run in a fresh
+    # interpreter so no earlier import in this session can bind it first.
+    code = "import geowalk.anneal; print(geowalk.anneal.AnnealConfig.__name__)"
+    env = dict(os.environ, PYTHONPATH=str(Path(gw.__file__).resolve().parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "AnnealConfig"
+    assert gw.anneal is importlib.import_module("geowalk.anneal")
+    assert gw.anneal.anneal_trials is gw.anneal_trials
 
 
 def test_removed_members_stay_removed():
@@ -59,3 +63,15 @@ def test_removed_members_stay_removed():
     assert not hasattr(gw.Manifold, "validate_tangent")
     walk = importlib.import_module("geowalk.walk")
     assert not hasattr(walk, "metropolis_step") and not hasattr(walk, "WalkState")
+    # The tangent-then-exp batch path; proposals take the staged kernel.
+    for cls, name in [
+        (gw.Manifold, "exp_many"),
+        (gw.Manifold, "tangent_from_gaussian_many"),
+        (gw.Manifold, "tangent_gaussian"),
+        (gw.Sphere, "exp_many"),
+        (gw.Sphere, "tangent_from_gaussian_many"),
+        (gw.Euclidean, "exp_many"),
+        (gw.Euclidean, "tangent_from_gaussian_many"),
+        (gw.SpecialOrthogonal, "tangent_from_gaussian_many"),
+    ]:
+        assert not hasattr(cls, name), (cls.__name__, name)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import geowalk as gw
 from geowalk import diagnostics as diag
 from geowalk import walk
+from geowalk.bodies import _contains_row
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +319,63 @@ def test_one_step_tv_counts_cut_locus_hits_as_outside(band_cap):
     assert cut.band_hits > 0
     assert hit == plain
     assert hit.rejection_term > 0.0
+
+
+def coupling_case(descriptor):
+    """A body of ``descriptor`` and two starts inside it near its boundary,
+    so that some coupled proposals leave it from one start only.  On the
+    sphere the starts straddle ``x_n = 0``, the two Householder branches."""
+    man = gw.from_descriptor(descriptor)
+    if isinstance(man, gw.Euclidean):
+        body = gw.EuclideanBox(np.zeros(3), np.ones(3))
+        return body, np.array([0.05, 0.5, 0.5]), np.array([0.1, 0.45, 0.95])
+    if isinstance(man, gw.Sphere):
+        centre = np.eye(man.ambient_dim)[0]
+        body = gw.SphericalCap(man, centre, 1.2)
+        above = np.zeros(man.ambient_dim)
+        above[1], above[-1] = 0.99, 0.14
+        below = above.copy()
+        below[-1] = -0.14
+        return body, man.exp(centre, 1.1 * above), man.exp(centre, 1.1 * below)
+    centre = np.eye(man.n).ravel()
+    body = gw.GeodesicBall(man, centre, 1.0)
+    x, y = (
+        man.exp(centre, man.tangent_from_gaussian(centre, np.array(g)))
+        for g in ([0.8, 0.0, 0.1], [0.7, 0.3, -0.2])
+    )
+    return body, x, y
+
+
+@pytest.mark.parametrize("descriptor", ["sphere:5", "euclidean:3", "so:3"])
+def test_one_step_tv_matches_the_per_row_transport_coupling(descriptor):
+    # The estimator proposes from y with the normals g R^T, where R is the
+    # transport written in the two tangent frames; this is the coupling
+    # exp_y(delta * transport(tangent_from_gaussian(x, g))), row by row.
+    # On R^n and SO(n) the transport carries one frame onto the other, so
+    # R is the identity; on the sphere it is not.
+    body, x, y = coupling_case(descriptor)
+    man = body.manifold
+    params = gw.WalkParams(delta=0.1)
+    proposals = 2000
+    est = gw.estimate_one_step_tv(x, y, body, params, proposals, gw.stream(61))
+
+    basis = np.eye(man.tangent_dim)
+    frame_x, frame_y = (
+        np.stack([man.tangent_from_gaussian(p, e) for e in basis]) for p in (x, y)
+    )
+    rotation = frame_y @ diag._transport(man, x, y, frame_x).T
+    assert np.max(np.abs(rotation @ rotation.T - basis)) < 1e-12
+
+    in_x, in_y = [], []
+    for g in gw.stream(61).standard_normal((proposals, man.tangent_dim)):
+        u = man.tangent_from_gaussian(x, g)
+        v = diag._transport(man, x, y, u[None, :])[0]
+        in_x.append(_contains_row(body, man.exp(x, params.delta * u)))
+        in_y.append(_contains_row(body, man.exp(y, params.delta * v)))
+    disagreement = float(np.mean(np.array(in_x) != np.array(in_y)))
+    d = man.dist(x, y)
+    assert 0.0 < est.rejection_term == disagreement
+    assert est.transport_term == min(1.0, math.erf(d / (2.0 * math.sqrt(2.0) * params.delta)))
 
 
 def test_warmness_equal_temperatures_is_exactly_one(cap60):

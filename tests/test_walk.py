@@ -46,8 +46,6 @@ def test_delta_bound_flat_space_only_ball_term():
     box = gw.EuclideanBox(np.zeros(2), np.ones(2))
     expected = 0.5 * 0.5 / (4.0 * 2.0 * math.sqrt(2.0))
     assert gw.delta_bound(box.manifold, box) == pytest.approx(expected, abs=1e-15)
-    with pytest.raises(PreconditionError):
-        gw.delta_bound(box.manifold, box, s=0.6)
 
 
 def test_oversized_delta_raises_unless_overridden():
@@ -519,7 +517,7 @@ def test_local_conductance_on_a_ball_matches_the_equal_cap():
     q = walk._rejection_probability(x[None, :], cap, params.delta)[0]
     assert walk._rejection_probability(x[None, :], ball, params.delta) is None
     trials = 20000
-    p = gw.estimate_local_conductance(x, ball, params, trials, gw.stream(5), chunk=3000)
+    p = gw.estimate_local_conductance(x, ball, params, trials, gw.stream(5))
     assert abs((1.0 - p) - q) <= 3.0 * math.sqrt(q * (1.0 - q) / trials)
     exact = gw.estimate_local_conductance(x, cap, params, trials, gw.stream(5))
     assert abs((1.0 - exact) - q) <= 3.0 * math.sqrt(q * (1.0 - q) / trials)
