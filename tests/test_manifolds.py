@@ -174,6 +174,28 @@ def proposal_rows(man):
     return pts, g
 
 
+def tangent_then_exp(man, pts, g, delta):
+    """The proposal written out: each row's tangent step, then its exp."""
+    return np.stack(
+        [man.exp(x, delta * man.tangent_from_gaussian(x, gi)) for x, gi in zip(pts, g)]
+    )
+
+
+@pytest.mark.parametrize("descriptor", ["euclidean:3", "sphere:2", "sphere:5", "so:3"])
+def test_propose_many_matches_tangent_then_exp(descriptor):
+    man = gw.from_descriptor(descriptor)
+    pts, g = proposal_rows(man)
+    for delta in (0.05, 0.3):
+        reference = tangent_then_exp(man, pts, g, delta)
+        proposed = man.propose_many(pts, g, delta)
+        assert proposed.shape == pts.shape
+        assert np.max(np.abs(proposed - reference)) < 1e-12
+        assert np.max(np.abs(proposed[3] - pts[3])) < 1e-12
+    # Read-only broadcast rows, as the conductance estimators pass them.
+    fanned = man.propose_many(np.broadcast_to(pts[0], pts.shape), g, 0.05)
+    assert np.max(np.abs(fanned[0] - man.propose_many(pts[:1], g[:1], 0.05)[0])) < 1e-15
+
+
 @pytest.mark.parametrize("descriptor", ["euclidean:3", "sphere:2", "sphere:5", "so:3"])
 def test_proposal_stages_equal_propose_many_across_a_sub_block(descriptor):
     # anneal_trials computes the factors of a step-major block of normals
@@ -217,9 +239,7 @@ def test_propose_matches_tangent_then_exp_and_propose_many(descriptor):
     # matches it bit for bit.
     exact = not isinstance(man, gw.Sphere)
     for delta in (0.05, 0.3):
-        reference = np.stack(
-            [man.exp(x, delta * man.tangent_from_gaussian(x, gi)) for x, gi in zip(pts, g)]
-        )
+        reference = tangent_then_exp(man, pts, g, delta)
         for proposed in (one_row_proposals(man, pts, g, delta), man.propose_many(pts, g, delta)):
             assert proposed.shape == pts.shape
             assert np.array_equal(pts, before)
@@ -227,9 +247,6 @@ def test_propose_matches_tangent_then_exp_and_propose_many(descriptor):
                 assert np.array_equal(proposed, reference)
             assert np.max(np.abs(proposed - reference)) < 1e-12
             assert np.max(np.abs(proposed[3] - pts[3])) < 1e-12
-    # Read-only broadcast rows, as the conductance estimators pass them.
-    fanned = man.propose_many(np.broadcast_to(pts[0], pts.shape), g, 0.05)
-    assert np.max(np.abs(fanned[0] - man.propose_many(pts[:1], g[:1], 0.05)[0])) < 1e-15
 
 
 @pytest.mark.parametrize("descriptor", ["euclidean:3", "sphere:2", "sphere:5"])
