@@ -19,13 +19,14 @@ testing the walk itself.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
 import numpy as np
 
 from .errors import AcceptanceTooLow, CutLocusError, DimensionMismatch, NotConvex, PreconditionError
-from .manifolds import Euclidean, Manifold, SpecialOrthogonal, Sphere
+from .manifolds import Euclidean, Manifold, SpecialOrthogonal, Sphere, _arccos
 
 __all__ = [
     "ConvexBody",
@@ -53,7 +54,12 @@ class ConvexBody:
     def contains_coords(self, x) -> bool:
         """Membership test of one point, no validation.  On ``sphere:n``
         and ``euclidean:n`` the walk passes the point as a list of floats;
-        the built-in bodies take either form."""
+        the built-in bodies take either form.
+
+        A test that reads one scalar ``s = read(x)`` (the cap's ``<x, axis>``,
+        the ball's ``d(center, x)``) declares ``contains_coords.scalar(body)
+        = (dist, anchor, read, inside, arc)``: ``x`` is inside iff ``inside(s)``
+        and ``dist(anchor, x) == arc(s)`` (``s`` if ``arc`` is ``None``)."""
         raise NotImplementedError
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
@@ -104,6 +110,14 @@ class SphericalCap(ConvexBody):
     def contains_coords(self, x):
         return sum(map(operator.mul, x, self._axis)) >= self.cos_angle
 
+    def _scalar(self):
+        # Sphere.dist, bound to this sphere, sums this dot product in this order.
+        axis, inside, mul = self._axis, functools.partial(operator.le, self.cos_angle), operator.mul
+        read = lambda y: sum(map(mul, y, axis))
+        return Sphere.dist.__get__(self.manifold), axis, read, inside, _arccos
+
+    contains_coords.scalar = _scalar
+
     def contains_many(self, points):
         return points @ self.axis >= self.cos_angle
 
@@ -137,6 +151,12 @@ class GeodesicBall(ConvexBody):
 
     def contains_coords(self, x):
         return self.manifold.dist(self.center, x) <= self.radius
+
+    def _scalar(self):
+        dist, inside = self.manifold.dist, functools.partial(operator.ge, self.radius)
+        return dist, self.center, functools.partial(dist, self.center), inside, None
+
+    contains_coords.scalar = _scalar
 
     def contains_many(self, points):
         return self.manifold.dist_many(points, self.center) <= self.radius

@@ -237,6 +237,15 @@ class Euclidean(Manifold):
         return np.sqrt(np.einsum("ij,ij->i", d, d))
 
 
+def _arccos(c):
+    """``arccos c``, ``c`` clipped to [-1, 1]: in place on an array, else by ``math.acos``."""
+    if not isinstance(c, float) and isinstance(c, np.ndarray):  # the float test is the cheap one
+        np.minimum(c, 1.0, out=c)
+        np.maximum(c, -1.0, out=c)
+        return np.arccos(c, out=c)
+    return math.acos(1.0 if c > 1.0 else -1.0 if c < -1.0 else c)
+
+
 class Sphere(Manifold):
     """Unit sphere ``S^n`` in ``R^{n+1}`` with the round metric.
 
@@ -271,12 +280,7 @@ class Sphere(Manifold):
         return y
 
     def dist(self, x, y):
-        c = sum(map(operator.mul, x, y))
-        if c > 1.0:
-            c = 1.0
-        elif c < -1.0:
-            c = -1.0
-        return math.acos(c)
+        return _arccos(sum(map(operator.mul, x, y)))
 
     def tangent_from_gaussian(self, x, g):
         s = 1.0 if x[-1] >= 0.0 else -1.0
@@ -343,10 +347,7 @@ class Sphere(Manifold):
         return [v / r for v in y]
 
     def dist_many(self, points, y):
-        c = points @ y
-        np.minimum(c, 1.0, out=c)
-        np.maximum(c, -1.0, out=c)
-        return np.arccos(c, out=c)
+        return _arccos(points @ y)
 
 
 class SpecialOrthogonal(Manifold):

@@ -12,6 +12,11 @@ the Metropolis walk only ``f``:
 - ``linear(c)``: flat-space linear functional, Lipschitz ``|c|``; over a
   box the minimum sits at the vertex picked coordinatewise by the sign of
   ``c``.
+
+The ``f`` of the two distance targets declares ``f.of_distance = (dist,
+anchor, outer)``, ``f(x) == outer(dist(anchor, x))`` (``outer`` ``None``:
+the distance), so that ``run_chain`` can share one scalar per step with a
+body's membership test; a custom ``f`` declares nothing.
 """
 
 from __future__ import annotations
@@ -37,38 +42,29 @@ class Target:
     lipschitz: float
 
 
-def distance_to(manifold: Manifold, point: np.ndarray) -> Target:
+def _of_distance(name, manifold: Manifold, point, outer, lipschitz: float) -> Target:
     point = np.asarray(point, dtype=float)
     manifold.validate_point(point)
     anchor = point.tolist() if manifold.float_rows else point
+    f = lambda x: manifold.dist(anchor, x)
+    f_many = lambda points: manifold.dist_many(points, point)
+    if outer is not None:
+        f = lambda x: outer(manifold.dist(anchor, x))
+        f_many = lambda points: outer(manifold.dist_many(points, point))
+    f.of_distance = (manifold.dist, point, outer)
+    return Target(name, f, f_many, lipschitz)
 
-    def f(x: np.ndarray) -> float:
-        return manifold.dist(anchor, x)
 
-    def f_many(points: np.ndarray) -> np.ndarray:
-        return manifold.dist_many(points, point)
-
-    return Target("distance_to", f, f_many, 1.0)
+def distance_to(manifold: Manifold, point: np.ndarray) -> Target:
+    return _of_distance("distance_to", manifold, point, None, 1.0)
 
 
 def sqdist_to(manifold: Manifold, point: np.ndarray, diameter: float) -> Target:
     """Half squared distance; ``diameter`` bounds the Lipschitz constant on
     the body the target will be used with."""
-    point = np.asarray(point, dtype=float)
-    manifold.validate_point(point)
     if diameter <= 0.0:
         raise PreconditionError("diameter must be positive")
-    anchor = point.tolist() if manifold.float_rows else point
-
-    def f(x: np.ndarray) -> float:
-        d = manifold.dist(anchor, x)
-        return 0.5 * d * d
-
-    def f_many(points: np.ndarray) -> np.ndarray:
-        d = manifold.dist_many(points, point)
-        return 0.5 * d * d
-
-    return Target("sqdist_to", f, f_many, float(diameter))
+    return _of_distance("sqdist_to", manifold, point, lambda d: 0.5 * d * d, float(diameter))
 
 
 def linear(coefficients: np.ndarray) -> Target:

@@ -28,16 +28,18 @@ boundary rejection, row by row.
 :func:`run_chain` keeps its emitted rows in columns of :class:`ChainResult`
 (``steps``, ``coords``, ``rejected``, ``f_values``), allocated once for
 ``max(0, (max_steps - burn_in) // thin)`` rows; the rows a slice keeps are
-written with one slice assignment per column, so a kept row costs its
-bytes in those arrays and no lasting Python object.  On ``sphere:n`` and
-``euclidean:n`` (``Manifold.float_rows``) the chain's state is a list of
-Python floats between steps, the slice's factors are converted with one
-``tolist`` each, and the one-row oracles the step calls take float lists:
-``propose_row`` (which returns a list), ``Sphere.dist``, the cap's and
-box's ``contains_coords`` and the ``f`` of the built-in targets.  The
-oracles other than ``propose_row`` read numpy rows as well, with no
-conversion; their ``*_many`` twins stay on numpy, and so does the whole
-step on ``so:n``.
+written with one slice assignment per column.  A step calls ``propose_row``,
+the body's ``contains_coords`` and, for an in-body proposal, the target's
+``f``.  When the test and ``f`` declare the same scalar of the proposal
+with equal anchors (a cap's ``<y, axis>`` with ``distance_to`` or
+``sqdist_to`` at its axis, a ball's ``d(center, y)`` with one at its
+centre; see ``_shared_scalar``), the step computes it once and takes both
+from it with the same arithmetic; any other body or target, a custom ``f``
+among them, keeps the two calls.  On ``sphere:n`` and ``euclidean:n``
+(``Manifold.float_rows``) the chain's state is a list of Python floats,
+the slice's factors are converted with one ``tolist`` each, and these
+oracles take float lists (``propose_row`` returns one); they read numpy
+rows as well, and so does the whole step on ``so:n``.
 
 Local-conductance counts (how many of ``trials`` one-step proposals from a
 point stay in the body) are one ``Binomial`` draw per point on spherical
@@ -258,13 +260,16 @@ def run_chain(
     emit = burn_in + thin
     row = 0
 
-    f = fx = None
+    f = fx = read = None
     if target is not None:
         f = target.f
         temperature = target.temperature
         fx = float(f(x))
         if not math.isfinite(fx):
             raise OracleError("target is non-finite at the start point")
+        shared = _shared_scalar(body, f)
+        if shared is not None:
+            read, inside_body, f = shared
 
     boundary = filtered = cut_locus_hits = 0
     step = 0
@@ -290,7 +295,8 @@ def run_chain(
                 step += 1
                 y = propose(x, factor_row)
                 try:
-                    inside = inside_body(y)
+                    s = y if read is None else read(y)
+                    inside = inside_body(s)
                 except CutLocusError:
                     inside = False
                     cut_locus_hits += 1
@@ -300,7 +306,7 @@ def run_chain(
                 elif f is None:
                     x, rejected = y, False
                 else:
-                    fy = float(f(y))
+                    fy = float(f(s))
                     if not math.isfinite(fy):
                         raise OracleError(f"target returned non-finite value at step {step}")
                     if fy - fx < threshold:
@@ -322,6 +328,23 @@ def run_chain(
                 row = end
     stats = RejectionStats(params.max_steps, boundary, filtered, cut_locus_hits)
     return ChainResult(steps, coords, rejected_rows, f_values, stats, np.array(x))
+
+
+def _shared_scalar(body: ConvexBody, f):
+    """``(read, inside, value)`` when ``body.contains_coords.scalar`` and
+    ``f.of_distance`` declare the same distance and equal anchors: then a
+    proposal ``y`` is inside iff ``inside(s)``, ``s = read(y)``, and ``f(y)
+    == value(s)`` bit for bit.  ``None`` otherwise."""
+    declare = getattr(body.contains_coords, "scalar", None)
+    of_distance = getattr(f, "of_distance", None)
+    if declare is None or of_distance is None:
+        return None
+    dist, anchor, read, inside, arc = declare(body)
+    f_dist, point, outer = of_distance
+    if dist != f_dist or not np.array_equal(anchor, point):
+        return None
+    value = outer if arc is None else arc if outer is None else lambda s: outer(arc(s))
+    return read, inside, value or float
 
 
 def _box_rejection(points: np.ndarray, body: EuclideanBox, delta: float) -> np.ndarray:

@@ -208,3 +208,32 @@ def test_tiny_body_trips_acceptance_guard():
     sliver = gw.SphericalCap(man, np.array([0.0, 0.0, 1.0]), 1e-4)
     with pytest.raises(AcceptanceTooLow):
         gw.sample_uniform_many(sliver, gw.stream(0), 10, max_consecutive_rejections=2000)
+
+
+@pytest.mark.parametrize("case", ["cap", "sphere-ball", "so3-ball", "plane-ball"])
+def test_declared_scalar_gives_membership_and_distance_bit_for_bit(case):
+    rng = gw.stream(31)
+    if case == "cap":
+        man = gw.Sphere(3)
+        axis = rng.standard_normal(4)
+        body = gw.SphericalCap(man, axis / np.linalg.norm(axis), 1.1)
+    elif case == "sphere-ball":
+        man = gw.Sphere(3)
+        body = gw.GeodesicBall(man, np.array([0.0, 0.6, 0.0, 0.8]), 0.9)
+    elif case == "so3-ball":
+        man = gw.SpecialOrthogonal(3)
+        body = gw.GeodesicBall(man, man.haar_many(rng, 1)[0], 1.2)
+    else:
+        man = gw.Euclidean(2)
+        body = gw.GeodesicBall(man, np.array([0.5, -1.0]), 0.75)
+    center = np.broadcast_to(body.inner_center, (300, man.ambient_dim))
+    rows = man.propose_many(center, rng.standard_normal((300, man.tangent_dim)), 0.8)
+    rows = list(rows.tolist() if man.float_rows else rows)
+    dist, anchor, read, inside, arc = body.contains_coords.scalar(body)
+    assert dist == man.dist
+    flags = [body.contains_coords(row) for row in rows]
+    assert 0 < sum(flags) < len(rows)
+    for row, flag in zip(rows, flags):
+        s = read(row)
+        assert inside(s) == flag
+        assert (s if arc is None else arc(s)) == man.dist(anchor, row)

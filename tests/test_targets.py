@@ -111,3 +111,15 @@ def test_as_gibbs_wraps_target():
     assert gibbs.f is target.f
     with pytest.raises(PreconditionError):
         gw.as_gibbs(target, 0.0)
+
+
+def test_distance_targets_declare_what_they_read():
+    sphere = gw.Sphere(2)
+    anchor = np.array([0.0, 0.6, 0.8])
+    probe = [0.36, 0.48, 0.8]
+    for target in (gw.distance_to(sphere, anchor), gw.sqdist_to(sphere, anchor, 2.0)):
+        dist, point, outer = target.f.of_distance
+        assert dist == sphere.dist and np.array_equal(point, anchor)
+        d = dist(point, probe)
+        assert target.f(probe) == (d if outer is None else outer(d))
+    assert not hasattr(gw.linear(np.ones(2)).f, "of_distance")

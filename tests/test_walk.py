@@ -1,5 +1,7 @@
 """Chain mechanics: step sizes, determinism, stream discipline, emission."""
 
+import collections
+import functools
 import math
 import tracemalloc
 import warnings
@@ -8,12 +10,12 @@ import numpy as np
 import pytest
 
 import geowalk as gw
-from geowalk import walk
+from geowalk import diagnostics, walk
 from geowalk.bodies import _contains_row
 from geowalk.quadrature import QuadratureSpec, integrate
 from geowalk.rng import BLOCK
 from geowalk.walk import _SLICE
-from geowalk.errors import InvalidStart, OracleError, PreconditionError, StepSizeWarning
+from geowalk.errors import CutLocusError, InvalidStart, OracleError, PreconditionError, StepSizeWarning
 
 
 def cap_on_sphere(n=2, angle=math.pi / 3):
@@ -150,7 +152,9 @@ def test_run_chain_equals_iterated_metropolis_steps():
 ACROSS = dict(max_steps=BLOCK + 37, thin=2, burn_in=BLOCK - 5)
 
 
-@pytest.mark.parametrize("case", ["sphere2-cap-gibbs", "euclidean2-box-linear", "so3-ball-uniform"])
+@pytest.mark.parametrize(
+    "case", ["sphere2-cap-gibbs", "euclidean2-box-linear", "so3-ball-uniform", "so3-ball-gibbs"]
+)
 def test_run_chain_replays_across_a_block_boundary(case):
     if case == "sphere2-cap-gibbs":
         body = cap_on_sphere()
@@ -161,8 +165,11 @@ def test_run_chain_replays_across_a_block_boundary(case):
         target = gw.as_gibbs(gw.linear(np.array([1.0, -0.5])), 0.25)
         delta = 0.05
     else:
-        body = gw.GeodesicBall(gw.SpecialOrthogonal(3), np.eye(3).ravel(), 0.5)
+        man = gw.SpecialOrthogonal(3)
+        body = gw.GeodesicBall(man, np.eye(3).ravel(), 0.5)
         target = None
+        if case == "so3-ball-gibbs":
+            target = gw.as_gibbs(gw.distance_to(man, np.eye(3).ravel()), 0.15)
         delta = 0.05
     params = gw.WalkParams(delta=delta, max_steps=ACROSS["max_steps"], seed=21, override_delta=True)
     with warnings.catch_warnings():
@@ -186,6 +193,84 @@ def test_run_chain_replays_across_a_slice_boundary(gibbs):
     assert chain.steps[0] < _SLICE < 2 * _SLICE < chain.steps[-1]
     assert len(chain.steps) == 133
     assert 0 < chain.stats.rejections < params.max_steps
+
+
+# ---------------------------------------------------------------------------
+# One scalar per step for membership and f, when both declare it.
+
+
+def counting(fn, calls, key):
+    """``fn`` counting its calls in ``calls[key]``; ``functools.wraps``
+    keeps the function attributes that declare what ``fn`` reads."""
+
+    @functools.wraps(fn)
+    def counted(*args):
+        calls[key] += 1
+        return fn(*args)
+
+    return counted
+
+
+def test_low_temp_geometry_computes_one_scalar_per_step(monkeypatch):
+    # The cap and target of the low_temp_expectation check: after the start
+    # point, neither the membership test nor f is called again.
+    calls = collections.Counter()
+    contains = counting(gw.SphericalCap.contains_coords, calls, "contains")
+    monkeypatch.setattr(gw.SphericalCap, "contains_coords", contains)
+    cap = diagnostics._default_cap()
+    target = gw.distance_to(cap.manifold, cap.axis)
+    gibbs = gw.GibbsTarget(counting(target.f, calls, "f"), 0.05)
+    params = gw.WalkParams(delta=gw.delta_bound(cap.manifold, cap), max_steps=3000, seed=1)
+    chain = gw.run_chain(cap.axis, cap, params, gibbs, burn_in=1000)
+    assert calls == {"contains": 1, "f": 1}
+    assert chain.stats.filter_rejections > 0
+
+
+@pytest.mark.parametrize("case", ["cap-subclass", "custom-f", "off-axis-anchor"])
+def test_undeclared_or_unmatched_scalars_keep_the_two_call_step(case, band_cap, monkeypatch):
+    cap = band_cap(raises=True) if case == "cap-subclass" else cap_on_sphere()
+    anchor = cap.axis
+    if case == "off-axis-anchor":
+        anchor = np.array([0.0, math.sin(0.3), math.cos(0.3)])
+    f = gw.distance_to(cap.manifold, anchor).f
+    if case == "custom-f":
+        f = lambda x, declared=f: declared(x)
+    calls = collections.Counter()
+    contains = counting(type(cap).contains_coords, calls, "contains")
+    monkeypatch.setattr(type(cap), "contains_coords", contains)
+    target = gw.GibbsTarget(counting(f, calls, "f"), 0.2)
+    assert walk._shared_scalar(cap, target.f) is None
+    params = gw.WalkParams(delta=0.3, max_steps=600, seed=24, override_delta=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepSizeWarning)
+        stats = gw.run_chain(cap.axis, cap, params, target).stats
+        assert calls == {"contains": 1 + stats.steps, "f": 1 + stats.steps - stats.boundary_rejections}
+        assert_chain_replays(cap.axis, cap, params, target)
+    assert (stats.cut_locus_hits > 0) == (case == "cap-subclass")
+
+
+class BandPlane(gw.Euclidean):
+    """``R^2`` whose distance to a point in the band ``y[0] > 0.3`` hits a
+    stand-in cut locus."""
+
+    def dist(self, x, y):
+        if y[0] > 0.3:
+            raise CutLocusError("point on the stand-in cut locus")
+        return super().dist(x, y)
+
+
+def test_cut_locus_hit_in_the_shared_scalar_is_a_boundary_rejection():
+    man = BandPlane(2)
+    ball = gw.GeodesicBall(man, np.zeros(2), 0.5)
+    target = gw.as_gibbs(gw.sqdist_to(man, np.zeros(2), ball.diameter), 0.2)
+    assert walk._shared_scalar(ball, target.f) is not None
+    params = gw.WalkParams(delta=0.1, max_steps=2000, seed=25, override_delta=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepSizeWarning)
+        chain = assert_chain_replays(ball.center, ball, params, target)
+    assert chain.stats.cut_locus_hits > 0
+    assert chain.stats.filter_rejections > 0
+    assert np.all(chain.coords[:, 0] <= 0.3)
 
 
 def test_uniform_and_constant_target_chains_agree_across_a_block_boundary():
