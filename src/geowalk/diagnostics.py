@@ -36,7 +36,7 @@ from .errors import (
     ScheduleTooAggressive,
     SeparationViolated,
 )
-from .manifolds import Euclidean, Manifold, SpecialOrthogonal, Sphere
+from .manifolds import Sphere
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 from .rng import stream
 from .walk import WalkParams, _accept_counts, delta_bound, run_chain, step_ensemble
@@ -529,24 +529,6 @@ def check_isoperimetry(
 # One-step kernel overlap.
 
 
-def _transport(man: Manifold, x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Isometric identification of tangent vectors at ``x`` with tangent
-    vectors at ``y``, vectorized over rows of ``v``."""
-    if isinstance(man, Euclidean):
-        return v
-    if isinstance(man, Sphere):
-        c = x @ y
-        if c <= -1.0 + 1e-12:
-            raise PreconditionError("cannot transport between antipodal points")
-        along = (v @ y) / (1.0 + c)
-        return v - along[:, None] * (x + y)[None, :]
-    if isinstance(man, SpecialOrthogonal):
-        nn = man.n
-        rel = y.reshape(nn, nn) @ x.reshape(nn, nn).T
-        return np.einsum("ij,kjl->kil", rel, v.reshape(-1, nn, nn)).reshape(v.shape)
-    raise PreconditionError(f"no transport rule for {man.descriptor}")
-
-
 def estimate_one_step_tv(
     x,
     y,
@@ -557,8 +539,8 @@ def estimate_one_step_tv(
 ) -> TvEstimate:
     """Coupled upper bound on the one-step kernel distance between starts.
 
-    The tangent Gaussians at ``x`` and ``y`` are coupled through an
-    isometric transport, so the continuous parts differ at most by the
+    The tangent Gaussians at ``x`` and ``y`` are coupled through
+    ``Manifold.transport``, so the continuous parts differ at most by the
     total variation between two unit Gaussians whose means are ``d(x,y) /
     delta`` apart, ``erf(d / (2 sqrt(2) delta))``.  The lazy-step atoms are
     coupled by the same shared draws, and their mismatch is estimated as
@@ -581,7 +563,7 @@ def estimate_one_step_tv(
     basis = np.eye(man.tangent_dim)
     frame_x = np.stack([man.tangent_from_gaussian(xc, e) for e in basis])
     frame_y = np.stack([man.tangent_from_gaussian(yc, e) for e in basis])
-    rotation = frame_y @ _transport(man, xc, yc, frame_x).T
+    rotation = frame_y @ man.transport(xc, yc, frame_x).T
     g_x = rng.standard_normal((mc_proposals, man.tangent_dim))
     g_y = g_x @ rotation.T
     shape = (mc_proposals, man.ambient_dim)

@@ -13,7 +13,8 @@ factor), so long chains of composed steps do not drift off the manifold.
 A manifold is defined by four oracles: ``exp``, ``dist``,
 ``tangent_from_gaussian`` and ``validate_point``.  The staged proposal
 below and ``dist_many`` have defaults built from them, which a subclass
-may override for speed.
+may override for speed.  The optional ``draw_uniform`` (compact spaces
+only) and ``transport`` raise :class:`PreconditionError` unless defined.
 
 The walk's proposal ``exp_x(delta * tangent_from_gaussian(x, g))`` is the
 one step kernel.  It is computed in two stages, from the raw normals ``g``
@@ -180,6 +181,16 @@ class Manifold:
     def dist_many(self, points: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.array([self.dist(x, y) for x in points])
 
+    def draw_uniform(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` exact uniform draws on the whole manifold, row-wise; the
+        uniform samplers of :mod:`geowalk.bodies` filter them by membership."""
+        raise PreconditionError(f"{self.descriptor} defines no draw_uniform(rng, count)")
+
+    def transport(self, x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Isometry from the tangent space at ``x`` to the one at ``y``, over
+        the rows of ``v``; ``estimate_one_step_tv`` couples its starts by it."""
+        raise PreconditionError(f"{self.descriptor} defines no transport(x, y, v)")
+
     def _check_shape(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.ambient_dim,):
@@ -235,6 +246,9 @@ class Euclidean(Manifold):
     def dist_many(self, points, y):
         d = points - y
         return np.sqrt(np.einsum("ij,ij->i", d, d))
+
+    def transport(self, x, y, v):
+        return v
 
 
 def _arccos(c):
@@ -349,6 +363,18 @@ class Sphere(Manifold):
     def dist_many(self, points, y):
         return _arccos(points @ y)
 
+    def draw_uniform(self, rng, count):
+        g = rng.standard_normal((count, self.ambient_dim))
+        return g / np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
+
+    def transport(self, x, y, v):
+        # Parallel transport along the great circle from x to y.
+        c = x @ y
+        if c <= -1.0 + 1e-12:
+            raise PreconditionError("cannot transport between antipodal points")
+        along = (v @ y) / (1.0 + c)
+        return v - along[:, None] * (x + y)[None, :]
+
 
 class SpecialOrthogonal(Manifold):
     """Rotation group ``SO(n)`` under the metric ``<A, B> = tr(A^T B)``.
@@ -433,7 +459,12 @@ class SpecialOrthogonal(Manifold):
         ang = np.angle(lam)
         return np.sqrt(np.sum(ang * ang, axis=1))
 
-    def haar_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def transport(self, x, y, v):
+        # Left translation by y x^T.
+        rel = self._mat(y) @ self._mat(x).T
+        return np.einsum("ij,kjl->kil", rel, v.reshape(-1, self.n, self.n)).reshape(v.shape)
+
+    def draw_uniform(self, rng, count):
         """``count`` Haar-uniform rotations, flattened, via sign-fixed QR."""
         g = rng.standard_normal((count, self.n, self.n))
         q, r = np.linalg.qr(g)

@@ -42,14 +42,14 @@ oracles take float lists (``propose_row`` returns one); they read numpy
 rows as well, and so does the whole step on ``so:n``.
 
 Local-conductance counts (how many of ``trials`` one-step proposals from a
-point stay in the body) are one ``Binomial`` draw per point on spherical
-caps and Euclidean boxes, whose rejection chance has a closed form; other
-bodies draw the proposals.
+point stay in the body) are one ``Binomial`` draw per point when the body's
+``contains_coords`` declares the exact rejection chance: caps and boxes do,
+a subclass that overrides their test does not.  Other bodies draw the
+proposals.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -57,14 +57,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bodies import (
-    ConvexBody,
-    EuclideanBox,
-    SphericalCap,
-    _contains_row,
-    _contains_rows,
-    rejection_sample_uniform,
-)
+from .bodies import ConvexBody, _contains_row, _contains_rows, rejection_sample_uniform
 from .errors import (
     CutLocusError,
     InvalidStart,
@@ -347,117 +340,6 @@ def _shared_scalar(body: ConvexBody, f):
     return read, inside, value or float
 
 
-def _box_rejection(points: np.ndarray, body: EuclideanBox, delta: float) -> np.ndarray:
-    # Per coordinate, the step leaves [lo, hi] with probability
-    # Phi((lo - x)/delta) + Phi((x - hi)/delta); the coordinates are
-    # independent, so q = 1 - prod(1 - r_i), summed in log space.
-    scaled = np.concatenate([points - body.lo, body.hi - points], axis=1)
-    scaled = scaled.ravel() / (delta * math.sqrt(2.0))
-    tails = 0.5 * np.fromiter(map(math.erfc, scaled.tolist()), float, count=scaled.size)
-    r = tails.reshape(len(points), 2, -1).sum(axis=1)
-    return -np.expm1(np.log1p(-np.minimum(r, 1.0)).sum(axis=1))
-
-
-def _cap_rejection(s: np.ndarray, n: int, angle: float, delta: float) -> np.ndarray:
-    # A proposal from x moves a geodesic distance theta = delta * rho,
-    # rho ~ chi_n, in a uniform tangent direction at angle phi to the
-    # projected axis, and stays in the cap iff
-    #   s cos(theta) + c sin(theta) cos(phi) >= cos(angle),
-    # s = <x, axis>, c = sqrt(1 - s^2).  Given theta it is rejected with
-    # probability F(kappa) = P(cos phi < kappa), kappa = (cos(angle) -
-    # s cos(theta)) / (c |sin(theta)|); the absolute value covers
-    # sin(theta) < 0 by the symmetry of cos(phi).  With beta = arccos(s),
-    # that probability is 0 on [0, angle - beta], 1 on [angle + beta,
-    # 2 pi - angle - beta], mirrored about 2 pi and periodic.  Each piece
-    # between those breakpoints is integrated against the chi_n density by
-    # Gauss-Legendre in v, theta = end -+ v^2 from both ends, which removes
-    # the (theta - end)^((n - 1)/2) endpoint singularities.
-    cos_angle = math.cos(angle)
-    s = np.clip(s, -1.0, 1.0)[:, None]
-    c = np.sqrt((1.0 - s) * (1.0 + s))
-    beta = np.arccos(s)
-    first = np.maximum(angle - beta, 0.0)
-    last = angle + beta
-    theta_max = delta * (math.sqrt(n) + 10.0)  # chi_n mass beyond: < e^-50
-    log_norm = (0.5 * n - 1.0) * math.log(2.0) + math.lgamma(0.5 * n) + math.log(delta)
-    m = n - 3
-    full = _angular_tail(-1.0, m)
-
-    def integrand(theta):
-        num = cos_angle - s * np.cos(theta)
-        den = c * np.abs(np.sin(theta))
-        kappa = np.divide(num, den, out=np.copysign(np.inf, num), where=den > 0.0)
-        if m == -2:  # sphere:1, cos(phi) = +-1
-            tail = 0.5 * ((kappa > -1.0).astype(float) + (kappa > 1.0))
-        else:
-            tail = _angular_tail(-np.clip(kappa, -1.0, 1.0), m) / full
-        rho = theta / delta
-        with np.errstate(divide="ignore"):
-            log_rho = (n - 1) * np.log(rho) if n > 1 else 0.0
-        return tail * np.exp(log_rho - 0.5 * rho * rho - log_norm)
-
-    t, w = _gauss_legendre()
-    q = np.zeros(len(s))
-    for k in range(int(math.ceil(theta_max / (2.0 * math.pi)))):
-        base = 2.0 * math.pi * k
-        turn = base + 2.0 * math.pi
-        for a, b in ((base + first, base + last), (base + last, turn - last), (turn - last, turn - first)):
-            b = np.minimum(b, theta_max)
-            a = np.minimum(a, b)
-            if not np.any(a < b):
-                continue
-            root = np.sqrt(0.5 * (b - a))
-            v = 0.5 * root * (t + 1.0)
-            v2 = v * v
-            f = integrand(a + v2) + integrand(b - v2)
-            q += (f * (2.0 * v) * w).sum(axis=1) * (0.5 * root[:, 0])
-    return q
-
-
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(48)
-
-
-def _angular_tail(kappa, m: int):
-    """J_m(kappa) = integral of (1 - t^2)^(m/2) over [kappa, 1], m >= -1,
-    by the recurrence J_m = (-kappa (1 - kappa^2)^(m/2) + m J_{m-2}) / (m+1)
-    from J_{-1} = arccos(kappa) or J_0 = 1 - kappa."""
-    if m % 2:
-        j, order = np.arccos(kappa), -1
-    else:
-        j, order = 1.0 - kappa, 0
-    if order < m:
-        one_minus_sq = (1.0 - kappa) * (1.0 + kappa)
-        while order < m:
-            order += 2
-            j = (-kappa * one_minus_sq ** (0.5 * order) + order * j) / (order + 1)
-    return j
-
-
-def _rejection_probability(
-    points: np.ndarray, body: ConvexBody, delta: float
-) -> Optional[np.ndarray]:
-    """Exact chance ``q(x) = 1 - p(x)`` that one proposal from each row of
-    ``points`` leaves the body, or ``None`` when the body has no closed form.
-
-    Boxes use the product of Gaussian coordinate tails; caps integrate the
-    rejection chance over the proposal's geodesic length (it depends on
-    ``x`` only through ``<x, axis>``).  ``q`` is computed directly rather
-    than as ``1 - p``, so a small rejection chance keeps its digits.
-    """
-    # A subclass may change membership, so only the classes themselves qualify.
-    if type(body) is EuclideanBox:
-        rows = lambda x: _box_rejection(x, body, delta)
-    elif type(body) is SphericalCap:
-        rows = lambda x: _cap_rejection(x @ body.axis, body.manifold.n, body.angle, delta)
-    else:
-        return None
-    block = 4096  # rows per pass; keeps the cap's (rows, nodes) arrays small
-    q = np.concatenate([rows(points[i : i + block]) for i in range(0, len(points), block)])
-    return np.clip(q, 0.0, 1.0)
-
-
 def _accept_counts(
     points: np.ndarray,
     body: ConvexBody,
@@ -467,15 +349,17 @@ def _accept_counts(
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """How many of ``trials`` independent proposals from each row of
     ``points`` land in the body, and the exact rejection chances behind
-    them when the body has a closed form (else ``None``).
+    them when the body's ``contains_coords`` declares
+    ``rejection_probability`` (else ``None``).
 
     With a closed form each count is ``trials - Binomial(trials, q(x))``,
     one draw per row, which has the law of the Monte Carlo count.  Other
     bodies propose ``trials`` moves per row, ``_CHUNK`` rows of normals at
     a time; a proposal on the cut locus counts as outside.
     """
-    q = _rejection_probability(points, body, delta)
-    if q is not None:
+    declared = getattr(body.contains_coords, "rejection_probability", None)
+    if declared is not None:
+        q = declared(body, points, delta)
         return trials - rng.binomial(trials, q), q
     man = body.manifold
     counts = np.zeros(len(points), dtype=np.int64)
@@ -500,9 +384,10 @@ def estimate_local_conductance(
     """Unbiased estimate of the accept probability from ``x``.
 
     Returns the fraction of ``trials`` independent one-step proposals that
-    land inside the body.  On spherical caps and Euclidean boxes the count
-    is one ``Binomial`` draw from the exact local conductance; on other
-    bodies the proposals are drawn.
+    land inside the body.  Where the body declares its exact rejection
+    chance (spherical caps, Euclidean boxes) the count is one ``Binomial``
+    draw from the exact local conductance; on other bodies the proposals
+    are drawn.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")

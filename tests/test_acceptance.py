@@ -46,7 +46,7 @@ def test_exponential_map_round_trips_at_scale():
         rng = gw.stream(2026)
         for _ in range(1000):
             if sampler == "haar":
-                x = man.haar_many(rng, 1)[0]
+                x = man.draw_uniform(rng, 1)[0]
             else:
                 g = rng.standard_normal(man.ambient_dim)
                 x = g / math.sqrt(g @ g)

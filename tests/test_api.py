@@ -64,7 +64,7 @@ def test_removed_members_stay_removed():
     walk = importlib.import_module("geowalk.walk")
     assert not hasattr(walk, "metropolis_step") and not hasattr(walk, "WalkState")
     # The tangent-then-exp batch path; proposals take the staged kernel.
-    for cls, name in [
+    for owner, name in [
         (gw.Manifold, "exp_many"),
         (gw.Manifold, "tangent_from_gaussian_many"),
         (gw.Manifold, "tangent_gaussian"),
@@ -73,5 +73,10 @@ def test_removed_members_stay_removed():
         (gw.Euclidean, "exp_many"),
         (gw.Euclidean, "tangent_from_gaussian_many"),
         (gw.SpecialOrthogonal, "tangent_from_gaussian_many"),
+        # Class switches, now methods and declarations of the objects.
+        (gw.SpecialOrthogonal, "haar_many"),
+        (importlib.import_module("geowalk.bodies"), "_propose_global"),
+        (importlib.import_module("geowalk.diagnostics"), "_transport"),
+        (walk, "_rejection_probability"),
     ]:
-        assert not hasattr(cls, name), (cls.__name__, name)
+        assert not hasattr(owner, name), (owner.__name__, name)

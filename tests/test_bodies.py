@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geowalk as gw
-from geowalk import bodies
 from geowalk.errors import AcceptanceTooLow, CutLocusError, NotConvex, PreconditionError
 
 
@@ -195,12 +194,38 @@ def test_uniform_samplers_treat_cut_locus_proposals_as_outside(monkeypatch):
     c, s = math.cos(0.3), math.sin(0.3)
     turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]).ravel()
     batches = itertools.cycle([np.stack([flip, turn]), np.stack([np.eye(3).ravel(), flip])])
-    monkeypatch.setattr(bodies, "_propose_global", lambda body, rng, count: next(batches))
+    monkeypatch.setattr(gw.SpecialOrthogonal, "draw_uniform", lambda man, rng, count: next(batches)[:count])
     with pytest.raises(CutLocusError):
         ball.contains_many(np.stack([turn, flip]))
     drawn = gw.sample_uniform_many(ball, gw.stream(0), 3)
     assert np.array_equal(drawn, np.stack([turn, np.eye(3).ravel(), turn]))
     assert np.array_equal(gw.rejection_sample_uniform(ball, gw.stream(0)), np.eye(3).ravel())
+
+
+def test_subclasses_that_override_membership_lose_the_exact_draw(half_bodies, band_cap):
+    # The box's and the flat ball's direct draws are declared on their own
+    # membership test, so a subclass that narrows the test does not inherit
+    # them.  R^n has no uniform law to reject from, so the samplers refuse
+    # rather than return points outside the body; on the sphere a subclass
+    # is rejection-sampled through its own test.
+    assert hasattr(gw.EuclideanBox.contains_coords, "draw_uniform")
+    assert hasattr(gw.GeodesicBall.contains_coords, "draw_uniform")
+    for body in half_bodies:
+        assert not hasattr(body.contains_coords, "draw_uniform")
+        params = gw.WalkParams(delta=0.01, max_steps=10, seed=1)
+        for call in (
+            lambda: gw.sample_uniform_many(body, gw.stream(0), 100),
+            lambda: gw.rejection_sample_uniform(body, gw.stream(0)),
+            lambda: gw.run_chain(None, body, params),
+        ):
+            with pytest.raises(PreconditionError, match="euclidean:2 defines no draw_uniform"):
+                call()
+    band = band_cap(raises=False)
+    drawn = gw.sample_uniform_many(band, gw.stream(2), 2000)
+    assert np.all(band.contains_many(drawn))
+    start = gw.run_chain(None, band, gw.WalkParams(delta=0.01, seed=3)).final
+    assert band.contains_coords(start)
+    assert band.contains_coords(gw.rejection_sample_uniform(band, gw.stream(4)))
 
 
 def test_tiny_body_trips_acceptance_guard():
@@ -222,7 +247,7 @@ def test_declared_scalar_gives_membership_and_distance_bit_for_bit(case):
         body = gw.GeodesicBall(man, np.array([0.0, 0.6, 0.0, 0.8]), 0.9)
     elif case == "so3-ball":
         man = gw.SpecialOrthogonal(3)
-        body = gw.GeodesicBall(man, man.haar_many(rng, 1)[0], 1.2)
+        body = gw.GeodesicBall(man, man.draw_uniform(rng, 1)[0], 1.2)
     else:
         man = gw.Euclidean(2)
         body = gw.GeodesicBall(man, np.array([0.5, -1.0]), 0.75)

@@ -216,7 +216,7 @@ def test_interior_volume_expected_fraction_is_the_noiseless_mean(cap60):
     )
     # The check draws its points first, so the same stream gives them back.
     points = gw.sample_uniform_many(cap60, gw.stream(31), mc_samples)
-    q = walk._rejection_probability(points, cap60, report.details["walk_delta"])
+    q = cap60.contains_coords.rejection_probability(cap60, points, report.details["walk_delta"])
     # Outside means at most 284 of 300 proposals stay: 16 or more rejections.
     direct = np.mean([
         sum(math.comb(trials, j) * p**j * (1.0 - p) ** (trials - j) for j in range(16, trials + 1))
@@ -363,13 +363,13 @@ def test_one_step_tv_matches_the_per_row_transport_coupling(descriptor):
     frame_x, frame_y = (
         np.stack([man.tangent_from_gaussian(p, e) for e in basis]) for p in (x, y)
     )
-    rotation = frame_y @ diag._transport(man, x, y, frame_x).T
+    rotation = frame_y @ man.transport(x, y, frame_x).T
     assert np.max(np.abs(rotation @ rotation.T - basis)) < 1e-12
 
     in_x, in_y = [], []
     for g in gw.stream(61).standard_normal((proposals, man.tangent_dim)):
         u = man.tangent_from_gaussian(x, g)
-        v = diag._transport(man, x, y, u[None, :])[0]
+        v = man.transport(x, y, u[None, :])[0]
         in_x.append(_contains_row(body, man.exp(x, params.delta * u)))
         in_y.append(_contains_row(body, man.exp(y, params.delta * v)))
     disagreement = float(np.mean(np.array(in_x) != np.array(in_y)))

@@ -44,7 +44,7 @@ def test_sphere_exp_stays_on_sphere(seed, n):
 def test_rotation_exp_stays_in_group(seed, n):
     man = gw.SpecialOrthogonal(n)
     rng = gw.stream(seed)
-    x = man.haar_many(rng, 1)[0]
+    x = man.draw_uniform(rng, 1)[0]
     v = man.tangent_from_gaussian(x, rng.standard_normal(man.tangent_dim))
     y = man.exp(x, 0.4 * v)
     ym = y.reshape(n, n)
@@ -64,7 +64,7 @@ def test_zero_tangent_is_identity(seed):
         if isinstance(man, gw.Sphere):
             x = random_sphere_point(man, rng)
         elif isinstance(man, gw.SpecialOrthogonal):
-            x = man.haar_many(rng, 1)[0]
+            x = man.draw_uniform(rng, 1)[0]
         else:
             x = rng.standard_normal(man.ambient_dim)
         y = man.exp(x, np.zeros(man.ambient_dim))
@@ -86,7 +86,7 @@ def test_sphere_round_trip(seed, t):
 def test_rotation_round_trip(seed, t):
     man = gw.SpecialOrthogonal(3)
     rng = gw.stream(seed)
-    x = man.haar_many(rng, 1)[0]
+    x = man.draw_uniform(rng, 1)[0]
     u = unit_tangent(man, x, rng)
     assert abs(man.dist(x, man.exp(x, t * u)) - t) < 1e-8
 
@@ -115,7 +115,7 @@ def test_tangent_embedding_is_isometric(seed):
     assert abs(x @ u) < 1e-12 * max(1.0, math.sqrt(u @ u))
 
     so = gw.SpecialOrthogonal(3)
-    X = so.haar_many(rng, 1)[0]
+    X = so.draw_uniform(rng, 1)[0]
     g = rng.standard_normal(so.tangent_dim)
     v = so.tangent_from_gaussian(X, g)
     assert math.sqrt(v @ v) == pytest.approx(math.sqrt(g @ g), abs=1e-12)
@@ -145,7 +145,7 @@ def test_many_variants_match_loops(seed):
         if isinstance(man, gw.Sphere):
             pts = np.stack([random_sphere_point(man, rng) for _ in range(5)])
         elif isinstance(man, gw.SpecialOrthogonal):
-            pts = man.haar_many(rng, 5)
+            pts = man.draw_uniform(rng, 5)
         else:
             pts = rng.standard_normal((5, man.ambient_dim))
         raw = rng.standard_normal((5, man.tangent_dim))
@@ -161,7 +161,7 @@ def proposal_rows(man):
     row; and a step past half a great circle."""
     rng = gw.stream(11)
     if isinstance(man, gw.SpecialOrthogonal):
-        pts = man.haar_many(rng, 6)
+        pts = man.draw_uniform(rng, 6)
     else:
         pts = rng.standard_normal((6, man.ambient_dim))
     if isinstance(man, gw.Sphere):
@@ -308,9 +308,9 @@ def test_cut_locus_raises():
 def test_haar_rotations_are_left_invariant():
     man = gw.SpecialOrthogonal(3)
     rng = gw.stream(21)
-    xs = man.haar_many(rng, 100_000)
-    ys = man.haar_many(rng, 100_000)
-    q = man.haar_many(rng, 1)[0].reshape(3, 3)
+    xs = man.draw_uniform(rng, 100_000)
+    ys = man.draw_uniform(rng, 100_000)
+    q = man.draw_uniform(rng, 1)[0].reshape(3, 3)
     base = np.eye(3).ravel()
     plain = man.dist_many(xs, base)
     rotated = man.dist_many(
@@ -324,7 +324,7 @@ def test_sphere_distance_is_rotation_invariant():
     rng = gw.stream(22)
     xs = rng.standard_normal((100_000, 3))
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-    q = gw.SpecialOrthogonal(3).haar_many(rng, 1)[0].reshape(3, 3)
+    q = gw.SpecialOrthogonal(3).draw_uniform(rng, 1)[0].reshape(3, 3)
     north = np.array([0.0, 0.0, 1.0])
     plain = man.dist_many(xs, north)
     rotated = man.dist_many(xs @ q.T, q @ north)
@@ -379,7 +379,7 @@ def test_sphere_norm_drift_over_a_million_steps():
 def test_rotation_orthogonality_drift_over_a_million_steps():
     man = gw.SpecialOrthogonal(3)
     rng = gw.stream(6)
-    x = man.haar_many(rng, 1)[0]
+    x = man.draw_uniform(rng, 1)[0]
     for _ in range(1_000_000):
         x = man.exp(x, 0.05 * man.tangent_from_gaussian(x, rng.standard_normal(man.tangent_dim)))
     xm = x.reshape(3, 3)

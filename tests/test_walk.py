@@ -486,7 +486,7 @@ def _rejection_rate(x, body, delta, proposals, rng):
 
 
 def _assert_matches_proposals(x, body, delta, seed, proposals=10**5):
-    q = walk._rejection_probability(x[None, :], body, delta)[0]
+    q = body.contains_coords.rejection_probability(body, x[None, :], delta)[0]
     rate = _rejection_rate(x, body, delta, proposals, gw.stream(seed))
     assert abs(rate - q) <= 3.0 * math.sqrt(q * (1.0 - q) / proposals), (q, rate)
     return q
@@ -570,7 +570,7 @@ def test_cap_rejection_matches_adaptive_quadrature(n):
         start = (cap.angle - beta) / delta
         full = (cap.angle + beta) / delta
         expected = integrate(integrand, start, 14.0, spec, breakpoints=[full])
-        q = walk._rejection_probability(_cap_point(n, beta)[None, :], cap, delta)[0]
+        q = cap.contains_coords.rejection_probability(cap, _cap_point(n, beta)[None, :], delta)[0]
         assert abs(q - expected) <= 1e-10, (beta, q, expected)
 
 
@@ -588,7 +588,7 @@ def test_cap_rejection_on_the_axis_is_the_chi_tail(n):
         3: math.erfc(r / math.sqrt(2.0)) + gauss * r,
         5: math.erfc(r / math.sqrt(2.0)) + gauss * (r + r**3 / 3.0),
     }[n]
-    q = walk._rejection_probability(cap.axis[None, :], cap, delta)[0]
+    q = cap.contains_coords.rejection_probability(cap, cap.axis[None, :], delta)[0]
     assert q == pytest.approx(chi_tail, rel=1e-12)
 
 
@@ -599,13 +599,25 @@ def test_local_conductance_on_a_ball_matches_the_equal_cap():
     ball = gw.GeodesicBall(cap.manifold, cap.axis, cap.angle)
     params = gw.WalkParams(delta=0.3)
     x = _cap_point(2, 0.8)
-    q = walk._rejection_probability(x[None, :], cap, params.delta)[0]
-    assert walk._rejection_probability(x[None, :], ball, params.delta) is None
+    q = cap.contains_coords.rejection_probability(cap, x[None, :], params.delta)[0]
+    assert not hasattr(ball.contains_coords, "rejection_probability")
     trials = 20000
     p = gw.estimate_local_conductance(x, ball, params, trials, gw.stream(5))
     assert abs((1.0 - p) - q) <= 3.0 * math.sqrt(q * (1.0 - q) / trials)
     exact = gw.estimate_local_conductance(x, cap, params, trials, gw.stream(5))
     assert abs((1.0 - exact) - q) <= 3.0 * math.sqrt(q * (1.0 - q) / trials)
+
+
+def test_subclasses_that_override_membership_get_no_closed_form(band_cap, half_bodies):
+    # A subclass may change the set, so the closed form declared on its
+    # parent's membership test does not carry over: its counts draw proposals.
+    box = half_bodies[0]
+    for body, parent in ((band_cap(raises=False), cap_on_sphere()), (box, gw.EuclideanBox(box.lo, box.hi))):
+        assert hasattr(parent.contains_coords, "rejection_probability")
+        assert not hasattr(body.contains_coords, "rejection_probability")
+        points = parent.inner_center[None, :]
+        assert walk._accept_counts(points, parent, 0.05, 100, gw.stream(0))[1] is not None
+        assert walk._accept_counts(points, body, 0.05, 100, gw.stream(0))[1] is None
 
 
 def test_step_ensemble_keeps_points_inside():
