@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -36,7 +37,7 @@ from .config import (
 from .diagnostics import builtin_check_names, run_builtin_check
 from .errors import ConfigError, GeoWalkError
 from .targets import as_gibbs
-from .walk import WalkParams, delta_bound, run_chain
+from .walk import _SLICE, WalkParams, delta_bound, run_chain
 
 __all__ = ["main", "build_parser"]
 
@@ -162,29 +163,32 @@ def _run_sample(cfg: RunConfig, out: Path, tag: str) -> int:
                 burn_in=cfg.burn_in,
                 chain_id=chain,
             )
-            f_values = result.f_values
-            columns = zip(
-                result.steps.tolist(),
-                result.coords.tolist(),
-                result.rejected.tolist(),
-                [None] * len(result.steps) if f_values is None else f_values.tolist(),
-            )
-            for step, coords, rejected, f_value in columns:
-                row = {
-                    "chain": chain,
-                    "step": step,
-                    "coords": coords,
-                    "rejected": rejected,
-                    "config": tag,
-                }
-                if f_value is not None:
-                    row["f_value"] = f_value
-                sink.write(json.dumps(row, sort_keys=True) + "\n")
+            # The columns become Python lists one slice of rows at a time.
+            for lo in range(0, len(result.steps), _SLICE):
+                part = slice(lo, lo + _SLICE)
+                columns = zip(
+                    result.steps[part].tolist(),
+                    result.coords[part].tolist(),
+                    result.rejected[part].tolist(),
+                    repeat(None) if result.f_values is None else result.f_values[part].tolist(),
+                )
+                for step, coords, rejected, f_value in columns:
+                    row = {
+                        "chain": chain,
+                        "step": step,
+                        "coords": coords,
+                        "rejected": rejected,
+                        "config": tag,
+                    }
+                    if f_value is not None:
+                        row["f_value"] = f_value
+                    sink.write(json.dumps(row, sort_keys=True) + "\n")
             emitted += len(result.steps)
             print(
                 f"chain {chain}: {result.stats.steps} steps, "
                 f"rejection fraction {result.stats.rejection_fraction:.4f}"
             )
+            del result  # before the next chain allocates its own columns
     print(f"wrote {emitted} samples to {path}")
     return 0
 

@@ -39,7 +39,7 @@ from .errors import (
 from .manifolds import Sphere
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 from .rng import stream
-from .walk import WalkParams, _accept_counts, delta_bound, run_chain, step_ensemble
+from .walk import WalkParams, _accept_counts, _chain_f_values, delta_bound, step_ensemble
 
 __all__ = [
     "InequalityReport",
@@ -926,10 +926,8 @@ def _check_low_temp(seed: int) -> list[InequalityReport]:
     target = distance_to(man, cap.axis)
     temperature = 0.05
     params = WalkParams(delta=delta_bound(man, cap), max_steps=150_000, seed=seed)
-    result = run_chain(
-        cap.axis, cap, params, target=as_gibbs(target, temperature), burn_in=20_000
-    )
-    return [check_low_temp_expectation(result.f_values, man.tangent_dim, temperature)]
+    f_values = _chain_f_values(cap.axis, cap, params, as_gibbs(target, temperature), 20_000)
+    return [check_low_temp_expectation(f_values, man.tangent_dim, temperature)]
 
 
 def _check_tv_decay(seed: int) -> list[InequalityReport]:

@@ -365,7 +365,8 @@ class Sphere(Manifold):
 
     def draw_uniform(self, rng, count):
         g = rng.standard_normal((count, self.ambient_dim))
-        return g / np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
+        g /= np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
+        return g
 
     def transport(self, x, y, v):
         # Parallel transport along the great circle from x to y.

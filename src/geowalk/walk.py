@@ -25,10 +25,14 @@ one-row twin ``propose_row`` for a chain.  None of these draws anything.
 A proposal on the cut locus of the body's membership test counts as a
 boundary rejection, row by row.
 
-:func:`run_chain` keeps its emitted rows in columns of :class:`ChainResult`
-(``steps``, ``coords``, ``rejected``, ``f_values``), allocated once for
-``max(0, (max_steps - burn_in) // thin)`` rows; the rows a slice keeps are
-written with one slice assignment per column.  A step calls ``propose_row``,
+The step loop is one generator, ``_chain_slices``: it yields the rows each
+slice keeps as lists (points, stay-put flags, target values) and returns
+the stats and the final point.  :func:`run_chain` writes each slice into
+the columns of :class:`ChainResult` (``steps``, ``coords``, ``rejected``,
+``f_values``), allocated once for ``max(0, (max_steps - burn_in) // thin)``
+rows, with one slice assignment per column.  ``_chain_f_values`` keeps
+only the target values, which is all the low-temperature diagnostic
+reads, and so never holds the coordinates.  A step calls ``propose_row``,
 the body's ``contains_coords`` and, for an in-body proposal, the target's
 ``f``.  When the test and ``f`` declare the same scalar of the proposal
 with equal anchors (a cap's ``<y, axis>`` with ``distance_to`` or
@@ -50,6 +54,7 @@ proposals.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -223,35 +228,61 @@ def run_chain(
     toward ``target`` when given.
 
     Keeps every ``thin``-th post-burn-in point, ``max(0, (max_steps -
-    burn_in) // thin)`` rows written into the columns of the returned
-    :class:`ChainResult`, which are allocated once.  Deterministic given
-    ``(params.seed, chain_id)``: the RNG stream is derived here, not passed
-    in.  ``start=None`` draws an exact uniform start from that same stream
-    before stepping.  The steps draw from that stream in blocks, as
-    :mod:`geowalk.rng` describes.
+    burn_in) // thin)`` rows.  The columns of the returned
+    :class:`ChainResult` are allocated once at that length and filled one
+    slice of kept rows at a time from the step loop, ``_chain_slices``.
+    Deterministic given ``(params.seed, chain_id)``: the RNG stream is
+    derived here, not passed in.  ``start=None`` draws an exact uniform
+    start from that same stream before stepping.  The steps draw from that
+    stream in blocks, as :mod:`geowalk.rng` describes.
     """
     if burn_in < 0:
         raise PreconditionError("burn_in must be >= 0")
     if thin < 1:
         raise PreconditionError("thin must be >= 1")
+    validate_delta(params.delta, params.override_delta, body.manifold, body)
+    kept = max(0, (params.max_steps - burn_in) // thin)
+    steps = np.arange(burn_in + thin, burn_in + thin * kept + 1, thin, dtype=np.int64)
+    coords = np.empty((kept, body.manifold.ambient_dim))
+    rejected = np.empty(kept, dtype=bool)
+    f_values = None if target is None else np.empty(kept)
+    slices = _chain_slices(start, body, params, target, thin, burn_in, chain_id)
+    row = 0
+    while True:
+        try:
+            xs, flags, fs = next(slices)
+        except StopIteration as end:
+            stats, final = end.value
+            return ChainResult(steps, coords, rejected, f_values, stats, np.array(final))
+        stop = row + len(xs)
+        coords[row:stop] = xs
+        rejected[row:stop] = flags
+        if f_values is not None:
+            f_values[row:stop] = fs
+        row = stop
+
+
+def _chain_slices(start, body, params, target, thin, burn_in, chain_id):
+    """The step loop of :func:`run_chain`, on its arguments; ``thin``,
+    ``burn_in`` and the step size are checked there, not here.
+
+    A generator: per ``_SLICE`` steps that keep a row it yields the kept
+    rows as three lists (the points, whether the step stayed put, and the
+    target values, ``None`` without a target), and it returns ``(stats,
+    final)``, the :class:`RejectionStats` and the last point.  Nothing of a
+    slice outlives its yield here, so a caller that reads one column holds
+    only that one.
+    """
     man = body.manifold
-    validate_delta(params.delta, params.override_delta, man, body)
     rng = stream(params.seed, chain_id)
     x = rejection_sample_uniform(body, rng) if start is None else _start_coords(start, body)
     floats = man.float_rows
     if floats:
         x = x.tolist()
-    kept = max(0, (params.max_steps - burn_in) // thin)
-    steps = np.arange(burn_in + thin, burn_in + thin * kept + 1, thin, dtype=np.int64)
-    coords = np.empty((kept, man.ambient_dim))
-    rejected_rows = np.empty(kept, dtype=bool)
-    f_values = None if target is None else np.empty(kept)
-
     propose = man.propose_row
     inside_body = body.contains_coords
     delta = params.delta
     emit = burn_in + thin
-    row = 0
 
     f = fx = read = None
     if target is not None:
@@ -313,14 +344,18 @@ def run_chain(
                     kept_f.append(fx)
                     emit += thin
             if kept_x:
-                end = row + len(kept_x)
-                coords[row:end] = kept_x
-                rejected_rows[row:end] = kept_rejected
-                if f_values is not None:
-                    f_values[row:end] = kept_f
-                row = end
-    stats = RejectionStats(params.max_steps, boundary, filtered, cut_locus_hits)
-    return ChainResult(steps, coords, rejected_rows, f_values, stats, np.array(x))
+                yield kept_x, kept_rejected, kept_f
+    return RejectionStats(params.max_steps, boundary, filtered, cut_locus_hits), x
+
+
+def _chain_f_values(start, body, params, target, burn_in):
+    """``run_chain(start, body, params, target, burn_in=burn_in).f_values``
+    without ever holding the other columns: the target values of the
+    slices go straight into one array.  The arguments are checked by the
+    caller, as for ``_chain_slices``."""
+    slices = _chain_slices(start, body, params, target, 1, burn_in, 0)
+    kept = max(0, params.max_steps - burn_in)
+    return np.fromiter(itertools.chain.from_iterable(fs for _, _, fs in slices), float, kept)
 
 
 def _shared_scalar(body: ConvexBody, f):

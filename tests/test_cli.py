@@ -1,8 +1,18 @@
 import json
+import tracemalloc
 
 import pytest
 
 from geowalk.cli import main
+from geowalk.config import (
+    body_from_string,
+    load_config,
+    manifold_from_string,
+    parse_point_spec,
+    target_from_string,
+)
+from geowalk.targets import as_gibbs
+from geowalk.walk import WalkParams, run_chain
 
 
 def write_config(tmp_path, name, text):
@@ -11,11 +21,8 @@ def write_config(tmp_path, name, text):
     return str(path)
 
 
-def sample_config(tmp_path, out):
-    return write_config(
-        tmp_path,
-        "sample.ini",
-        f"""
+def sample_config(tmp_path, out, steps=400, thin=10, burn_in=100, target=None):
+    text = f"""
 [run]
 mode = sample
 seed = 3
@@ -27,13 +34,15 @@ body = cap:0,0,1:1.0471975511965976
 start = north
 
 [walk]
-steps = 400
-thin = 10
-burn_in = 100
+steps = {steps}
+thin = {thin}
+burn_in = {burn_in}
 chains = 2
 delta = 0.04
-""",
-    )
+"""
+    if target is not None:
+        text += f"\n[target]\nkind = {target}\ntemperature = 0.3\n"
+    return write_config(tmp_path, "sample.ini", text)
 
 
 def anneal_config(tmp_path, out):
@@ -79,13 +88,14 @@ checks = {checks}
     )
 
 
+def read_rows(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 def test_sample_run_writes_jsonl(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", sample_config(tmp_path, out)]) == 0
-    rows = [
-        json.loads(line)
-        for line in (out / "samples.jsonl").read_text().splitlines()
-    ]
+    rows = read_rows(out / "samples.jsonl")
     # Two chains, (400 - 100) / 10 emissions each.
     assert len(rows) == 60
     assert {row["chain"] for row in rows} == {0, 1}
@@ -93,6 +103,57 @@ def test_sample_run_writes_jsonl(tmp_path, capsys):
     assert all(len(row["config"]) == 12 for row in rows)
     captured = capsys.readouterr()
     assert "rejection" in captured.out
+
+
+@pytest.mark.parametrize("target", [None, "distance_to:0,0,1"])
+def test_sample_rows_are_the_run_chain_columns(tmp_path, target):
+    # 275 kept rows per chain: their steps straddle the step slices at 256
+    # and 512, and the rows straddle the 256-row slices the writer converts.
+    out = tmp_path / "out"
+    path = sample_config(tmp_path, out, steps=700, thin=2, burn_in=149, target=target)
+    assert main(["run", "--config", path]) == 0
+    cfg = load_config(path)
+    rows = read_rows(out / "samples.jsonl")
+    man = manifold_from_string(cfg.manifold)
+    body = body_from_string(cfg.body, man)
+    gibbs = None if target is None else as_gibbs(target_from_string(target, man, body), cfg.temperature)
+    params = WalkParams(delta=cfg.delta, max_steps=cfg.steps, seed=cfg.seed)
+    for chain in range(cfg.chains):
+        result = run_chain(
+            parse_point_spec(cfg.start, man), body, params, gibbs, cfg.thin, cfg.burn_in, chain
+        )
+        mine = [row for row in rows if row["chain"] == chain]
+        assert len(mine) == 275
+        assert [row["step"] for row in mine] == result.steps.tolist()
+        assert [row["coords"] for row in mine] == result.coords.tolist()
+        assert [row["rejected"] for row in mine] == result.rejected.tolist()
+        if gibbs is None:
+            assert not any("f_value" in row for row in mine)
+        else:
+            assert [row["f_value"] for row in mine] == result.f_values.tolist()
+
+
+def test_sample_run_working_set_grows_by_one_chains_columns(tmp_path):
+    # With thin = 1 every step is a row.  Its columns in run_chain take 41
+    # bytes (coordinates 24, step 8, f value 8, flag 1), and one chain's
+    # columns are live at a time.  Turning a whole chain into Python lists
+    # at once, with the previous chain's columns still held, cost about
+    # 480 bytes a row.
+    def traced_peak(steps):
+        cfg = sample_config(
+            tmp_path, tmp_path / "out", steps=steps, thin=1, burn_in=0, target="distance_to:0,0,1"
+        )
+        tracemalloc.start()
+        try:
+            assert main(["run", "--config", cfg]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(10)  # first-call work outside the comparison
+    small, large = 1_000, 10_000
+    growth = traced_peak(large) - traced_peak(small)
+    assert growth <= 64 * (large - small), growth
 
 
 def test_anneal_run_writes_trace_and_minimizers(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,6 +411,18 @@ def test_low_temp_expectation_bounds():
     assert not gw.check_low_temp_expectation(hot, n=1, temperature=0.1).passed
 
 
+@pytest.mark.parametrize("seed", [1, 4])
+def test_low_temp_check_is_the_run_chain_f_values(seed):
+    # The check keeps only the chain's f values; they are run_chain's column.
+    cap = diag._default_cap()
+    man = cap.manifold
+    params = gw.WalkParams(delta=gw.delta_bound(man, cap), max_steps=150_000, seed=seed)
+    gibbs = gw.as_gibbs(gw.distance_to(man, cap.axis), 0.05)
+    chain = gw.run_chain(cap.axis, cap, params, target=gibbs, burn_in=20_000)
+    expected = gw.check_low_temp_expectation(chain.f_values, man.tangent_dim, 0.05)
+    assert gw.run_builtin_check("low_temp_expectation", seed) == [expected]
+
+
 def test_tv_decay_curve_checkpoints_and_decrease(cap60):
     curve = gw.tv_decay_curve(cap60, 0.35, (1, 8, 64), 1500, gw.stream(61))
     assert [step for step, _ in curve] == [1, 8, 64]
@@ -458,6 +471,21 @@ def test_builtin_registry_names_and_dispatch():
     assert all(r.passed for r in reports)
     with pytest.raises(gw.PreconditionError):
         gw.run_builtin_check("needle_of_unknown_kind", seed=0)
+
+
+@pytest.mark.parametrize("name", gw.builtin_check_names())
+def test_builtin_check_working_set_is_bounded(name):
+    # Traced allocations above the starting level, at most 4 MiB per check
+    # whatever its sample size: the largest is warmness, whose 20,000
+    # uniform draws on S^5 are about 3.1 MiB.
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gw.run_builtin_check(name, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak
 
 
 def test_report_as_dict_round_trips():

@@ -592,6 +592,29 @@ def test_cap_rejection_on_the_axis_is_the_chi_tail(n):
     assert q == pytest.approx(chi_tail, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "body, delta",
+    [
+        (cap_on_sphere(2), 0.2),
+        (cap_on_sphere(5), 0.1),
+        (gw.EuclideanBox(np.zeros(3), np.ones(3)), 0.05),
+    ],
+    ids=["cap-s2", "cap-s5", "box-3"],
+)
+def test_rejection_probability_does_not_depend_on_the_block(body, delta):
+    # 600 rows are three blocks of the closed form; one row alone is one.
+    # The centre sits among them: on a cap's axis two of the three pieces
+    # of the integral are empty, which one row skips and a block adds as 0.
+    points = gw.sample_uniform_many(body, gw.stream(67), 600)
+    points[300] = body.inner_center
+    declared = body.contains_coords.rejection_probability
+    q = declared(body, points, delta)
+    alone = np.concatenate([declared(body, points[i : i + 1], delta) for i in range(len(points))])
+    assert q.tobytes() == alone.tobytes()
+    assert 0.0 < q.max() < 1.0
+    assert declared(body, points[:0], delta).shape == (0,)
+
+
 def test_local_conductance_on_a_ball_matches_the_equal_cap():
     # A geodesic ball has no closed form and takes the proposal loop; the
     # cap of the same centre and radius is the same set.
