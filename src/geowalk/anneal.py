@@ -18,11 +18,11 @@ No minimum shift is applied to the objective: the Metropolis filter only
 ever sees differences ``f(y) - f(x)``, so shifting ``f`` by any constant,
 including a running minimum estimate, changes nothing.
 
-:func:`anneal_trials` runs the trials in lockstep: per sub-block of drawn
-normals it computes ``Manifold.proposal_factors``, then each step makes
-one ``Manifold.propose_factored`` call for all trials, bit for bit one
-``propose_many`` call.  A proposal on the cut locus of the body's
-membership test counts as a rejection, row by row.
+:func:`anneal_trials` runs the trials in lockstep on the draws of
+``walk._drawn_slices``: each step makes one ``Manifold.propose_factored``
+call for all trials, bit for bit one ``propose_many`` call.  A proposal on
+the cut locus of the body's membership test counts as a rejection, row by
+row.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,7 +38,7 @@ from .bodies import ConvexBody, _contains_rows, rejection_sample_uniform
 from .errors import DegenerateSchedule, OracleError, PreconditionError
 from .manifolds import Manifold
 from .rng import BLOCK, stream
-from .walk import _SLICE, delta_bound, validate_delta
+from .walk import _SLICE, _drawn_slices, delta_bound, validate_delta
 
 __all__ = [
     "AnnealSchedule",
@@ -209,20 +208,13 @@ def anneal_trials(
     """``trials`` independent annealing runs advanced in lockstep.
 
     Each trial owns the RNG stream ``(seed, trial_index)``, draws its start
-    uniformly from the body, and then draws its randomness in per-phase
-    blocks of at most ``rng.BLOCK`` steps: its normals ``standard_normal((m,
-    n))``, then its uniforms ``random(m)``, into step-major buffers (row
-    ``j`` holds every trial's draws for step ``j``).  A trial's result
-    therefore does not depend on how many trials run beside it.
-
-    ``Manifold.proposal_factors`` runs on at most ``walk._SLICE`` steps of
-    normals at a time, so memory stays flat.  One step makes one
-    ``propose_factored`` call for all trials, tests membership and scores
-    the proposals with ``f_many``, then accepts the in-body rows with
-    ``f(y) - f(x) < -T log w``, the Metropolis filter ``w < exp(-(f(y) -
-    f(x)) / T)`` with the thresholds replacing the uniforms in place once
-    per block.  Points, values and best-so-far
-    arrays are updated in place in workspaces preallocated once per call.
+    uniformly from the body, and then draws each phase's steps by the
+    contract of :mod:`geowalk.rng`, through ``walk._drawn_slices`` into
+    step-major buffers, so a trial's result does not depend on how many
+    trials run beside it.  One step makes one ``propose_factored`` call for
+    all trials, tests membership, scores the proposals with ``f_many`` and
+    filters the in-body rows.  Points, values and best-so-far arrays are
+    updated in place in workspaces preallocated once per call.
     ``f_many`` must accept any batch of manifold points, on or off the
     body; a non-finite value at an in-body proposal raises
     :class:`OracleError`, while values at out-of-body proposals are never
@@ -254,8 +246,8 @@ def anneal_trials(
     best_values = values.copy()
 
     normals = np.empty((BLOCK, trials, n))
-    thresholds = np.empty((BLOCK, trials))
-    accepts = np.empty((BLOCK, trials), dtype=bool)
+    thresholds = np.empty(normals.shape[:2])
+    accepts = np.empty((_SLICE, trials), dtype=bool)
     rise = np.empty(trials)
     improved = np.empty(trials, dtype=bool)
     for phase, (temperature, steps) in enumerate(zip(schedule.temps, allocations)):
@@ -265,24 +257,10 @@ def anneal_trials(
         if final:
             np.copyto(best_points, points)
             np.copyto(best_values, values)
-        done = 0
-        while done < steps:
-            m = min(BLOCK, steps - done)
-            for t, g in enumerate(gens):
-                normals[:m, t] = g.standard_normal((m, n))
-                thresholds[:m, t] = g.random(m)
-            block = thresholds[:m]
-            # w = 0 maps to an infinite threshold: always accept.
-            with np.errstate(divide="ignore"):
-                np.log(block, out=block)
-            block *= -temperature
-            # Each step's proposal factors, computed _SLICE steps at a time.
-            drawn = normals[:m]
-            factor_rows = chain.from_iterable(
-                zip(*man.proposal_factors(drawn[s : s + _SLICE], delta))
-                for s in range(0, m, _SLICE)
-            )
-            for step, threshold, accept in zip(factor_rows, block, accepts):
+        for factors, slice_thresholds in _drawn_slices(
+            gens, steps, man, delta, temperature, normals, thresholds
+        ):
+            for step, threshold, accept in zip(zip(*factors), slice_thresholds, accepts):
                 proposals = propose(points, step)
                 inside = _contains_rows(body, proposals)
                 trial_values = np.asarray(f_many(proposals), dtype=float)
@@ -304,8 +282,7 @@ def anneal_trials(
                     np.less(values, best_values, out=improved)
                     np.copyto(best_points, points, where=improved[:, None])
                     np.copyto(best_values, values, where=improved)
-            accepted += accepts[:m].sum(axis=0)
-            done += m
+            accepted += accepts[: len(slice_thresholds)].sum(axis=0)
         for t in range(trials):
             records[t].append(
                 PhaseRecord(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ from .errors import (
     SeparationViolated,
 )
 from .manifolds import Sphere
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from .quadrature import DEFAULT_SPEC, integrate
 from .rng import stream
 from .walk import WalkParams, _accept_counts, _chain_f_values, delta_bound, step_ensemble
 
@@ -226,9 +227,9 @@ def ks_sigma(n: int, m: Optional[int] = None) -> float:
 # Needle inequalities by quadrature.
 
 
-def _quad_tol(spec: QuadratureSpec, lhs: float, rhs: float) -> float:
+def _quad_tol(lhs: float, rhs: float) -> float:
     """Pass tolerance matching what the integrator guarantees for both sides."""
-    return spec.abs_tol + spec.rel_tol * (abs(lhs) + abs(rhs))
+    return DEFAULT_SPEC.abs_tol + DEFAULT_SPEC.rel_tol * (abs(lhs) + abs(rhs))
 
 
 def check_affine_needle_lemma(
@@ -238,7 +239,6 @@ def check_affine_needle_lemma(
     c2: float,
     n: int,
     eps: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> InequalityReport:
     """Decay of an affine-power needle mass past its right endpoint.
 
@@ -260,14 +260,14 @@ def check_affine_needle_lemma(
     def w(x: float) -> float:
         return (c1 * x + c2) ** power
 
-    rhs = integrate(w, a, b, spec)
-    tail = integrate(w, b, b + eps, spec)
+    rhs = integrate(w, a, b)
+    tail = integrate(w, b, b + eps)
     lhs = (b - a) / (eps * n * math.e) * tail
     return _report(
         "affine_needle",
         lhs,
         rhs,
-        abs_tol=_quad_tol(spec, lhs, rhs),
+        abs_tol=_quad_tol(lhs, rhs),
         details={"a": a, "b": b, "c1": c1, "c2": c2, "n": int(n), "eps": eps},
     )
 
@@ -277,7 +277,6 @@ def check_needle_moment_lemma(
     a: float,
     b: float,
     n: int,
-    spec: QuadratureSpec = DEFAULT_SPEC,
     breakpoints: Sequence[float] = (),
 ) -> InequalityReport:
     """Expectation bound for a convex energy against its Gibbs needle weight.
@@ -301,13 +300,13 @@ def check_needle_moment_lemma(
         return math.exp(-(h(z) - shift)) * z**power
 
     pts = tuple(p for p in breakpoints if a < p < b)
-    lhs = integrate(weighted, a, b, spec, breakpoints=pts)
-    rhs = (n + 1) * integrate(plain, a, b, spec, breakpoints=pts)
+    lhs = integrate(weighted, a, b, breakpoints=pts)
+    rhs = (n + 1) * integrate(plain, a, b, breakpoints=pts)
     return _report(
         "needle_moment",
         lhs,
         rhs,
-        abs_tol=_quad_tol(spec, lhs, rhs),
+        abs_tol=_quad_tol(lhs, rhs),
         details={"a": a, "b": b, "n": int(n), "shift": shift},
     )
 
@@ -318,7 +317,6 @@ def check_partition_function_logconcavity(
     n: int,
     alpha: float,
     beta: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
     breakpoints: Sequence[float] = (),
 ) -> InequalityReport:
     """Log-concavity of the power-weighted needle partition function.
@@ -344,7 +342,7 @@ def check_partition_function_logconcavity(
         def integrand(x: float) -> float:
             return math.exp(-s * (h(x) - shift)) * x**power
 
-        return integrate(integrand, lo, hi, spec, breakpoints=pts)
+        return integrate(integrand, lo, hi, breakpoints=pts)
 
     za = z_at(alpha)
     zb = z_at(beta)
@@ -356,7 +354,7 @@ def check_partition_function_logconcavity(
         "partition_logconcavity",
         lhs,
         rhs,
-        abs_tol=_quad_tol(spec, lhs, rhs),
+        abs_tol=_quad_tol(lhs, rhs),
         details={
             "interval": [lo, hi],
             "n": int(n),
@@ -715,9 +713,7 @@ def _random_piecewise_linear_convex(rng: np.random.Generator, pieces: int = 4):
     return h, kinks
 
 
-def run_affine_needle_battery(
-    seed: int, instances: int = 100, spec: QuadratureSpec = DEFAULT_SPEC
-) -> list[InequalityReport]:
+def run_affine_needle_battery(seed: int, instances: int = 100) -> list[InequalityReport]:
     """Randomized hypothesis-satisfying instances of the affine needle check.
 
     Every tenth instance pins ``eps`` at its largest admissible value,
@@ -733,13 +729,11 @@ def run_affine_needle_battery(
         c1 = float(rng.uniform(-2.0, 2.0))
         lowest = min(c1 * a, c1 * (b + eps))
         c2 = -lowest + float(rng.uniform(0.05, 3.0))
-        reports.append(check_affine_needle_lemma(a, b, c1, c2, n, eps, spec))
+        reports.append(check_affine_needle_lemma(a, b, c1, c2, n, eps))
     return reports
 
 
-def run_needle_moment_battery(
-    seed: int, instances: int = 100, spec: QuadratureSpec = DEFAULT_SPEC
-) -> list[InequalityReport]:
+def run_needle_moment_battery(seed: int, instances: int = 100) -> list[InequalityReport]:
     rng = stream(seed)
     reports = []
     for _ in range(instances):
@@ -747,13 +741,11 @@ def run_needle_moment_battery(
         a = float(rng.uniform(0.0, 2.0))
         b = a + float(rng.uniform(0.5, 5.0))
         n = int(rng.integers(1, 11))
-        reports.append(check_needle_moment_lemma(h, a, b, n, spec, breakpoints=kinks))
+        reports.append(check_needle_moment_lemma(h, a, b, n, breakpoints=kinks))
     return reports
 
 
-def run_partition_battery(
-    seed: int, instances: int = 100, spec: QuadratureSpec = DEFAULT_SPEC
-) -> list[InequalityReport]:
+def run_partition_battery(seed: int, instances: int = 100) -> list[InequalityReport]:
     rng = stream(seed)
     reports = []
     for _ in range(instances):
@@ -764,9 +756,7 @@ def run_partition_battery(
         alpha = float(10.0 ** rng.uniform(-1.0, 1.0))
         beta = float(10.0 ** rng.uniform(-1.0, 1.0))
         reports.append(
-            check_partition_function_logconcavity(
-                h, (lo, hi), n, alpha, beta, spec, breakpoints=kinks
-            )
+            check_partition_function_logconcavity(h, (lo, hi), n, alpha, beta, breakpoints=kinks)
         )
     return reports
 
@@ -775,21 +765,15 @@ def run_partition_battery(
 # Built-in check registry used by the diagnose mode.
 
 
-def _worst(reports: list[InequalityReport], name: str) -> InequalityReport:
-    """Collapse an instance battery to its worst-margin report."""
+def _worst(run: Callable, name: str, seed: int) -> list[InequalityReport]:
+    """The worst-margin report of 100 instances of the battery ``run``."""
+    reports = run(seed, 100)
     worst = min(reports, key=lambda r: r.margin)
-    details = dict(worst.details)
-    details["instances"] = len(reports)
-    details["all_passed"] = all(r.passed for r in reports)
-    return InequalityReport(
-        name,
-        worst.lhs,
-        worst.rhs,
-        worst.margin,
-        all(r.passed for r in reports),
-        worst.mc_stderr,
-        details,
-    )
+    passed = all(r.passed for r in reports)
+    details = {**worst.details, "instances": len(reports), "all_passed": passed}
+    return [
+        InequalityReport(name, worst.lhs, worst.rhs, worst.margin, passed, worst.mc_stderr, details)
+    ]
 
 
 def _default_cap(n: int = 2, angle: float = math.pi / 3.0) -> SphericalCap:
@@ -797,18 +781,6 @@ def _default_cap(n: int = 2, angle: float = math.pi / 3.0) -> SphericalCap:
     axis = np.zeros(man.ambient_dim)
     axis[-1] = 1.0
     return SphericalCap(man, axis, angle)
-
-
-def _check_affine_battery(seed: int) -> list[InequalityReport]:
-    return [_worst(run_affine_needle_battery(seed, 100), "affine_needle")]
-
-
-def _check_needle_moment_battery(seed: int) -> list[InequalityReport]:
-    return [_worst(run_needle_moment_battery(seed, 100), "needle_moment")]
-
-
-def _check_partition_battery(seed: int) -> list[InequalityReport]:
-    return [_worst(run_partition_battery(seed, 100), "partition_logconcavity")]
 
 
 def _check_interior_volume(seed: int) -> list[InequalityReport]:
@@ -957,9 +929,9 @@ def _check_tv_decay(seed: int) -> list[InequalityReport]:
 
 
 _BUILTIN_CHECKS: dict[str, Callable[[int], list[InequalityReport]]] = {
-    "affine_needle": _check_affine_battery,
-    "needle_moment": _check_needle_moment_battery,
-    "partition_logconcavity": _check_partition_battery,
+    "affine_needle": partial(_worst, run_affine_needle_battery, "affine_needle"),
+    "needle_moment": partial(_worst, run_needle_moment_battery, "needle_moment"),
+    "partition_logconcavity": partial(_worst, run_partition_battery, "partition_logconcavity"),
     "interior_volume": _check_interior_volume,
     "isoperimetry": _check_isoperimetry,
     "one_step_tv": _check_one_step_tv,

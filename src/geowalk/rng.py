@@ -9,9 +9,9 @@ stream and rerunning with the same pair reproduces byte-identical output.
 A walk draws its randomness in blocks of at most :data:`BLOCK` steps: the
 block's tangent normals ``standard_normal((m, tangent_dim))``, then its
 uniforms ``random(m)``.  ``run_chain`` and each trial of ``anneal_trials``
-draw this way, so a chain or trial does not depend on how it steps through
-a block.  ``BLOCK`` fixes how a stream splits into normals and uniforms:
-changing it changes results.
+draw this way, through ``walk._drawn_slices``, so a chain or trial does not
+depend on how it steps through a block.  ``BLOCK`` fixes how a stream
+splits into normals and uniforms: changing it changes results.
 """
 
 from __future__ import annotations

@@ -7,43 +7,27 @@ propose ``y = exp_x(delta * u)``, and stay put if ``y`` leaves the body
 Metropolis filter ``min(1, exp(-(f(y) - f(x)) / T))``, so the chain targets
 the distribution with density proportional to ``exp(-f/T)`` on the body.
 
-RNG discipline: a chain draws its steps in blocks of at most ``rng.BLOCK``,
-``standard_normal((m, tangent_dim))`` and then ``random(m)``, as each
-annealing trial does; step ``j`` of a block uses row ``j`` of the normals
-and uniform ``j``, whether or not the filter is active and however the
-step resolves.  A uniform walk and a Metropolis walk with constant ``f``
-therefore produce bit-identical trajectories from the same seed, which the
-test suite relies on; the tests also replay :func:`run_chain` one step at
-a time from the same blocks.  Both walks filter by one rule: each block's
-uniforms become thresholds ``-T log w`` in place (``w = 0`` gives an
-infinite one), and an in-body proposal is accepted iff ``f(y) - f(x) <
-threshold``, the Metropolis test ``w < exp(-(f(y) - f(x)) / T)``.  The
-proposal is staged the same way too: ``Manifold.proposal_factors`` runs on
-``_SLICE`` steps of drawn normals at a time, and each step does only the
-point-dependent rest, ``propose_factored`` for the lockstep trials and its
-one-row twin ``propose_row`` for a chain.  None of these draws anything.
-A proposal on the cut locus of the body's membership test counts as a
-boundary rejection, row by row.
+Both walks, :func:`run_chain` and ``anneal.anneal_trials``, draw and
+filter their steps through one generator, ``_drawn_slices``, which holds
+the contract of :mod:`geowalk.rng`: step ``j`` of a block uses row ``j``
+of the normals and threshold ``j`` however it resolves, so a uniform walk
+and a Metropolis walk with constant ``f`` take bit-identical steps.  Each
+step does only the point-dependent rest of the proposal,
+``propose_factored`` for the lockstep trials and its one-row twin
+``propose_row`` for a chain.  A proposal on the cut locus of the body's
+membership test counts as a boundary rejection, row by row.
 
-The step loop is one generator, ``_chain_slices``: it yields the rows each
-slice keeps as lists (points, stay-put flags, target values) and returns
-the stats and the final point.  :func:`run_chain` writes each slice into
-the columns of :class:`ChainResult` (``steps``, ``coords``, ``rejected``,
-``f_values``), allocated once for ``max(0, (max_steps - burn_in) // thin)``
-rows, with one slice assignment per column.  ``_chain_f_values`` keeps
-only the target values, which is all the low-temperature diagnostic
-reads, and so never holds the coordinates.  A step calls ``propose_row``,
-the body's ``contains_coords`` and, for an in-body proposal, the target's
-``f``.  When the test and ``f`` declare the same scalar of the proposal
-with equal anchors (a cap's ``<y, axis>`` with ``distance_to`` or
-``sqdist_to`` at its axis, a ball's ``d(center, y)`` with one at its
-centre; see ``_shared_scalar``), the step computes it once and takes both
-from it with the same arithmetic; any other body or target, a custom ``f``
-among them, keeps the two calls.  On ``sphere:n`` and ``euclidean:n``
-(``Manifold.float_rows``) the chain's state is a list of Python floats,
-the slice's factors are converted with one ``tolist`` each, and these
-oracles take float lists (``propose_row`` returns one); they read numpy
-rows as well, and so does the whole step on ``so:n``.
+The chain's step loop, ``_chain_slices``, yields the rows each slice
+keeps; :func:`run_chain` writes them into the columns of
+:class:`ChainResult`, allocated once, and ``_chain_f_values`` keeps only
+the target values.  When the body's membership test and the target's
+``f`` declare the same scalar of the proposal with equal anchors (a cap's
+``<y, axis>`` with ``distance_to`` or ``sqdist_to`` at its axis, a ball's
+``d(center, y)`` with one at its centre; see ``_shared_scalar``), a step
+computes it once and takes both from it with the same arithmetic.  On
+``sphere:n`` and ``euclidean:n`` (``Manifold.float_rows``) the chain's
+state and each slice's factors are lists of Python floats; these oracles
+read numpy rows as well, and so does the whole step on ``so:n``.
 
 Local-conductance counts (how many of ``trials`` one-step proposals from a
 point stay in the body) are one ``Binomial`` draw per point when the body's
@@ -262,6 +246,33 @@ def run_chain(
         row = stop
 
 
+def _drawn_slices(gens, steps, manifold, delta, temperature, normals, thresholds):
+    """Both walks' draws of ``steps`` steps from each stream of ``gens``.
+
+    Per block of ``m <= BLOCK`` steps, stream ``t`` fills column ``t`` of
+    the caller's step-major buffers ``normals`` and ``thresholds``: its
+    normals ``standard_normal((m, tangent_dim))``, then its uniforms
+    ``random(m)``.  With a ``temperature`` the uniforms become thresholds
+    ``-T log w`` in place (``w = 0`` gives ``+inf``): an in-body proposal
+    is accepted iff ``f(y) - f(x) < threshold``, the Metropolis test ``w <
+    exp(-(f(y) - f(x)) / T)``.  Yields ``(proposal_factors, thresholds)``
+    per ``_SLICE`` steps, views into the buffers.
+    """
+    for done in range(0, steps, BLOCK):
+        m = min(BLOCK, steps - done)
+        drawn, block = normals[:m], thresholds[:m]
+        for t, g in enumerate(gens):
+            drawn[:, t] = g.standard_normal((m, manifold.tangent_dim))
+            block[:, t] = g.random(m)
+        if temperature is not None:
+            with np.errstate(divide="ignore"):
+                np.log(block, out=block)
+            block *= -temperature
+        for lo in range(0, m, _SLICE):
+            rows = slice(lo, lo + _SLICE)
+            yield manifold.proposal_factors(drawn[rows], delta), block[rows]
+
+
 def _chain_slices(start, body, params, target, thin, burn_in, chain_id):
     """The step loop of :func:`run_chain`, on its arguments; ``thin``,
     ``burn_in`` and the step size are checked there, not here.
@@ -284,10 +295,9 @@ def _chain_slices(start, body, params, target, thin, burn_in, chain_id):
     delta = params.delta
     emit = burn_in + thin
 
-    f = fx = read = None
+    f = fx = read = temperature = None
     if target is not None:
-        f = target.f
-        temperature = target.temperature
+        f, temperature = target.f, target.temperature
         fx = float(f(x))
         if not math.isfinite(fx):
             raise OracleError("target is non-finite at the start point")
@@ -297,54 +307,44 @@ def _chain_slices(start, body, params, target, thin, burn_in, chain_id):
 
     boundary = filtered = cut_locus_hits = 0
     step = 0
-    normals = np.empty((min(params.max_steps, BLOCK), man.tangent_dim))
-    thresholds = np.empty(len(normals))
-    for done in range(0, params.max_steps, BLOCK):
-        m = min(BLOCK, params.max_steps - done)
-        rng.standard_normal(out=normals[:m])
-        rng.random(out=thresholds[:m])
-        if f is not None:
-            block = thresholds[:m]
-            # w = 0 maps to an infinite threshold: always accept.
-            with np.errstate(divide="ignore"):
-                np.log(block, out=block)
-            block *= -temperature
-        for lo in range(0, m, _SLICE):
-            hi = min(lo + _SLICE, m)
-            factors = man.proposal_factors(normals[lo:hi], delta)
-            if floats:
-                factors = [a.tolist() for a in factors]
-            kept_x, kept_rejected, kept_f = [], [], []
-            for factor_row, threshold in zip(zip(*factors), thresholds[lo:hi].tolist()):
-                step += 1
-                y = propose(x, factor_row)
-                try:
-                    s = y if read is None else read(y)
-                    inside = inside_body(s)
-                except CutLocusError:
-                    inside = False
-                    cut_locus_hits += 1
-                if not inside:
-                    rejected = True
-                    boundary += 1
-                elif f is None:
-                    x, rejected = y, False
+    normals = np.empty((min(params.max_steps, BLOCK), 1, man.tangent_dim))
+    thresholds = np.empty(normals.shape[:2])
+    drawn = _drawn_slices([rng], params.max_steps, man, delta, temperature, normals, thresholds)
+    for factors, slice_thresholds in drawn:
+        factors = [a[:, 0] for a in factors]
+        if floats:
+            factors = [a.tolist() for a in factors]
+        kept_x, kept_rejected, kept_f = [], [], []
+        for factor_row, threshold in zip(zip(*factors), slice_thresholds[:, 0].tolist()):
+            step += 1
+            y = propose(x, factor_row)
+            try:
+                s = y if read is None else read(y)
+                inside = inside_body(s)
+            except CutLocusError:
+                inside = False
+                cut_locus_hits += 1
+            if not inside:
+                rejected = True
+                boundary += 1
+            elif f is None:
+                x, rejected = y, False
+            else:
+                fy = float(f(s))
+                if not math.isfinite(fy):
+                    raise OracleError(f"target returned non-finite value at step {step}")
+                if fy - fx < threshold:
+                    x, fx, rejected = y, fy, False
                 else:
-                    fy = float(f(s))
-                    if not math.isfinite(fy):
-                        raise OracleError(f"target returned non-finite value at step {step}")
-                    if fy - fx < threshold:
-                        x, fx, rejected = y, fy, False
-                    else:
-                        rejected = True
-                        filtered += 1
-                if step == emit:
-                    kept_x.append(x)
-                    kept_rejected.append(rejected)
-                    kept_f.append(fx)
-                    emit += thin
-            if kept_x:
-                yield kept_x, kept_rejected, kept_f
+                    rejected = True
+                    filtered += 1
+            if step == emit:
+                kept_x.append(x)
+                kept_rejected.append(rejected)
+                kept_f.append(fx)
+                emit += thin
+        if kept_x:
+            yield kept_x, kept_rejected, kept_f
     return RejectionStats(params.max_steps, boundary, filtered, cut_locus_hits), x
 
 

@@ -195,6 +195,45 @@ def test_run_chain_replays_across_a_slice_boundary(gibbs):
     assert 0 < chain.stats.rejections < params.max_steps
 
 
+class ZeroUniforms:
+    """A stream whose uniforms are all 0: the ``w = 0`` edge of the filter."""
+
+    def __init__(self, seed, chain_id=0):
+        self.normals = gw.stream(seed, chain_id)
+
+    def standard_normal(self, size):
+        return self.normals.standard_normal(size)
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+def test_zero_uniforms_give_infinite_thresholds():
+    man = gw.Sphere(2)
+    normals, thresholds = np.empty((300, 2, 2)), np.empty((300, 2))
+    gens = [ZeroUniforms(5, 0), ZeroUniforms(5, 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        drawn = list(walk._drawn_slices(gens, 300, man, 0.1, 0.5, normals, thresholds))
+    assert [len(t) for _, t in drawn] == [_SLICE, 300 - _SLICE]
+    assert np.all(np.isposinf(thresholds))
+
+
+def test_zero_uniforms_accept_every_in_body_proposal(monkeypatch):
+    # A steep target rejects most uphill moves from the axis; w = 0 must
+    # accept all of them.
+    cap = cap_on_sphere()
+    steep = gw.as_gibbs(gw.distance_to(cap.manifold, cap.axis), 1e-4)
+    params = gw.WalkParams(delta=0.04, max_steps=300, seed=8)
+    assert gw.run_chain(cap.axis, cap, params, steep).stats.filter_rejections > 0
+    monkeypatch.setattr(walk, "stream", ZeroUniforms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stats = gw.run_chain(cap.axis, cap, params, steep).stats
+    assert stats.filter_rejections == 0
+    assert stats.boundary_rejections < stats.steps
+
+
 # ---------------------------------------------------------------------------
 # One scalar per step for membership and f, when both declare it.
 
