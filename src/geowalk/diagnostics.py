@@ -17,7 +17,7 @@ estimator returns bit-identical numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -80,15 +80,7 @@ class InequalityReport:
     details: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "passed": self.passed,
-            "mc_stderr": self.mc_stderr,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _report(
@@ -227,9 +219,21 @@ def ks_sigma(n: int, m: Optional[int] = None) -> float:
 # Needle inequalities by quadrature.
 
 
-def _quad_tol(lhs: float, rhs: float) -> float:
-    """Pass tolerance matching what the integrator guarantees for both sides."""
-    return DEFAULT_SPEC.abs_tol + DEFAULT_SPEC.rel_tol * (abs(lhs) + abs(rhs))
+def _quad_report(name, sides, *integrals, details):
+    """``_report`` of ``lhs, rhs = sides(*integrals)``, both increasing in
+    each (nonnegative) integral.  :func:`integrate` puts each integral
+    within ``abs_tol + rel_tol * Z`` of its value, so the sides' combined
+    rise when every integral moves up by that bound bounds their error.
+    The pass tolerance is that rise plus ``abs_tol + rel_tol * (|lhs| +
+    |rhs|)``, which also covers the rounding of the sides themselves."""
+
+    def tol(z):
+        return DEFAULT_SPEC.abs_tol + DEFAULT_SPEC.rel_tol * z
+
+    lhs, rhs = sides(*integrals)
+    up_lhs, up_rhs = sides(*(z + tol(z) for z in integrals))
+    rise = up_lhs - lhs + up_rhs - rhs
+    return _report(name, lhs, rhs, abs_tol=rise + tol(abs(lhs) + abs(rhs)), details=details)
 
 
 def check_affine_needle_lemma(
@@ -260,14 +264,11 @@ def check_affine_needle_lemma(
     def w(x: float) -> float:
         return (c1 * x + c2) ** power
 
-    rhs = integrate(w, a, b)
-    tail = integrate(w, b, b + eps)
-    lhs = (b - a) / (eps * n * math.e) * tail
-    return _report(
+    return _quad_report(
         "affine_needle",
-        lhs,
-        rhs,
-        abs_tol=_quad_tol(lhs, rhs),
+        lambda z, tail: ((b - a) / (eps * n * math.e) * tail, z),
+        integrate(w, a, b),
+        integrate(w, b, b + eps),
         details={"a": a, "b": b, "c1": c1, "c2": c2, "n": int(n), "eps": eps},
     )
 
@@ -300,13 +301,11 @@ def check_needle_moment_lemma(
         return math.exp(-(h(z) - shift)) * z**power
 
     pts = tuple(p for p in breakpoints if a < p < b)
-    lhs = integrate(weighted, a, b, breakpoints=pts)
-    rhs = (n + 1) * integrate(plain, a, b, breakpoints=pts)
-    return _report(
+    return _quad_report(
         "needle_moment",
-        lhs,
-        rhs,
-        abs_tol=_quad_tol(lhs, rhs),
+        lambda zw, zp: (zw, (n + 1) * zp),
+        integrate(weighted, a, b, breakpoints=pts),
+        integrate(plain, a, b, breakpoints=pts),
         details={"a": a, "b": b, "n": int(n), "shift": shift},
     )
 
@@ -344,17 +343,13 @@ def check_partition_function_logconcavity(
 
         return integrate(integrand, lo, hi, breakpoints=pts)
 
-    za = z_at(alpha)
-    zb = z_at(beta)
-    zm = z_at(0.5 * (alpha + beta))
     ratio = 0.25 * (alpha + beta) ** 2 / (alpha * beta)
-    lhs = za * zb
-    rhs = ratio**n * (zm * zm)
-    return _report(
+    return _quad_report(
         "partition_logconcavity",
-        lhs,
-        rhs,
-        abs_tol=_quad_tol(lhs, rhs),
+        lambda za, zb, zm: (za * zb, ratio**n * (zm * zm)),
+        z_at(alpha),
+        z_at(beta),
+        z_at(0.5 * (alpha + beta)),
         details={
             "interval": [lo, hi],
             "n": int(n),
@@ -771,9 +766,7 @@ def _worst(run: Callable, name: str, seed: int) -> list[InequalityReport]:
     worst = min(reports, key=lambda r: r.margin)
     passed = all(r.passed for r in reports)
     details = {**worst.details, "instances": len(reports), "all_passed": passed}
-    return [
-        InequalityReport(name, worst.lhs, worst.rhs, worst.margin, passed, worst.mc_stderr, details)
-    ]
+    return [replace(worst, name=name, passed=passed, details=details)]
 
 
 def _default_cap(n: int = 2, angle: float = math.pi / 3.0) -> SphericalCap:

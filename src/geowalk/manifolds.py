@@ -7,8 +7,9 @@ plain float arrays in ambient coordinates; ``SO(n)`` elements are stored as
 row-major flattened ``n x n`` matrices so that every manifold exposes the
 same 1-D coordinate layout to the walk, the CLI, and the output files.
 
-Every ``exp`` re-projects its result (sphere: renormalisation, SO(n): polar
-factor), so long chains of composed steps do not drift off the manifold.
+Every ``exp`` re-projects its result (sphere: renormalisation, SO(n): one
+Newton-Schulz polar step), so long chains of composed steps do not drift
+off the manifold.
 
 A manifold is defined by four oracles: ``exp``, ``dist``,
 ``tangent_from_gaussian`` and ``validate_point``.  The staged proposal
@@ -49,70 +50,10 @@ __all__ = [
     "Euclidean",
     "Sphere",
     "SpecialOrthogonal",
-    "matexp",
     "from_descriptor",
 ]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-# Order-13 Pade coefficients for the matrix exponential (scaling and
-# squaring).  The squaring threshold is the standard one for this order.
-_PADE13 = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
-_PADE13_THETA = 5.371920351148152
-
-
-def matexp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by order-13 Pade approximation with scaling.
-
-    Deterministic and accurate to well below 1e-12 for the small skew
-    matrices this package feeds it.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"matexp needs a square matrix, got {a.shape}")
-    norm = np.linalg.norm(a, 1)
-    squarings = 0
-    if norm > _PADE13_THETA:
-        squarings = int(math.ceil(math.log2(norm / _PADE13_THETA)))
-        a = a / (2.0**squarings)
-    b = _PADE13
-    ident = np.eye(a.shape[0])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6
-        + b[5] * a4
-        + b[3] * a2
-        + b[1] * ident
-    )
-    v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6
-        + b[4] * a4
-        + b[2] * a2
-        + b[0] * ident
-    )
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
-    return r
 
 
 class Manifold:
@@ -377,13 +318,35 @@ class Sphere(Manifold):
         return v - along[:, None] * (x + y)[None, :]
 
 
+def _expm_skew(om):
+    """``exp`` of the real skew matrix ``om``: ``i om`` is Hermitian, so
+    with ``i om = U diag(w) U^H`` the exponential is ``U diag(e^{-iw}) U^H``."""
+    w, u = np.linalg.eigh(1j * om)
+    return ((u * np.exp(-1j * w)) @ u.conj().T).real
+
+
+def _angle_norm(rel):
+    """Root sum of squared eigenvalue angles of the rotations ``rel`` (over
+    the last two axes): the geodesic distance of each to the identity."""
+    lam = np.linalg.eigvals(rel)
+    if np.min(np.abs(lam + 1.0)) <= 1e-6:
+        raise CutLocusError(
+            "a relative rotation has an eigenvalue at -1; the points are on "
+            "each other's cut locus"
+        )
+    ang = np.angle(lam)
+    return np.sqrt(np.sum(ang * ang, axis=-1))
+
+
 class SpecialOrthogonal(Manifold):
     """Rotation group ``SO(n)`` under the metric ``<A, B> = tr(A^T B)``.
 
-    Points are flattened ``n x n`` matrices.  ``exp_X(V) = X expm(X^T V)``;
-    the geodesic distance is the Frobenius norm of the principal logarithm of
-    ``X^T Y``, computed from the eigenvalue angles of that (normal) relative
-    rotation.  When an eigenvalue sits within 1e-6 of -1 the principal branch
+    Points are flattened ``n x n`` matrices.  ``exp_X(V) = X expm(Om)``
+    with ``Om`` the skew part of ``X^T V``, exponentiated for every ``n``
+    from one Hermitian eigendecomposition of ``i Om``.  The geodesic
+    distance is the Frobenius norm of the principal logarithm of ``X^T Y``,
+    computed from the eigenvalue angles of that (normal) relative rotation.
+    When an eigenvalue sits within 1e-6 of -1 the principal branch
     degenerates and :class:`CutLocusError` is raised.
 
     The injectivity radius is declared as ``pi`` under this metric
@@ -407,32 +370,15 @@ class SpecialOrthogonal(Manifold):
     def _mat(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(self.n, self.n)
 
-    def _polar(self, m: np.ndarray) -> np.ndarray:
-        u, _, vt = np.linalg.svd(m)
-        q = u @ vt
-        if np.linalg.det(q) < 0.0:
-            u = u.copy()
-            u[:, -1] = -u[:, -1]
-            q = u @ vt
-        return q
-
     def exp(self, x, v):
         xm = self._mat(x)
         om = xm.T @ self._mat(v)
-        om = 0.5 * (om - om.T)
-        y = xm @ matexp(om)
-        return self._polar(y).ravel()
+        y = xm @ _expm_skew(0.5 * (om - om.T))
+        # One Newton-Schulz polar step pulls y back onto O(n).
+        return (1.5 * y - 0.5 * y @ (y.T @ y)).ravel()
 
     def dist(self, x, y):
-        rel = self._mat(x).T @ self._mat(y)
-        lam = np.linalg.eigvals(rel)
-        if np.min(np.abs(lam + 1.0)) <= 1e-6:
-            raise CutLocusError(
-                "relative rotation has an eigenvalue at -1; points are on "
-                "each other's cut locus"
-            )
-        ang = np.angle(lam)
-        return float(math.sqrt(np.sum(ang * ang)))
+        return float(_angle_norm(self._mat(x).T @ self._mat(y)))
 
     def tangent_from_gaussian(self, x, g):
         om = np.zeros((self.n, self.n))
@@ -450,15 +396,7 @@ class SpecialOrthogonal(Manifold):
 
     def dist_many(self, points, y):
         xs = points.reshape(-1, self.n, self.n)
-        rel = np.einsum("kji,jl->kil", xs, self._mat(y))
-        lam = np.linalg.eigvals(rel)
-        if np.min(np.abs(lam + 1.0)) <= 1e-6:
-            raise CutLocusError(
-                "a relative rotation has an eigenvalue at -1; some point is "
-                "on the cut locus of y"
-            )
-        ang = np.angle(lam)
-        return np.sqrt(np.sum(ang * ang, axis=1))
+        return _angle_norm(np.einsum("kji,jl->kil", xs, self._mat(y)))
 
     def transport(self, x, y, v):
         # Left translation by y x^T.

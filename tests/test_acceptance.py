@@ -77,6 +77,27 @@ def test_single_step_preserves_uniform_law():
     assert ks < 0.02
 
 
+SO3_BALL = gw.GeodesicBall(gw.SpecialOrthogonal(3), np.eye(3).ravel(), 1.2)
+
+
+def so3_ball_angle_cdf(w):
+    # A Haar rotation's angle w = d / sqrt(2) has density (1 - cos w) / pi
+    # (Weyl's integration formula), so on the ball w <= 1.2 / sqrt(2) the
+    # uniform law has CDF (w - sin w) / (w_m - sin w_m).
+    w_m = 1.2 / math.sqrt(2.0)
+    w = np.clip(w, 0.0, w_m)
+    return (w - np.sin(w)) / (w_m - math.sin(w_m))
+
+
+def test_ensemble_steps_keep_the_so3_ball_law():
+    starts = gw.sample_uniform_many(SO3_BALL, gw.stream(3), 4000)
+    evolved = gw.step_ensemble(starts, SO3_BALL, 0.3, gw.stream(3, 1), steps=5)
+    angles = SO3_BALL.manifold.dist_many(evolved, SO3_BALL.center) / math.sqrt(2.0)
+    ks = gw.ks_one_sample(angles, so3_ball_angle_cdf)
+    # 1.95 is the Kolmogorov limit's 0.1% point.
+    assert ks * math.sqrt(len(angles)) <= 1.95
+
+
 def test_point_mass_contracts_to_uniform():
     checkpoints = (1, 4, 16, 64, 256)
     curve = gw.tv_decay_curve(CAP60, 0.35, checkpoints, 10**4, gw.stream(1))

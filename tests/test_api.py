@@ -78,5 +78,8 @@ def test_removed_members_stay_removed():
         (importlib.import_module("geowalk.bodies"), "_propose_global"),
         (importlib.import_module("geowalk.diagnostics"), "_transport"),
         (walk, "_rejection_probability"),
+        # SO(n).exp takes one eigh instead of a Pade exponential and an SVD.
+        (importlib.import_module("geowalk.manifolds"), "matexp"),
+        (gw.SpecialOrthogonal, "_polar"),
     ]:
         assert not hasattr(owner, name), (owner.__name__, name)

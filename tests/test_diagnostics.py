@@ -147,6 +147,25 @@ def test_partition_logconcavity_midpoint_margin_is_exactly_zero():
     assert report.margin == 0.0
 
 
+def test_partition_logconcavity_tolerance_covers_each_integrals_error(monkeypatch):
+    # Each Z within integrate's own bound abs_tol + rel_tol * Z, with
+    # Z(alpha) and Z(beta) high and the midpoint's low: the identity
+    # alpha == beta, Z near 1e3, must still pass.
+    spec = gw.DEFAULT_SPEC
+    signs = iter([0.99, 0.99, -0.99])
+
+    def perturbed(f, a, b, **kwargs):
+        z = gw.integrate(f, a, b, **kwargs)
+        return z + next(signs) * (spec.abs_tol + spec.rel_tol * z)
+
+    monkeypatch.setattr(diag, "integrate", perturbed)
+    report = diag.check_partition_function_logconcavity(
+        lambda z: 0.5 * z, (0.5, 17.5), n=3, alpha=0.1, beta=0.1
+    )
+    assert 800.0 < math.sqrt(report.lhs) < 1200.0
+    assert report.passed
+
+
 def test_partition_logconcavity_spread_temperatures():
     report = diag.check_partition_function_logconcavity(
         lambda z: z * z, (0.5, 2.0), n=3, alpha=0.3, beta=1.1

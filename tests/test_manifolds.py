@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import geowalk as gw
 from geowalk.errors import CutLocusError, DimensionMismatch, PreconditionError
-from geowalk.manifolds import matexp
 from geowalk.walk import _SLICE
 
 
@@ -48,12 +47,12 @@ def test_rotation_exp_stays_in_group(seed, n):
     v = man.tangent_from_gaussian(x, rng.standard_normal(man.tangent_dim))
     y = man.exp(x, 0.4 * v)
     ym = y.reshape(n, n)
-    assert np.max(np.abs(ym.T @ ym - np.eye(n))) < 1e-8
+    assert np.max(np.abs(ym.T @ ym - np.eye(n))) < 1e-12
     assert np.linalg.det(ym) > 0.0
     xm = x.reshape(n, n)
     vm = v.reshape(n, n)
     skew = xm.T @ vm
-    assert np.max(np.abs(skew + skew.T)) < 1e-8
+    assert np.max(np.abs(skew + skew.T)) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -274,27 +273,36 @@ def test_propose_row_equals_propose_factored(descriptor):
 # Rotation group specifics.
 
 
-def test_matexp_matches_planar_rotation():
-    theta = 0.73
-    skew = np.array([[0.0, -theta, 0.0], [theta, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    expected = np.array(
-        [
-            [math.cos(theta), -math.sin(theta), 0.0],
-            [math.sin(theta), math.cos(theta), 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    assert np.max(np.abs(matexp(skew) - expected)) < 1e-12
+def planar(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+def test_rotation_exp_matches_block_rotations():
+    # Om = Q blockdiag(theta_k J) Q^T has exp(Om) = Q blockdiag(R(theta_k)) Q^T
+    # exactly, with J the planar generator and R(theta) its rotation.  The
+    # angle pairs cover Om = 0, a repeated angle and an angle near pi.
+    for n in (2, 3, 4, 5):
+        man = gw.SpecialOrthogonal(n)
+        rng = gw.stream(24, n)
+        for angles in ((0.0, 0.0), (0.9, 0.9), (math.pi - 1e-7, 0.4), (2.3, 0.6)):
+            blocks = np.zeros((n, n))
+            rotations = np.eye(n)
+            for k, theta in enumerate(angles[: n // 2]):
+                cut = slice(2 * k, 2 * k + 2)
+                blocks[cut, cut] = [[0.0, -theta], [theta, 0.0]]
+                rotations[cut, cut] = planar(theta)
+            for q in man.draw_uniform(rng, 20).reshape(-1, n, n):
+                y = man.exp(np.eye(n).ravel(), (q @ blocks @ q.T).ravel())
+                assert np.max(np.abs(y - (q @ rotations @ q.T).ravel())) < 1e-12
 
 
 def test_rotation_distance_closed_form():
     man = gw.SpecialOrthogonal(3)
     theta = 1.1
     x = np.eye(3).ravel()
-    y = matexp(
-        np.array([[0.0, -theta, 0.0], [theta, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    ).ravel()
-    assert man.dist(x, y) == pytest.approx(math.sqrt(2.0) * theta, abs=1e-10)
+    y = np.eye(3)
+    y[:2, :2] = planar(theta)
+    assert man.dist(x, y.ravel()) == pytest.approx(math.sqrt(2.0) * theta, abs=1e-10)
 
 
 def test_cut_locus_raises():
