@@ -67,7 +67,7 @@ from .manifolds import (
     Sphere,
     from_descriptor,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from .quadrature import integrate
 from .rng import stream
 from .targets import Target, as_gibbs, distance_to, linear, sqdist_to
 from .walk import (

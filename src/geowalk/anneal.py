@@ -36,9 +36,8 @@ import numpy as np
 
 from .bodies import ConvexBody, _contains_rows, rejection_sample_uniform
 from .errors import DegenerateSchedule, OracleError, PreconditionError
-from .manifolds import Manifold
 from .rng import BLOCK, stream
-from .walk import _SLICE, _drawn_slices, delta_bound, validate_delta
+from .walk import _SLICE, _check_step_size, _drawn_slices, delta_bound, validate_delta
 
 __all__ = [
     "AnnealSchedule",
@@ -54,8 +53,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    t0: float
-    n: int
     phases: int
     temps: tuple[float, ...]
     ratio: float
@@ -79,16 +76,18 @@ class AnnealConfig:
     override_delta: bool = False
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise PreconditionError("epsilon must be positive")
         if not 0.0 < self.fail_prob < 1.0:
             raise PreconditionError("fail_prob must lie in (0, 1)")
-        if self.lipschitz <= 0.0:
+        if not self.lipschitz > 0.0:
             raise PreconditionError("lipschitz must be positive")
         if not self.budget_constant > 0.0:
             raise PreconditionError("budget_constant must be positive")
         if self.max_total_steps < 1:
             raise PreconditionError("max_total_steps must be >= 1")
+        if self.delta is not None:
+            _check_step_size(self.delta)
 
 
 @dataclass(frozen=True)
@@ -139,12 +138,12 @@ def _schedule(t0: float, n: int, epsilon: float, fail_prob: float) -> AnnealSche
             DegenerateSchedule,
             stacklevel=3,
         )
-        return AnnealSchedule(t0, n, 0, (t0,), ratio)
+        return AnnealSchedule(0, (t0,), ratio)
     phases = max(0, math.ceil(math.sqrt(n) * math.log(t0 / target)))
     temps = [t0]
     for _ in range(phases):
         temps.append(temps[-1] * ratio)
-    return AnnealSchedule(t0, n, phases, tuple(temps), ratio)
+    return AnnealSchedule(phases, tuple(temps), ratio)
 
 
 def initial_temperature(body: ConvexBody, lipschitz: float) -> float:
@@ -155,10 +154,8 @@ def initial_temperature(body: ConvexBody, lipschitz: float) -> float:
     return lipschitz * body.diameter
 
 
-def _raw_demand(
-    manifold: Manifold, body: ConvexBody, temperature: float, config: AnnealConfig
-) -> float:
-    n = manifold.tangent_dim
+def _raw_demand(body: ConvexBody, temperature: float, config: AnnealConfig) -> float:
+    n = body.manifold.tangent_dim
     d = body.diameter
     r = body.inner_radius
     return (
@@ -166,19 +163,14 @@ def _raw_demand(
         * d
         * d
         * n**3
-        * (1.0 + manifold.curvature_bound)
+        * (1.0 + body.manifold.curvature_bound)
         * config.lipschitz**2
         / (r * r * temperature * temperature)
         * math.log(1.0 / config.fail_prob)
     )
 
 
-def allocate_steps(
-    schedule: AnnealSchedule,
-    manifold: Manifold,
-    body: ConvexBody,
-    config: AnnealConfig,
-) -> list[int]:
+def allocate_steps(schedule: AnnealSchedule, body: ConvexBody, config: AnnealConfig) -> list[int]:
     """Per-phase step counts, waterfilled from ``config.max_total_steps``.
 
     Each phase receives the smaller of its theoretical demand and an equal
@@ -191,7 +183,7 @@ def allocate_steps(
     allocations = []
     for k, temperature in enumerate(schedule.temps):
         share = remaining // (count - k)
-        demand = _raw_demand(manifold, body, temperature, config)
+        demand = _raw_demand(body, temperature, config)
         take = int(min(demand, share))
         allocations.append(take)
         remaining -= take
@@ -225,13 +217,13 @@ def anneal_trials(
     man = body.manifold
     n = man.tangent_dim
     if config.delta is None:
-        delta = delta_bound(man, body)
+        delta = delta_bound(body)
     else:
         delta = config.delta
-        validate_delta(delta, config.override_delta, man, body)
+        validate_delta(delta, config.override_delta, body)
     t0 = initial_temperature(body, config.lipschitz)
     schedule = _schedule(t0, n, config.epsilon, config.fail_prob)
-    allocations = allocate_steps(schedule, man, body, config)
+    allocations = allocate_steps(schedule, body, config)
 
     gens = [stream(seed, t) for t in range(trials)]
     points = np.stack([rejection_sample_uniform(body, g) for g in gens])

@@ -37,6 +37,8 @@ __all__ = [
     "sample_uniform_many",
 ]
 
+_MAX_MISSES = 10**6  # proposals in a row that miss before the samplers give up
+
 
 class ConvexBody:
     """Membership oracle plus declared (inner_center, inner_radius, diameter).
@@ -142,7 +144,7 @@ class GeodesicBall(ConvexBody):
 
     def __init__(self, manifold: Manifold, center: np.ndarray, radius: float):
         radius = float(radius)
-        if radius <= 0.0:
+        if not radius > 0.0:
             raise PreconditionError("ball radius must be positive")
         if radius >= 0.5 * manifold.injectivity_radius:
             raise NotConvex(
@@ -267,39 +269,30 @@ def _contains_rows(body: ConvexBody, points: np.ndarray) -> np.ndarray:
         )
 
 
-def sample_uniform_many(
-    body: ConvexBody,
-    rng: np.random.Generator,
-    count: int,
-    max_consecutive_rejections: int = 10**6,
-) -> np.ndarray:
+def sample_uniform_many(body: ConvexBody, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` exact uniform draws from the body, stacked row-wise.
 
     A body whose ``contains_coords`` declares ``draw_uniform`` draws
     directly.  Otherwise ``Manifold.draw_uniform`` proposals, uniform on the
     whole manifold, are filtered through the membership oracle; a proposal
     on the cut locus of that test counts as outside.  Raises
-    :class:`AcceptanceTooLow` once ``max_consecutive_rejections`` proposals
-    in a row have all missed, which flags bodies too small for rejection
-    sampling to be viable.
+    :class:`AcceptanceTooLow` once ``_MAX_MISSES`` proposals in a row have
+    all missed, which flags bodies too small for rejection sampling to be
+    viable.
     """
     if count < 0:
         raise PreconditionError("count must be non-negative")
     chunk = max(1024, min(count, 1 << 16))
-    return _sample_uniform(body, rng, count, chunk, max_consecutive_rejections)
+    return _sample_uniform(body, rng, count, chunk)
 
 
-def rejection_sample_uniform(
-    body: ConvexBody,
-    rng: np.random.Generator,
-    max_consecutive_rejections: int = 10**6,
-) -> np.ndarray:
+def rejection_sample_uniform(body: ConvexBody, rng: np.random.Generator) -> np.ndarray:
     """One exact uniform draw from the body; see ``sample_uniform_many``.
     Proposals are drawn and tested (by ``contains_coords``) one at a time."""
-    return _sample_uniform(body, rng, 1, 1, max_consecutive_rejections)[0]
+    return _sample_uniform(body, rng, 1, 1)[0]
 
 
-def _sample_uniform(body, rng, count, chunk, max_consecutive_rejections):
+def _sample_uniform(body, rng, count, chunk):
     """The samplers' shared loop, drawing ``chunk`` proposals per pass."""
     declared = getattr(body.contains_coords, "draw_uniform", None)
     exact = None if declared is None else declared(body, rng, count)
@@ -315,7 +308,7 @@ def _sample_uniform(body, rng, count, chunk, max_consecutive_rejections):
         hits = int(np.count_nonzero(keep))
         if hits == 0:
             misses += chunk
-            if misses >= max_consecutive_rejections:
+            if misses >= _MAX_MISSES:
                 raise AcceptanceTooLow(f"{misses} consecutive rejections sampling {body!r}")
             continue
         misses = 0

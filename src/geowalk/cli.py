@@ -142,7 +142,7 @@ def _build_space(cfg: RunConfig):
 def _run_sample(cfg: RunConfig, out: Path, tag: str) -> int:
     man, body, start = _build_space(cfg)
     target = target_from_string(cfg.target, man, body) if cfg.target else None
-    delta = cfg.delta if cfg.delta is not None else delta_bound(man, body)
+    delta = cfg.delta if cfg.delta is not None else delta_bound(body)
     params = WalkParams(
         delta=delta,
         max_steps=cfg.steps,

@@ -12,7 +12,7 @@ import configparser
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -65,18 +65,6 @@ _SECTIONS = {
     "diagnose": ("checks",),
 }
 
-_INT_KEYS = {
-    "seed",
-    "steps",
-    "thin",
-    "burn_in",
-    "chains",
-    "max_total_steps",
-    "trials",
-}
-_FLOAT_KEYS = {"temperature", "epsilon", "fail_prob", "budget_constant"}
-_BOOL_KEYS = {"override_delta"}
-
 
 def load_config(path: str) -> RunConfig:
     """Parse an INI file into a :class:`RunConfig`, strictly.
@@ -91,7 +79,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    cfg = RunConfig()
+    values = {}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(
@@ -104,28 +92,29 @@ def load_config(path: str) -> RunConfig:
                     f"known: {', '.join(_SECTIONS[section])}"
                 )
             attr = "target" if (section, key) == ("target", "kind") else key
-            cfg = replace(cfg, **{attr: _coerce(section, key, raw)})
+            values[attr] = _coerce(section, key, raw, getattr(RunConfig, attr))
+    cfg = RunConfig(**values)
     validate_config(cfg)
     return cfg
 
 
-def _coerce(section: str, key: str, raw: str):
+def _coerce(section: str, key: str, raw: str, default):
+    """``raw`` read as the type of ``default``, its key's ``RunConfig``
+    default: ``None`` is ``delta``'s, a float or ``auto``/empty."""
     raw = raw.strip()
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
+        if isinstance(default, bool):
             lowered = raw.lower()
             if lowered in ("1", "true", "yes", "on"):
                 return True
             if lowered in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
-        if key == "delta":
+        if isinstance(default, (int, float)):
+            return type(default)(raw)
+        if default is None:
             return None if raw in ("", "auto") else float(raw)
-        if key == "checks":
+        if isinstance(default, tuple):
             return tuple(c.strip() for c in raw.split(",") if c.strip())
     except ValueError:
         raise ConfigError(f"bad value {raw!r} for {key} in [{section}]") from None
@@ -145,14 +134,14 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.mode == "sample":
         if cfg.steps < 1 or cfg.chains < 1 or cfg.thin < 1 or cfg.burn_in < 0:
             raise ConfigError("sample mode needs steps, chains, thin >= 1, burn_in >= 0")
-        if cfg.target and cfg.temperature <= 0.0:
+        if cfg.target and not cfg.temperature > 0.0:
             raise ConfigError("temperature must be positive")
     if cfg.mode == "anneal":
         if not cfg.target:
             raise ConfigError("anneal mode requires [target] kind")
         if not 0.0 < cfg.fail_prob < 1.0:
             raise ConfigError("fail_prob must lie in (0, 1)")
-        if cfg.epsilon <= 0.0:
+        if not cfg.epsilon > 0.0:
             raise ConfigError("epsilon must be positive")
         if cfg.trials < 1:
             raise ConfigError("trials must be at least 1")

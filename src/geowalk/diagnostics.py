@@ -38,7 +38,7 @@ from .errors import (
     SeparationViolated,
 )
 from .manifolds import Sphere
-from .quadrature import DEFAULT_SPEC, integrate
+from .quadrature import ABS_TOL, REL_TOL, integrate
 from .rng import stream
 from .walk import WalkParams, _accept_counts, _chain_f_values, delta_bound, step_ensemble
 
@@ -222,13 +222,13 @@ def ks_sigma(n: int, m: Optional[int] = None) -> float:
 def _quad_report(name, sides, *integrals, details):
     """``_report`` of ``lhs, rhs = sides(*integrals)``, both increasing in
     each (nonnegative) integral.  :func:`integrate` puts each integral
-    within ``abs_tol + rel_tol * Z`` of its value, so the sides' combined
+    within ``ABS_TOL + REL_TOL * Z`` of its value, so the sides' combined
     rise when every integral moves up by that bound bounds their error.
-    The pass tolerance is that rise plus ``abs_tol + rel_tol * (|lhs| +
+    The pass tolerance is that rise plus ``ABS_TOL + REL_TOL * (|lhs| +
     |rhs|)``, which also covers the rounding of the sides themselves."""
 
     def tol(z):
-        return DEFAULT_SPEC.abs_tol + DEFAULT_SPEC.rel_tol * z
+        return ABS_TOL + REL_TOL * z
 
     lhs, rhs = sides(*integrals)
     up_lhs, up_rhs = sides(*(z + tol(z) for z in integrals))
@@ -820,7 +820,7 @@ def _check_one_step_tv(seed: int) -> list[InequalityReport]:
     rng = stream(seed)
     cap = _default_cap()
     man = cap.manifold
-    delta = delta_bound(man, cap)
+    delta = delta_bound(cap)
     params = WalkParams(delta=delta)
     x = cap.axis
     direction = man.tangent_from_gaussian(x, np.array([1.0, 0.0]))
@@ -890,7 +890,7 @@ def _check_low_temp(seed: int) -> list[InequalityReport]:
     man = cap.manifold
     target = distance_to(man, cap.axis)
     temperature = 0.05
-    params = WalkParams(delta=delta_bound(man, cap), max_steps=150_000, seed=seed)
+    params = WalkParams(delta=delta_bound(cap), max_steps=150_000, seed=seed)
     f_values = _chain_f_values(cap.axis, cap, params, as_gibbs(target, temperature), 20_000)
     return [check_low_temp_expectation(f_values, man.tangent_dim, temperature)]
 

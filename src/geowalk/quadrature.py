@@ -1,10 +1,11 @@
 """Deterministic adaptive quadrature.
 
 The diagnostics in this package compare both sides of analytic inequalities
-to within 1e-9, so the integrator targets an absolute tolerance of 1e-10 by
-default, relaxed by a small relative term (``rel_tol`` times the panel's
-integral of ``|f|``) that keeps large-magnitude integrands feasible in double
-precision: an absolute 1e-10 on an integral of size 1e19 is below roundoff.
+to within 1e-9, so the integrator targets an absolute tolerance of
+``ABS_TOL = 1e-10``, relaxed by a small relative term (``REL_TOL = 1e-12``
+times the panel's integral of ``|f|``) that keeps large-magnitude integrands
+feasible in double precision: an absolute 1e-10 on an integral of size 1e19
+is below roundoff.  At most ``MAX_SUBDIVISIONS`` panels are split per call.
 
 The local rule is the Gauss-Kronrod 10/21 pair of QUADPACK (Piessens et al.,
 1983): 21 Kronrod nodes, of which the 10 Gauss-Legendre nodes are a subset.
@@ -12,8 +13,8 @@ The Kronrod sum is exact for polynomials up to degree 31 and is the panel's
 value; its error estimate is the plain difference ``|K21 - G10|``, which
 bounds the Kronrod error generously on smooth panels (QUADPACK's rescaled
 ``200 * (err / resasc) ** 1.5`` is smaller and can under-estimate).  A panel
-is accepted when that difference is at most its share of ``abs_tol`` plus
-``rel_tol`` times the Kronrod-weighted integral of ``|f|`` over the panel;
+is accepted when that difference is at most its share of ``ABS_TOL`` plus
+``REL_TOL`` times the Kronrod-weighted integral of ``|f|`` over the panel;
 otherwise it is halved, and each half gets half the tolerance.  No
 randomness, no external dependencies, identical results on every run.
 
@@ -24,7 +25,6 @@ separately instead of being discovered by subdivision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import math
@@ -32,20 +32,9 @@ import math
 from .errors import OracleError, PreconditionError
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance and effort budget for :func:`integrate`.
-
-    The result satisfies ``|error| <= abs_tol + rel_tol * integral(|f|)``
-    up to the usual reliability of the Gauss-Kronrod error estimate.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-12
-    max_subdivisions: int = 1 << 20
-
-
-DEFAULT_SPEC = QuadratureSpec()
+ABS_TOL = 1e-10
+REL_TOL = 1e-12
+MAX_SUBDIVISIONS = 1 << 20
 
 # Gauss-Kronrod 10/21 on [-1, 1]: the positive nodes, largest first, with
 # their Kronrod weights; every second node is a Gauss node, and the rest
@@ -94,12 +83,12 @@ def integrate(
     f: Callable[[float], float],
     a: float,
     b: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
     breakpoints: Iterable[float] = (),
 ) -> float:
-    """Integrate ``f`` over ``[a, b]`` to ``spec.abs_tol`` absolute accuracy.
+    """Integrate ``f`` over ``[a, b]``.
 
-    Raises :class:`OracleError` if the subdivision budget runs out before the
+    The result satisfies ``|error| <= ABS_TOL + REL_TOL * integral(|f|)``
+    up to the usual reliability of the Gauss-Kronrod error estimate.  Raises :class:`OracleError` if the subdivision budget runs out before the
     tolerance is met, and :class:`PreconditionError` for a reversed interval.
     """
     a = float(a)
@@ -114,10 +103,10 @@ def integrate(
     cuts = sorted({a, b, *(float(c) for c in breakpoints if a < float(c) < b)})
     total = 0.0
     length = b - a
-    budget = [spec.max_subdivisions]
+    budget = [MAX_SUBDIVISIONS]
     for left, right in zip(cuts[:-1], cuts[1:]):
-        piece_tol = spec.abs_tol * (right - left) / length
-        total += _adaptive(f, left, right, piece_tol, spec.rel_tol, budget)
+        piece_tol = ABS_TOL * (right - left) / length
+        total += _adaptive(f, left, right, piece_tol, REL_TOL, budget)
     return total
 
 

@@ -36,13 +36,12 @@ __all__ = ["Target", "distance_to", "sqdist_to", "linear", "as_gibbs"]
 
 @dataclass(frozen=True)
 class Target:
-    name: str
     f: Callable[[np.ndarray], float]
     f_many: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
 
 
-def _of_distance(name, manifold: Manifold, point, outer, lipschitz: float) -> Target:
+def _of_distance(manifold: Manifold, point, outer, lipschitz: float) -> Target:
     point = np.asarray(point, dtype=float)
     manifold.validate_point(point)
     anchor = point.tolist() if manifold.float_rows else point
@@ -52,11 +51,11 @@ def _of_distance(name, manifold: Manifold, point, outer, lipschitz: float) -> Ta
         f = lambda x: outer(manifold.dist(anchor, x))
         f_many = lambda points: outer(manifold.dist_many(points, point))
     f.of_distance = (manifold.dist, point, outer)
-    return Target(name, f, f_many, lipschitz)
+    return Target(f, f_many, lipschitz)
 
 
 def distance_to(manifold: Manifold, point: np.ndarray) -> Target:
-    return _of_distance("distance_to", manifold, point, None, 1.0)
+    return _of_distance(manifold, point, None, 1.0)
 
 
 def sqdist_to(manifold: Manifold, point: np.ndarray, diameter: float) -> Target:
@@ -64,7 +63,7 @@ def sqdist_to(manifold: Manifold, point: np.ndarray, diameter: float) -> Target:
     the body the target will be used with."""
     if diameter <= 0.0:
         raise PreconditionError("diameter must be positive")
-    return _of_distance("sqdist_to", manifold, point, lambda d: 0.5 * d * d, float(diameter))
+    return _of_distance(manifold, point, lambda d: 0.5 * d * d, float(diameter))
 
 
 def linear(coefficients: np.ndarray) -> Target:
@@ -83,7 +82,7 @@ def linear(coefficients: np.ndarray) -> Target:
     def f_many(points: np.ndarray) -> np.ndarray:
         return points @ c
 
-    return Target("linear", f, f_many, norm)
+    return Target(f, f_many, norm)
 
 
 def as_gibbs(target: Target, temperature: float) -> GibbsTarget:

@@ -54,7 +54,6 @@ from .errors import (
     PreconditionError,
     StepSizeWarning,
 )
-from .manifolds import Manifold
 from .rng import BLOCK, stream
 
 _SLICE = 256  # steps of a drawn block staged at a time, here and in anneal
@@ -89,11 +88,9 @@ class WalkParams:
     def __post_init__(self):
         if self.delta is None:
             raise PreconditionError(
-                "WalkParams needs a numeric delta; delta_bound(manifold, body) "
-                "gives the largest safe one"
+                "WalkParams needs a numeric delta; delta_bound(body) gives the largest safe one"
             )
-        if self.delta <= 0.0 or not math.isfinite(self.delta):
-            raise PreconditionError(f"step size must be finite and > 0, got {self.delta}")
+        _check_step_size(self.delta)
         if self.max_steps < 0:
             raise PreconditionError("max_steps must be >= 0")
 
@@ -112,7 +109,7 @@ class GibbsTarget:
     temperature: float
 
     def __post_init__(self):
-        if self.temperature <= 0.0:
+        if not self.temperature > 0.0:
             raise PreconditionError("temperature must be positive")
 
 
@@ -153,42 +150,45 @@ class ChainResult:
     final: np.ndarray
 
 
-def delta_bound(manifold: Manifold, body: ConvexBody) -> float:
-    """Largest step size the mixing guarantees cover.
+def _check_step_size(delta: float) -> None:
+    if not (delta > 0.0 and math.isfinite(delta)):
+        raise PreconditionError(f"step size must be finite and > 0, got {delta}")
+
+
+def delta_bound(body: ConvexBody) -> float:
+    """Largest step size the mixing guarantees cover on ``body``.
 
     The two constraints are ``delta^2 <= 1 / (100 sqrt(n) R)`` from the
     curvature bound and ``delta <= s r / (4 n sqrt(n))`` with ``s = 1/2``
     from the inner ball, with ``n`` the intrinsic dimension; the result is
     their minimum.  ``R = 0`` (flat space) leaves only the second one.
     """
-    n = manifold.tangent_dim
+    man = body.manifold
+    n = man.tangent_dim
     r = body.inner_radius
-    curvature_term = math.sqrt(1.0 / (100.0 * math.sqrt(n) * max(manifold.curvature_bound, 1e-12)))
+    curvature_term = math.sqrt(1.0 / (100.0 * math.sqrt(n) * max(man.curvature_bound, 1e-12)))
     ball_term = r / (8.0 * n * math.sqrt(n))
     return min(curvature_term, ball_term)
 
 
-def validate_delta(
-    delta: float, override_delta: bool, manifold: Manifold, body: ConvexBody
-) -> float:
-    """Check ``delta`` against ``delta_bound``; returns the bound.
+def validate_delta(delta: float, override_delta: bool, body: ConvexBody) -> None:
+    """Check ``delta`` against ``delta_bound(body)``.
 
     Over-bound steps raise unless ``override_delta`` is set, in which case
     a :class:`StepSizeWarning` is emitted instead (stationarity is
     unaffected by the step size; only the mixing guarantees are).  The
     warning points at the caller of the function that called this one.
     """
-    bound = delta_bound(manifold, body)
+    bound = delta_bound(body)
     if delta > bound:
         message = (
             f"step size {delta:.6g} exceeds the guaranteed-safe bound "
-            f"{bound:.6g} for {manifold.descriptor}"
+            f"{bound:.6g} for {body.manifold.descriptor}"
         )
         if override_delta:
             warnings.warn(message, StepSizeWarning, stacklevel=3)
         else:
             raise PreconditionError(message + " (set override_delta to proceed)")
-    return bound
 
 
 def _start_coords(start, body: ConvexBody) -> np.ndarray:
@@ -224,7 +224,7 @@ def run_chain(
         raise PreconditionError("burn_in must be >= 0")
     if thin < 1:
         raise PreconditionError("thin must be >= 1")
-    validate_delta(params.delta, params.override_delta, body.manifold, body)
+    validate_delta(params.delta, params.override_delta, body)
     kept = max(0, (params.max_steps - burn_in) // thin)
     steps = np.arange(burn_in + thin, burn_in + thin * kept + 1, thin, dtype=np.int64)
     coords = np.empty((kept, body.manifold.ambient_dim))

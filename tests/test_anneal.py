@@ -81,7 +81,7 @@ def test_auto_allocation_waterfills_to_cold_phases():
     schedule = gw.make_schedule(
         gw.initial_temperature(cap, target.lipschitz), 5, 0.1, 0.1
     )
-    allocations = gw.allocate_steps(schedule, cap.manifold, cap, config)
+    allocations = gw.allocate_steps(schedule, cap, config)
     assert sum(allocations) <= 10**6
     # Hot phases take their (smaller) demand; cold phases split the rest.
     assert allocations[0] < allocations[-1]
@@ -97,6 +97,14 @@ def test_anneal_config_validation():
         gw.AnnealConfig(epsilon=0.1, fail_prob=0.1, lipschitz=1.0, steps_per_phase=37)
     with pytest.raises(PreconditionError):
         gw.AnnealConfig(epsilon=0.1, fail_prob=0.1, lipschitz=1.0, budget_constant=math.nan)
+    # NaN fails every comparison, so only "not x > 0" rejects it; a given
+    # delta takes WalkParams' finite-and-positive check.
+    for bad in ({"epsilon": math.nan}, {"lipschitz": math.nan}):
+        with pytest.raises(PreconditionError):
+            gw.AnnealConfig(**{"epsilon": 0.1, "fail_prob": 0.1, "lipschitz": 1.0, **bad})
+    for delta in (math.nan, 0.0, -0.05):
+        with pytest.raises(PreconditionError, match="step size"):
+            gw.AnnealConfig(epsilon=0.1, fail_prob=0.1, lipschitz=1.0, delta=delta)
 
 
 # ---------------------------------------------------------------------------

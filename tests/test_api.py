@@ -1,5 +1,6 @@
 """The package's public surface: what ``import geowalk`` exports."""
 
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -7,17 +8,19 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import geowalk as gw
 
 # Every public non-module name of the package, sorted.  A name added to or
 # removed from ``geowalk/__init__.py`` must be added to or removed from here.
 PUBLIC = [
     "AcceptanceTooLow", "AnnealConfig", "AnnealSchedule", "ChainResult",
-    "ConfigError", "ConvexBody", "CutLocusError", "DEFAULT_SPEC",
-    "DegenerateSchedule", "DimensionMismatch", "Euclidean", "EuclideanBox",
+    "ConfigError", "ConvexBody", "CutLocusError", "DegenerateSchedule",
+    "DimensionMismatch", "Euclidean", "EuclideanBox",
     "GeoWalkError", "GeodesicBall", "GibbsTarget", "InequalityReport",
     "InvalidStart", "Manifold", "NotConvex", "OracleError", "PhaseRecord",
-    "PreconditionError", "QuadratureSpec", "RejectionStats",
+    "PreconditionError", "RejectionStats",
     "ScheduleTooAggressive", "SeparationViolated", "SpecialOrthogonal", "Sphere",
     "SphericalCap", "StepSizeWarning", "Target", "TrialsResult", "TvEstimate",
     "WalkParams", "WarmnessEstimate", "allocate_steps",
@@ -81,5 +84,17 @@ def test_removed_members_stay_removed():
         # SO(n).exp takes one eigh instead of a Pade exponential and an SVD.
         (importlib.import_module("geowalk.manifolds"), "matexp"),
         (gw.SpecialOrthogonal, "_polar"),
+        # Settings only tests set, now module constants.
+        (gw, "QuadratureSpec"),
+        (gw, "DEFAULT_SPEC"),
+        (importlib.import_module("geowalk.quadrature"), "QuadratureSpec"),
+        (importlib.import_module("geowalk.config"), "_INT_KEYS"),
     ]:
         assert not hasattr(owner, name), (owner.__name__, name)
+    # Fields nothing read.
+    assert "name" not in {f.name for f in dataclasses.fields(gw.Target)}
+    assert not {"t0", "n"} & {f.name for f in dataclasses.fields(gw.AnnealSchedule)}
+    # The step-size bound reads the manifold from the body.
+    cap = gw.SphericalCap(gw.Sphere(2), [0.0, 0.0, 1.0], 1.0)
+    with pytest.raises(TypeError):
+        gw.delta_bound(cap.manifold, cap)

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -265,6 +266,24 @@ def test_bad_anneal_budget_is_a_config_error(tmp_path, capsys):
     )
     assert main(["run", "--config", bad]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_nan_settings_are_config_errors(tmp_path, capsys):
+    # NaN fails every comparison, so a "x <= 0" check lets it through: a
+    # NaN temperature or ball radius froze the chain, a NaN epsilon crashed
+    # the schedule.
+    sample = Path(sample_config(tmp_path, tmp_path / "s", target="distance_to:0,0,1")).read_text()
+    anneal = Path(anneal_config(tmp_path, tmp_path / "a")).read_text()
+    cases = (
+        (sample, "temperature = 0.3", "temperature = nan", "temperature must be positive"),
+        (anneal, "epsilon = 0.4", "epsilon = nan", "epsilon must be positive"),
+        (sample, "cap:0,0,1:1.0471975511965976", "ball:north:nan", "ball radius must be positive"),
+    )
+    for text, good, bad, message in cases:
+        path = write_config(tmp_path, "nan.ini", text.replace(good, bad))
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
 
 
 def test_only_the_per_run_overrides_are_flags(tmp_path, capsys):

@@ -68,6 +68,86 @@ def test_shipped_configs_cover_every_mode():
     assert modes == {"sample", "anneal", "diagnose"}
 
 
+# Every output row carries its config's hash; the contract test compares
+# rows without it, so a change in how keys are read shows only here.
+SHIPPED_HASHES = {
+    "anneal_cap": "78e123cca7ca",
+    "diagnose_all": "b4a39daae016",
+    "sample_box_gibbs": "0e159482903a",
+    "sample_cap": "a011f91806a4",
+}
+
+
+def test_shipped_config_hashes_are_pinned():
+    hashes = {p.stem: cfgmod.config_hash(cfgmod.load_config(str(p))) for p in SHIPPED}
+    assert hashes == SHIPPED_HASHES
+
+
+EVERY_KEY_INI = """
+[run]
+mode = anneal
+seed = 9
+output_dir = elsewhere
+
+[space]
+manifold = sphere:3
+body = cap:north:0.5
+start = north
+
+[walk]
+steps = 77
+thin = 7
+burn_in = 3
+chains = 4
+delta = 0.02
+override_delta = yes
+
+[target]
+kind = distance_to:north
+temperature = 2
+
+[anneal]
+epsilon = 0.25
+fail_prob = 0.05
+budget_constant = 3
+max_total_steps = 5000
+trials = 6
+
+[diagnose]
+checks = affine_needle, tv_decay
+"""
+
+
+def test_every_key_reads_as_its_fields_type(tmp_path):
+    cfg = cfgmod.load_config(write_ini(tmp_path, EVERY_KEY_INI))
+    expected = cfgmod.RunConfig(
+        mode="anneal",
+        seed=9,
+        output_dir="elsewhere",
+        manifold="sphere:3",
+        body="cap:north:0.5",
+        start="north",
+        steps=77,
+        thin=7,
+        burn_in=3,
+        chains=4,
+        delta=0.02,
+        override_delta=True,
+        target="distance_to:north",
+        temperature=2.0,
+        epsilon=0.25,
+        fail_prob=0.05,
+        budget_constant=3.0,
+        max_total_steps=5000,
+        trials=6,
+        checks=("affine_needle", "tv_decay"),
+    )
+    for field in cfgmod.fields(cfgmod.RunConfig):
+        got, want = getattr(cfg, field.name), getattr(expected, field.name)
+        assert want != field.default, field.name
+        assert (type(got), got) == (type(want), want), field.name
+
+
 def test_load_config_rejects_unknown_section(tmp_path):
     path = write_ini(tmp_path, SAMPLE_INI + "\n[mystery]\nknob = 1\n")
     with pytest.raises(gw.ConfigError, match="mystery"):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import geowalk as gw
 from geowalk import diagnostics as diag
-from geowalk import walk
+from geowalk import quadrature, walk
 from geowalk.bodies import _contains_row
 
 
@@ -151,12 +151,11 @@ def test_partition_logconcavity_tolerance_covers_each_integrals_error(monkeypatc
     # Each Z within integrate's own bound abs_tol + rel_tol * Z, with
     # Z(alpha) and Z(beta) high and the midpoint's low: the identity
     # alpha == beta, Z near 1e3, must still pass.
-    spec = gw.DEFAULT_SPEC
     signs = iter([0.99, 0.99, -0.99])
 
     def perturbed(f, a, b, **kwargs):
         z = gw.integrate(f, a, b, **kwargs)
-        return z + next(signs) * (spec.abs_tol + spec.rel_tol * z)
+        return z + next(signs) * (quadrature.ABS_TOL + quadrature.REL_TOL * z)
 
     monkeypatch.setattr(diag, "integrate", perturbed)
     report = diag.check_partition_function_logconcavity(
@@ -435,7 +434,7 @@ def test_low_temp_check_is_the_run_chain_f_values(seed):
     # The check keeps only the chain's f values; they are run_chain's column.
     cap = diag._default_cap()
     man = cap.manifold
-    params = gw.WalkParams(delta=gw.delta_bound(man, cap), max_steps=150_000, seed=seed)
+    params = gw.WalkParams(delta=gw.delta_bound(cap), max_steps=150_000, seed=seed)
     gibbs = gw.as_gibbs(gw.distance_to(man, cap.axis), 0.05)
     chain = gw.run_chain(cap.axis, cap, params, target=gibbs, burn_in=20_000)
     expected = gw.check_low_temp_expectation(chain.f_values, man.tangent_dim, 0.05)

@@ -22,7 +22,7 @@ def ball_on(man):
 
 def test_every_entry_point_runs_on_a_four_oracle_sphere(oracle_sphere):
     ball = ball_on(oracle_sphere)
-    delta = gw.delta_bound(oracle_sphere, ball)
+    delta = gw.delta_bound(ball)
     inside = lambda points: np.all(ball.contains_many(np.atleast_2d(points)))
 
     chain = gw.run_chain(None, ball, gw.WalkParams(delta=delta, max_steps=600, seed=3))
@@ -55,7 +55,7 @@ def test_every_entry_point_runs_on_a_four_oracle_sphere(oracle_sphere):
 
 def test_each_entry_point_names_the_optional_method_it_lacks(bare_oracle_sphere):
     ball = ball_on(bare_oracle_sphere)
-    params = gw.WalkParams(delta=gw.delta_bound(bare_oracle_sphere, ball), max_steps=50, seed=3)
+    params = gw.WalkParams(delta=gw.delta_bound(ball), max_steps=50, seed=3)
     target = gw.distance_to(bare_oracle_sphere, NORTH)
     config = gw.AnnealConfig(
         epsilon=0.5, fail_prob=0.5, lipschitz=target.lipschitz, max_total_steps=400

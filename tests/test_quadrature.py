@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from geowalk.errors import OracleError, PreconditionError
 from geowalk import quadrature
-from geowalk.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from geowalk.quadrature import integrate
 
 
 def test_polynomial_is_exact_up_to_tolerance():
@@ -117,14 +117,16 @@ def test_kinked_exponential_moments_meet_the_contract():
             m, q = active(0.5 * (left + right))
             exact += _exp_linear_moment(m, q, k, left, right)
         value = integrate(f, a, b, breakpoints=kinks)
-        bound = DEFAULT_SPEC.abs_tol + DEFAULT_SPEC.rel_tol * exact
+        bound = quadrature.ABS_TOL + quadrature.REL_TOL * exact
         assert abs(value - exact) <= bound
 
 
-def test_budget_exhaustion_raises():
-    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=0.0, max_subdivisions=4)
+def test_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "ABS_TOL", 1e-14)
+    monkeypatch.setattr(quadrature, "REL_TOL", 0.0)
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 4)
     with pytest.raises(OracleError):
-        integrate(lambda x: math.sin(37.0 * x) * math.exp(x), 0.0, 3.0, spec)
+        integrate(lambda x: math.sin(37.0 * x) * math.exp(x), 0.0, 3.0)
 
 
 def test_results_are_deterministic():

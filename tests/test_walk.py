@@ -12,7 +12,8 @@ import pytest
 import geowalk as gw
 from geowalk import diagnostics, walk
 from geowalk.bodies import _contains_row
-from geowalk.quadrature import QuadratureSpec, integrate
+from geowalk import quadrature
+from geowalk.quadrature import integrate
 from geowalk.rng import BLOCK
 from geowalk.walk import _SLICE
 from geowalk.errors import CutLocusError, InvalidStart, OracleError, PreconditionError, StepSizeWarning
@@ -33,21 +34,17 @@ def test_delta_bound_frozen_values():
     # S^9, cap of radius pi/3: the inner-ball term pi/648 wins over the
     # curvature term sqrt(1/2700).
     cap9 = cap_on_sphere(9)
-    assert gw.delta_bound(cap9.manifold, cap9) == pytest.approx(
-        0.0048481368110953596, abs=1e-15
-    )
+    assert gw.delta_bound(cap9) == pytest.approx(0.0048481368110953596, abs=1e-15)
     # S^2, same cap: the curvature term is sqrt(1/(200 sqrt 2)) = 0.0595,
     # the ball term pi/(48 sqrt 2) = 0.0463; the ball term wins.
     cap2 = cap_on_sphere(2)
-    assert gw.delta_bound(cap2.manifold, cap2) == pytest.approx(
-        math.pi / (48.0 * math.sqrt(2.0)), abs=1e-15
-    )
+    assert gw.delta_bound(cap2) == pytest.approx(math.pi / (48.0 * math.sqrt(2.0)), abs=1e-15)
 
 
 def test_delta_bound_flat_space_only_ball_term():
     box = gw.EuclideanBox(np.zeros(2), np.ones(2))
     expected = 0.5 * 0.5 / (4.0 * 2.0 * math.sqrt(2.0))
-    assert gw.delta_bound(box.manifold, box) == pytest.approx(expected, abs=1e-15)
+    assert gw.delta_bound(box) == pytest.approx(expected, abs=1e-15)
 
 
 def test_oversized_delta_raises_unless_overridden():
@@ -259,7 +256,7 @@ def test_low_temp_geometry_computes_one_scalar_per_step(monkeypatch):
     cap = diagnostics._default_cap()
     target = gw.distance_to(cap.manifold, cap.axis)
     gibbs = gw.GibbsTarget(counting(target.f, calls, "f"), 0.05)
-    params = gw.WalkParams(delta=gw.delta_bound(cap.manifold, cap), max_steps=3000, seed=1)
+    params = gw.WalkParams(delta=gw.delta_bound(cap), max_steps=3000, seed=1)
     chain = gw.run_chain(cap.axis, cap, params, gibbs, burn_in=1000)
     assert calls == {"contains": 1, "f": 1}
     assert chain.stats.filter_rejections > 0
@@ -486,14 +483,17 @@ def test_non_finite_target_raises():
 
 
 def test_walk_params_validation():
-    with pytest.raises(PreconditionError):
-        gw.WalkParams(delta=0.0)
+    for delta in (0.0, -0.05, math.nan, math.inf):
+        with pytest.raises(PreconditionError):
+            gw.WalkParams(delta=delta)
     with pytest.raises(PreconditionError, match="delta_bound"):
         gw.WalkParams(delta=None)
     with pytest.raises(PreconditionError):
         gw.WalkParams(delta=0.1, max_steps=-1)
-    with pytest.raises(PreconditionError):
-        gw.GibbsTarget(f=lambda x: 0.0, temperature=0.0)
+    # NaN fails every comparison, so only "not T > 0" rejects it.
+    for temperature in (0.0, math.nan):
+        with pytest.raises(PreconditionError):
+            gw.GibbsTarget(f=lambda x: 0.0, temperature=temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +580,13 @@ def test_box_rejection_matches_proposals():
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_cap_rejection_matches_adaptive_quadrature(n):
+def test_cap_rejection_matches_adaptive_quadrature(n, monkeypatch):
     # The same integral written plainly: over the proposal length rho, the
     # chi_n density times the share of directions, by their angle phi to
     # the projected axis, whose step ends outside the cap.
     cap = cap_on_sphere(n)
     delta = 0.3
-    spec = QuadratureSpec(abs_tol=1e-11)
+    monkeypatch.setattr(quadrature, "ABS_TOL", 1e-11)
     angle_weight = lambda phi: math.sin(phi) ** (n - 2)
     sphere_share = integrate(angle_weight, 0.0, math.pi)
     log_norm = (0.5 * n - 1.0) * math.log(2.0) + math.lgamma(0.5 * n)
@@ -608,7 +608,7 @@ def test_cap_rejection_matches_adaptive_quadrature(n):
 
         start = (cap.angle - beta) / delta
         full = (cap.angle + beta) / delta
-        expected = integrate(integrand, start, 14.0, spec, breakpoints=[full])
+        expected = integrate(integrand, start, 14.0, breakpoints=[full])
         q = cap.contains_coords.rejection_probability(cap, _cap_point(n, beta)[None, :], delta)[0]
         assert abs(q - expected) <= 1e-10, (beta, q, expected)
 
