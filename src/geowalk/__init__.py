@@ -48,7 +48,6 @@ from .diagnostics import (
 from .errors import (
     AcceptanceTooLow,
     ConfigError,
-    CutLocusError,
     DegenerateSchedule,
     DimensionMismatch,
     GeoWalkError,

@@ -20,9 +20,8 @@ including a running minimum estimate, changes nothing.
 
 :func:`anneal_trials` runs the trials in lockstep on the draws of
 ``walk._drawn_slices``: each step makes one ``Manifold.propose_factored``
-call for all trials, bit for bit one ``propose_many`` call.  A proposal on
-the cut locus of the body's membership test counts as a rejection, row by
-row.
+call for all trials, bit for bit one ``propose_many`` call, and one
+``contains_many`` call tests them.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bodies import ConvexBody, _contains_rows, rejection_sample_uniform
+from .bodies import ConvexBody, rejection_sample_uniform
 from .errors import DegenerateSchedule, OracleError, PreconditionError
 from .rng import BLOCK, stream
 from .walk import _SLICE, _check_step_size, _drawn_slices, delta_bound, validate_delta
@@ -127,7 +126,7 @@ def _schedule(t0: float, n: int, epsilon: float, fail_prob: float) -> AnnealSche
     # stacklevel=3 names the caller of make_schedule or of anneal_trials.
     if n < 2:
         raise PreconditionError("schedule needs intrinsic dimension n >= 2")
-    if t0 <= 0.0 or epsilon <= 0.0 or not 0.0 < fail_prob < 1.0:
+    if not (t0 > 0.0 and epsilon > 0.0 and 0.0 < fail_prob < 1.0):
         raise PreconditionError("t0, epsilon must be positive and fail_prob in (0, 1)")
     ratio = 1.0 - 1.0 / math.sqrt(n)
     target = epsilon * fail_prob / (n + 1)
@@ -149,7 +148,7 @@ def _schedule(t0: float, n: int, epsilon: float, fail_prob: float) -> AnnealSche
 def initial_temperature(body: ConvexBody, lipschitz: float) -> float:
     """Hottest useful temperature, ``L * D``: at or above it the Gibbs
     weights across the whole body differ by at most a factor ``e``."""
-    if lipschitz <= 0.0:
+    if not lipschitz > 0.0:
         raise PreconditionError("lipschitz must be positive")
     return lipschitz * body.diameter
 
@@ -254,7 +253,7 @@ def anneal_trials(
         ):
             for step, threshold, accept in zip(zip(*factors), slice_thresholds, accepts):
                 proposals = propose(points, step)
-                inside = _contains_rows(body, proposals)
+                inside = body.contains_many(proposals)
                 trial_values = np.asarray(f_many(proposals), dtype=float)
                 # A finite sum clears the whole batch; otherwise only the
                 # in-body rows count, since out-of-body rows are never used.

@@ -25,7 +25,7 @@ import operator
 
 import numpy as np
 
-from .errors import AcceptanceTooLow, CutLocusError, DimensionMismatch, NotConvex, PreconditionError
+from .errors import AcceptanceTooLow, DimensionMismatch, NotConvex, PreconditionError
 from .manifolds import Euclidean, Manifold, Sphere, _arccos
 
 __all__ = [
@@ -54,9 +54,10 @@ class ConvexBody:
     diameter: float
 
     def contains_coords(self, x) -> bool:
-        """Membership test of one point, no validation.  On ``sphere:n``
-        and ``euclidean:n`` the walk passes the point as a list of floats;
-        the built-in bodies take either form.
+        """Membership test of one point, no validation: a bool for every
+        point of the manifold.  On ``sphere:n`` and ``euclidean:n`` the
+        walk passes the point as a list of floats; the built-in bodies take
+        either form.
 
         Optional declarations, attributes of this function:
         ``scalar(body) = (dist, anchor, read, inside, arc)`` for a test that
@@ -248,34 +249,12 @@ class EuclideanBox(ConvexBody):
         return f"box:{lo}:{hi}"
 
 
-def _contains_row(body: ConvexBody, x: np.ndarray) -> bool:
-    """Membership of one point; a point on the cut locus of the test
-    counts as outside the body."""
-    try:
-        return body.contains_coords(x)
-    except CutLocusError:
-        return False
-
-
-def _contains_rows(body: ConvexBody, points: np.ndarray) -> np.ndarray:
-    """Membership of each row of ``points``.  When the batched test hits
-    the cut locus, the rows are tested one by one with
-    :func:`_contains_row`."""
-    try:
-        return body.contains_many(points)
-    except CutLocusError:
-        return np.fromiter(
-            (_contains_row(body, row) for row in points), dtype=bool, count=len(points)
-        )
-
-
 def sample_uniform_many(body: ConvexBody, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` exact uniform draws from the body, stacked row-wise.
 
     A body whose ``contains_coords`` declares ``draw_uniform`` draws
     directly.  Otherwise ``Manifold.draw_uniform`` proposals, uniform on the
-    whole manifold, are filtered through the membership oracle; a proposal
-    on the cut locus of that test counts as outside.  Raises
+    whole manifold, are filtered through the membership oracle.  Raises
     :class:`AcceptanceTooLow` once ``_MAX_MISSES`` proposals in a row have
     all missed, which flags bodies too small for rejection sampling to be
     viable.
@@ -293,7 +272,8 @@ def rejection_sample_uniform(body: ConvexBody, rng: np.random.Generator) -> np.n
 
 
 def _sample_uniform(body, rng, count, chunk):
-    """The samplers' shared loop, drawing ``chunk`` proposals per pass."""
+    """The samplers' shared loop: ``chunk`` proposals per pass, kept where
+    ``contains_many`` (``contains_coords`` for one) accepts them."""
     declared = getattr(body.contains_coords, "draw_uniform", None)
     exact = None if declared is None else declared(body, rng, count)
     if exact is not None:
@@ -304,7 +284,7 @@ def _sample_uniform(body, rng, count, chunk):
     while have < count:
         proposals = man.draw_uniform(rng, chunk)
         # One proposal takes the scalar test, the one the walk's steps use.
-        keep = [_contains_row(body, proposals[0])] if chunk == 1 else _contains_rows(body, proposals)
+        keep = [body.contains_coords(proposals[0])] if chunk == 1 else body.contains_many(proposals)
         hits = int(np.count_nonzero(keep))
         if hits == 0:
             misses += chunk

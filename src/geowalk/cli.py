@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Optional
 
 from .anneal import AnnealConfig, anneal_trials
-from .bodies import _contains_row
 from .config import (
     RunConfig,
     body_from_string,
@@ -134,7 +133,7 @@ def _build_space(cfg: RunConfig):
     start = None
     if cfg.start:
         start = parse_point_spec(cfg.start, man)
-        if not _contains_row(body, start):
+        if not body.contains_coords(start):
             raise ConfigError(f"start point {cfg.start!r} lies outside the body")
     return man, body, start
 

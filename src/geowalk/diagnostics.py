@@ -27,8 +27,6 @@ from .bodies import (
     ConvexBody,
     EuclideanBox,
     SphericalCap,
-    _contains_row,
-    _contains_rows,
     sample_uniform_many,
 )
 from .errors import (
@@ -254,9 +252,9 @@ def check_affine_needle_lemma(
         raise PreconditionError("n must be a positive integer")
     if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
         raise PreconditionError("need a < b, finite")
-    if eps <= 0.0 or eps > (b - a) / n * (1.0 + 1e-12):
+    if not 0.0 < eps <= (b - a) / n * (1.0 + 1e-12):
         raise PreconditionError(f"eps must lie in (0, (b-a)/n], got {eps}")
-    if min(c1 * a + c2, c1 * (b + eps) + c2) <= 0.0:
+    if not (c1 * a + c2 > 0.0 and c1 * (b + eps) + c2 > 0.0):
         raise PreconditionError("affine function must be positive on [a, b+eps]")
 
     power = n - 1
@@ -328,7 +326,7 @@ def check_partition_function_logconcavity(
     lo, hi = float(interval[0]), float(interval[1])
     if not 0.0 < lo < hi or not math.isfinite(hi):
         raise PreconditionError("interval must satisfy 0 < lo < hi, finite")
-    if alpha <= 0.0 or beta <= 0.0:
+    if not (alpha > 0.0 and beta > 0.0):
         raise PreconditionError("alpha and beta must be positive")
     if n < 1 or int(n) != n:
         raise PreconditionError("n must be a positive integer")
@@ -384,7 +382,7 @@ def _binomial_upper_tail(k: int, trials: int, p: np.ndarray) -> np.ndarray:
 def box_shell_fraction(body: EuclideanBox, eps: float) -> float:
     """Exact volume fraction of the box within depth ``eps`` of its boundary."""
     widths = body.hi - body.lo
-    if eps <= 0.0 or 2.0 * eps >= float(np.min(widths)):
+    if not 0.0 < 2.0 * eps < float(np.min(widths)):
         raise PreconditionError("eps must satisfy 0 < 2*eps < min side length")
     return 1.0 - float(np.prod((widths - 2.0 * eps) / widths))
 
@@ -412,7 +410,7 @@ def check_interior_volume(
     """
     n = body.manifold.tangent_dim
     r = body.inner_radius
-    if eps <= 0.0 or eps > r / n * (1.0 + 1e-12):
+    if not 0.0 < eps <= r / n * (1.0 + 1e-12):
         raise PreconditionError(f"eps must lie in (0, r/n], got {eps}")
     delta = eps / _normal_upper_quantile(conductance_tol)
     samples = sample_uniform_many(body, rng, mc_samples)
@@ -464,7 +462,7 @@ def check_isoperimetry(
     the body's declared center, and propagates sampling error through both
     sides by the delta method; it passes within ``3 * stderr + 1e-12``.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise PreconditionError("eps must be positive")
     man = body.manifold
     samples = sample_uniform_many(body, rng, mc_samples)
@@ -544,7 +542,7 @@ def estimate_one_step_tv(
     man = body.manifold
     xc = np.asarray(x, dtype=float)
     yc = np.asarray(y, dtype=float)
-    if not (_contains_row(body, xc) and _contains_row(body, yc)):
+    if not (body.contains_coords(xc) and body.contains_coords(yc)):
         raise PreconditionError("both starts must lie inside the body")
     d = man.dist(xc, yc)
     transport_term = min(1.0, math.erf(d / (2.0 * math.sqrt(2.0) * params.delta)))
@@ -560,8 +558,8 @@ def estimate_one_step_tv(
     g_x = rng.standard_normal((mc_proposals, man.tangent_dim))
     g_y = g_x @ rotation.T
     shape = (mc_proposals, man.ambient_dim)
-    in_x = _contains_rows(body, man.propose_many(np.broadcast_to(xc, shape), g_x, params.delta))
-    in_y = _contains_rows(body, man.propose_many(np.broadcast_to(yc, shape), g_y, params.delta))
+    in_x = body.contains_many(man.propose_many(np.broadcast_to(xc, shape), g_x, params.delta))
+    in_y = body.contains_many(man.propose_many(np.broadcast_to(yc, shape), g_y, params.delta))
     disagreement = float(np.mean(in_x != in_y))
     stderr = math.sqrt(max(disagreement * (1.0 - disagreement), 1e-300) / mc_proposals)
     return TvEstimate(
@@ -589,7 +587,7 @@ def estimate_l2_warmness(
     which makes the equal-temperature case return exactly one.  Requires
     ``2 beta_hot - beta_cold > 0``, else the tilted integral diverges.
     """
-    if t_cold <= 0.0 or t_hot < t_cold:
+    if not 0.0 < t_cold <= t_hot:
         raise PreconditionError("need t_hot >= t_cold > 0")
     beta_hot = 1.0 / t_hot
     beta_cold = 1.0 / t_cold

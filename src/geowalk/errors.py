@@ -21,15 +21,6 @@ class NotConvex(PreconditionError):
     """A body parameter or test function fails its convexity requirement."""
 
 
-class CutLocusError(GeoWalkError):
-    """Two points are (numerically) on each other's cut locus.
-
-    Raised by the distance computation on SO(n) when the relative rotation
-    has an eigenvalue within 1e-6 of -1, where the principal matrix
-    logarithm stops being well defined.
-    """
-
-
 class AcceptanceTooLow(GeoWalkError):
     """The uniform rejection sampler hit its consecutive-rejection budget."""
 

@@ -43,7 +43,7 @@ import operator
 
 import numpy as np
 
-from .errors import CutLocusError, DimensionMismatch, PreconditionError
+from .errors import DimensionMismatch, PreconditionError
 
 __all__ = [
     "Manifold",
@@ -327,14 +327,9 @@ def _expm_skew(om):
 
 def _angle_norm(rel):
     """Root sum of squared eigenvalue angles of the rotations ``rel`` (over
-    the last two axes): the geodesic distance of each to the identity."""
-    lam = np.linalg.eigvals(rel)
-    if np.min(np.abs(lam + 1.0)) <= 1e-6:
-        raise CutLocusError(
-            "a relative rotation has an eigenvalue at -1; the points are on "
-            "each other's cut locus"
-        )
-    ang = np.angle(lam)
+    the last two axes): the geodesic distance of each to the identity,
+    defined for every rotation (``pi sqrt(2)`` for a half-turn)."""
+    ang = np.angle(np.linalg.eigvals(rel))
     return np.sqrt(np.sum(ang * ang, axis=-1))
 
 
@@ -344,10 +339,10 @@ class SpecialOrthogonal(Manifold):
     Points are flattened ``n x n`` matrices.  ``exp_X(V) = X expm(Om)``
     with ``Om`` the skew part of ``X^T V``, exponentiated for every ``n``
     from one Hermitian eigendecomposition of ``i Om``.  The geodesic
-    distance is the Frobenius norm of the principal logarithm of ``X^T Y``,
-    computed from the eigenvalue angles of that (normal) relative rotation.
-    When an eigenvalue sits within 1e-6 of -1 the principal branch
-    degenerates and :class:`CutLocusError` is raised.
+    distance is the least Frobenius norm of a logarithm of ``X^T Y``, from
+    the eigenvalue angles of that (normal) relative rotation.  It is defined
+    everywhere; on the cut locus (an angle at ``pi``) only the minimising
+    geodesic, which the walk never uses, is not unique.
 
     The injectivity radius is declared as ``pi`` under this metric
     normalisation (conservative), and the curvature bound is ``n``.

@@ -61,7 +61,7 @@ def distance_to(manifold: Manifold, point: np.ndarray) -> Target:
 def sqdist_to(manifold: Manifold, point: np.ndarray, diameter: float) -> Target:
     """Half squared distance; ``diameter`` bounds the Lipschitz constant on
     the body the target will be used with."""
-    if diameter <= 0.0:
+    if not diameter > 0.0:
         raise PreconditionError("diameter must be positive")
     return _of_distance(manifold, point, lambda d: 0.5 * d * d, float(diameter))
 

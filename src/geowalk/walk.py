@@ -14,8 +14,8 @@ of the normals and threshold ``j`` however it resolves, so a uniform walk
 and a Metropolis walk with constant ``f`` take bit-identical steps.  Each
 step does only the point-dependent rest of the proposal,
 ``propose_factored`` for the lockstep trials and its one-row twin
-``propose_row`` for a chain.  A proposal on the cut locus of the body's
-membership test counts as a boundary rejection, row by row.
+``propose_row`` for a chain.  Membership is a bool at every point of the
+manifold, so a proposal outside the body is a boundary rejection.
 
 The chain's step loop, ``_chain_slices``, yields the rows each slice
 keeps; :func:`run_chain` writes them into the columns of
@@ -46,14 +46,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bodies import ConvexBody, _contains_row, _contains_rows, rejection_sample_uniform
-from .errors import (
-    CutLocusError,
-    InvalidStart,
-    OracleError,
-    PreconditionError,
-    StepSizeWarning,
-)
+from .bodies import ConvexBody, rejection_sample_uniform
+from .errors import InvalidStart, OracleError, PreconditionError, StepSizeWarning
 from .rng import BLOCK, stream
 
 _SLICE = 256  # steps of a drawn block staged at a time, here and in anneal
@@ -115,6 +109,9 @@ class GibbsTarget:
 
 @dataclass
 class RejectionStats:
+    """Rejections of one chain.  ``cut_locus_hits`` is always 0, kept for
+    the benchmark tracer that reads it; ROADMAP item 1 deletes it."""
+
     steps: int = 0
     boundary_rejections: int = 0
     filter_rejections: int = 0
@@ -122,7 +119,7 @@ class RejectionStats:
 
     @property
     def rejections(self) -> int:
-        """Steps that stayed put; cut-locus hits are boundary rejections."""
+        """Steps that stayed put."""
         return self.boundary_rejections + self.filter_rejections
 
     @property
@@ -194,7 +191,7 @@ def validate_delta(delta: float, override_delta: bool, body: ConvexBody) -> None
 def _start_coords(start, body: ConvexBody) -> np.ndarray:
     coords = np.asarray(start, dtype=float)
     body.manifold.validate_point(coords)
-    if not _contains_row(body, coords):
+    if not body.contains_coords(coords):
         raise InvalidStart("chain start lies outside the body")
     return coords.copy()
 
@@ -305,7 +302,7 @@ def _chain_slices(start, body, params, target, thin, burn_in, chain_id):
         if shared is not None:
             read, inside_body, f = shared
 
-    boundary = filtered = cut_locus_hits = 0
+    boundary = filtered = 0
     step = 0
     normals = np.empty((min(params.max_steps, BLOCK), 1, man.tangent_dim))
     thresholds = np.empty(normals.shape[:2])
@@ -318,13 +315,8 @@ def _chain_slices(start, body, params, target, thin, burn_in, chain_id):
         for factor_row, threshold in zip(zip(*factors), slice_thresholds[:, 0].tolist()):
             step += 1
             y = propose(x, factor_row)
-            try:
-                s = y if read is None else read(y)
-                inside = inside_body(s)
-            except CutLocusError:
-                inside = False
-                cut_locus_hits += 1
-            if not inside:
+            s = y if read is None else read(y)
+            if not inside_body(s):
                 rejected = True
                 boundary += 1
             elif f is None:
@@ -345,7 +337,7 @@ def _chain_slices(start, body, params, target, thin, burn_in, chain_id):
                 emit += thin
         if kept_x:
             yield kept_x, kept_rejected, kept_f
-    return RejectionStats(params.max_steps, boundary, filtered, cut_locus_hits), x
+    return RejectionStats(params.max_steps, boundary, filtered), x
 
 
 def _chain_f_values(start, body, params, target, burn_in):
@@ -390,7 +382,7 @@ def _accept_counts(
     With a closed form each count is ``trials - Binomial(trials, q(x))``,
     one draw per row, which has the law of the Monte Carlo count.  Other
     bodies propose ``trials`` moves per row, ``_CHUNK`` rows of normals at
-    a time; a proposal on the cut locus counts as outside.
+    a time, and count those ``body.contains_many`` accepts.
     """
     declared = getattr(body.contains_coords, "rejection_probability", None)
     if declared is not None:
@@ -404,7 +396,7 @@ def _accept_counts(
             m = min(_CHUNK, trials - done)
             g = rng.standard_normal((m, man.tangent_dim))
             y = man.propose_many(np.broadcast_to(x, (m, man.ambient_dim)), g, delta)
-            counts[i] += np.count_nonzero(_contains_rows(body, y))
+            counts[i] += np.count_nonzero(body.contains_many(y))
             done += m
     return counts, None
 
@@ -449,5 +441,5 @@ def step_ensemble(
     for _ in range(steps):
         g = rng.standard_normal((len(x), man.tangent_dim))
         y = man.propose_many(x, g, delta)
-        np.copyto(x, y, where=_contains_rows(body, y)[:, None])
+        np.copyto(x, y, where=body.contains_many(y)[:, None])
     return x

@@ -16,7 +16,7 @@ import geowalk as gw
 # removed from ``geowalk/__init__.py`` must be added to or removed from here.
 PUBLIC = [
     "AcceptanceTooLow", "AnnealConfig", "AnnealSchedule", "ChainResult",
-    "ConfigError", "ConvexBody", "CutLocusError", "DegenerateSchedule",
+    "ConfigError", "ConvexBody", "DegenerateSchedule",
     "DimensionMismatch", "Euclidean", "EuclideanBox",
     "GeoWalkError", "GeodesicBall", "GibbsTarget", "InequalityReport",
     "InvalidStart", "Manifold", "NotConvex", "OracleError", "PhaseRecord",
@@ -89,6 +89,12 @@ def test_removed_members_stay_removed():
         (gw, "DEFAULT_SPEC"),
         (importlib.import_module("geowalk.quadrature"), "QuadratureSpec"),
         (importlib.import_module("geowalk.config"), "_INT_KEYS"),
+        # The SO(n) distance is defined everywhere, so nothing raises or
+        # catches a cut-locus error.
+        (gw, "CutLocusError"),
+        (importlib.import_module("geowalk.errors"), "CutLocusError"),
+        (importlib.import_module("geowalk.bodies"), "_contains_row"),
+        (importlib.import_module("geowalk.bodies"), "_contains_rows"),
     ]:
         assert not hasattr(owner, name), (owner.__name__, name)
     # Fields nothing read.

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geowalk as gw
-from geowalk.errors import CutLocusError, DimensionMismatch, PreconditionError
+from geowalk.errors import DimensionMismatch, PreconditionError
 from geowalk.walk import _SLICE
 
 
@@ -305,12 +305,29 @@ def test_rotation_distance_closed_form():
     assert man.dist(x, y.ravel()) == pytest.approx(math.sqrt(2.0) * theta, abs=1e-10)
 
 
-def test_cut_locus_raises():
+def test_rotation_distance_is_defined_on_the_cut_locus():
+    # A half-turn has two eigenvalue angles at pi: the distance is pi sqrt(2)
+    # there, and sqrt(2) theta just short of it.
     man = gw.SpecialOrthogonal(3)
     x = np.eye(3).ravel()
-    y = np.diag([1.0, -1.0, -1.0]).ravel()
-    with pytest.raises(CutLocusError):
-        man.dist(x, y)
+    half_turn = np.diag([1.0, -1.0, -1.0]).ravel()
+    assert man.dist(x, half_turn) == pytest.approx(math.pi * math.sqrt(2.0), abs=1e-12)
+    theta = math.pi - 1e-9
+    y = np.eye(3)
+    y[1:, 1:] = planar(theta)
+    assert man.dist(x, y.ravel()) == pytest.approx(math.sqrt(2.0) * theta, abs=1e-12)
+
+
+def test_rotation_dist_many_is_row_by_row_across_the_cut_locus():
+    man = gw.SpecialOrthogonal(3)
+    half_turn = np.diag([1.0, -1.0, -1.0]).ravel()
+    points = man.draw_uniform(gw.stream(26), 6)
+    points[3] = half_turn
+    anchor = np.eye(3).ravel()
+    rows = [man.dist(p, anchor) for p in points]
+    assert man.dist_many(points, anchor).tolist() == pytest.approx(rows, abs=1e-12)
+    values = gw.distance_to(man, half_turn).f_many(points)
+    assert np.all(np.isfinite(values)) and values[3] == pytest.approx(0.0, abs=1e-7)
 
 
 def test_haar_rotations_are_left_invariant():

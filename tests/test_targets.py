@@ -29,6 +29,8 @@ def test_sqdist_target_scales_like_half_square():
     probe = np.array([math.sin(0.4), 0.0, math.cos(0.4)])
     assert target.f(probe) == pytest.approx(0.5 * 0.4**2, abs=1e-12)
     assert target.lipschitz == 2.0
+    with pytest.raises(PreconditionError):
+        gw.sqdist_to(man, anchor, diameter=math.nan)
 
 
 def test_linear_target_on_box():
