@@ -79,8 +79,8 @@ class AnnealConfig:
             raise PreconditionError("epsilon must be positive")
         if not 0.0 < self.fail_prob < 1.0:
             raise PreconditionError("fail_prob must lie in (0, 1)")
-        if not self.lipschitz > 0.0:
-            raise PreconditionError("lipschitz must be positive")
+        if not 0.0 < self.lipschitz < math.inf:
+            raise PreconditionError("lipschitz must be positive and finite")
         if not self.budget_constant > 0.0:
             raise PreconditionError("budget_constant must be positive")
         if self.max_total_steps < 1:
@@ -126,8 +126,10 @@ def _schedule(t0: float, n: int, epsilon: float, fail_prob: float) -> AnnealSche
     # stacklevel=3 names the caller of make_schedule or of anneal_trials.
     if n < 2:
         raise PreconditionError("schedule needs intrinsic dimension n >= 2")
-    if not (t0 > 0.0 and epsilon > 0.0 and 0.0 < fail_prob < 1.0):
-        raise PreconditionError("t0, epsilon must be positive and fail_prob in (0, 1)")
+    if not (0.0 < t0 < math.inf and epsilon > 0.0 and 0.0 < fail_prob < 1.0):
+        raise PreconditionError(
+            "t0 must be positive and finite, epsilon positive and fail_prob in (0, 1)"
+        )
     ratio = 1.0 - 1.0 / math.sqrt(n)
     target = epsilon * fail_prob / (n + 1)
     if t0 < target:
@@ -148,8 +150,8 @@ def _schedule(t0: float, n: int, epsilon: float, fail_prob: float) -> AnnealSche
 def initial_temperature(body: ConvexBody, lipschitz: float) -> float:
     """Hottest useful temperature, ``L * D``: at or above it the Gibbs
     weights across the whole body differ by at most a factor ``e``."""
-    if not lipschitz > 0.0:
-        raise PreconditionError("lipschitz must be positive")
+    if not 0.0 < lipschitz < math.inf:
+        raise PreconditionError("lipschitz must be positive and finite")
     return lipschitz * body.diameter
 
 
@@ -234,7 +236,6 @@ def anneal_trials(
     last = len(schedule.temps) - 1
     records: list[list[PhaseRecord]] = [[] for _ in range(trials)]
     best_points = points.copy()
-    best_values = values.copy()
 
     normals = np.empty((BLOCK, trials, n))
     thresholds = np.empty(normals.shape[:2])
@@ -247,7 +248,6 @@ def anneal_trials(
         final = phase == last
         if final:
             np.copyto(best_points, points)
-            np.copyto(best_values, values)
         for factors, slice_thresholds in _drawn_slices(
             gens, steps, man, delta, temperature, normals, thresholds
         ):
@@ -268,11 +268,10 @@ def anneal_trials(
                 accept &= inside
                 np.copyto(points, proposals, where=accept[:, None])
                 np.copyto(values, trial_values, where=accept)
-                np.minimum(phase_best, values, out=phase_best)
                 if final:
-                    np.less(values, best_values, out=improved)
+                    np.less(values, phase_best, out=improved)
                     np.copyto(best_points, points, where=improved[:, None])
-                    np.copyto(best_values, values, where=improved)
+                np.minimum(phase_best, values, out=phase_best)
             accepted += accepts[: len(slice_thresholds)].sum(axis=0)
         for t in range(trials):
             records[t].append(
@@ -286,7 +285,7 @@ def anneal_trials(
                 )
             )
     return TrialsResult(
-        best_values,
+        phase_best,
         best_points,
         tuple(tuple(r) for r in records),
         schedule,

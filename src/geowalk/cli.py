@@ -9,7 +9,11 @@ run-dependent beyond the seed, so a rerun with the same config and seed is
 byte-identical, wherever it is written.
 
 Exit codes: 0 on success, 1 when a diagnostic fails or the run itself
-errors, 2 for configuration problems.
+errors, 2 for every bad setting, with ``config error:`` on stderr: a
+:class:`ConfigError` of the INI layer, which owns only the rules no library
+object owns, or the :class:`PreconditionError` of the object that reads
+the setting.  Each mode makes its first library call before it creates the
+output directory, so a bad setting writes nothing.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .config import (
     validate_config,
 )
 from .diagnostics import builtin_check_names, run_builtin_check
-from .errors import ConfigError, GeoWalkError
+from .errors import ConfigError, GeoWalkError, PreconditionError
 from .targets import as_gibbs
 from .walk import _SLICE, WalkParams, delta_bound, run_chain
 
@@ -74,7 +78,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "list-builtins":
             return _list_builtins()
         return _run(args)
-    except ConfigError as exc:
+    except (ConfigError, PreconditionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except GeoWalkError as exc:
@@ -118,7 +122,6 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 def _run(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     tag = config_hash(cfg)
     if cfg.mode == "sample":
         return _run_sample(cfg, out, tag)
@@ -130,11 +133,7 @@ def _run(args: argparse.Namespace) -> int:
 def _build_space(cfg: RunConfig):
     man = manifold_from_string(cfg.manifold)
     body = body_from_string(cfg.body, man)
-    start = None
-    if cfg.start:
-        start = parse_point_spec(cfg.start, man)
-        if not body.contains_coords(start):
-            raise ConfigError(f"start point {cfg.start!r} lies outside the body")
+    start = parse_point_spec(cfg.start, man) if cfg.start else None
     return man, body, start
 
 
@@ -149,19 +148,24 @@ def _run_sample(cfg: RunConfig, out: Path, tag: str) -> int:
         override_delta=cfg.override_delta,
     )
     gibbs = as_gibbs(target, cfg.temperature) if target is not None else None
+    results = (
+        run_chain(
+            start,
+            body,
+            params,
+            target=gibbs,
+            thin=cfg.thin,
+            burn_in=cfg.burn_in,
+            chain_id=chain,
+        )
+        for chain in range(cfg.chains)
+    )
+    result = next(results)  # run_chain checks the settings before anything is written
     path = out / "samples.jsonl"
     emitted = 0
+    out.mkdir(parents=True, exist_ok=True)
     with path.open("w") as sink:
         for chain in range(cfg.chains):
-            result = run_chain(
-                start,
-                body,
-                params,
-                target=gibbs,
-                thin=cfg.thin,
-                burn_in=cfg.burn_in,
-                chain_id=chain,
-            )
             # The columns become Python lists one slice of rows at a time.
             for lo in range(0, len(result.steps), _SLICE):
                 part = slice(lo, lo + _SLICE)
@@ -188,6 +192,7 @@ def _run_sample(cfg: RunConfig, out: Path, tag: str) -> int:
                 f"rejection fraction {result.stats.rejection_fraction:.4f}"
             )
             del result  # before the next chain allocates its own columns
+            result = next(results, None)
     print(f"wrote {emitted} samples to {path}")
     return 0
 
@@ -207,6 +212,7 @@ def _run_anneal(cfg: RunConfig, out: Path, tag: str) -> int:
     result = anneal_trials(body, target.f_many, anneal_config, cfg.seed, cfg.trials)
 
     trace_path = out / "trace.csv"
+    out.mkdir(parents=True, exist_ok=True)
     with trace_path.open("w") as sink:
         sink.write("trial,phase,temperature,steps,rejections,best_f,final_f,config\n")
         for trial, trace in enumerate(result.traces):
@@ -240,6 +246,7 @@ def _run_diagnose(cfg: RunConfig, out: Path, tag: str) -> int:
     for name in names:
         reports.extend(run_builtin_check(name, cfg.seed))
     path = out / "reports.jsonl"
+    out.mkdir(parents=True, exist_ok=True)
     with path.open("w") as sink:
         for report in reports:
             row = report.as_dict()

@@ -21,6 +21,7 @@ body's membership test; a custom ``f`` declares nothing.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -61,8 +62,8 @@ def distance_to(manifold: Manifold, point: np.ndarray) -> Target:
 def sqdist_to(manifold: Manifold, point: np.ndarray, diameter: float) -> Target:
     """Half squared distance; ``diameter`` bounds the Lipschitz constant on
     the body the target will be used with."""
-    if not diameter > 0.0:
-        raise PreconditionError("diameter must be positive")
+    if not 0.0 < diameter < math.inf:
+        raise PreconditionError("diameter must be positive and finite")
     return _of_distance(manifold, point, lambda d: 0.5 * d * d, float(diameter))
 
 
@@ -72,8 +73,8 @@ def linear(coefficients: np.ndarray) -> Target:
     if c.ndim != 1 or c.size < 1:
         raise PreconditionError("coefficients must be a 1-D vector")
     norm = float(np.linalg.norm(c))
-    if norm == 0.0:
-        raise PreconditionError("coefficients must not all be zero")
+    if not 0.0 < norm < math.inf:
+        raise PreconditionError("coefficients must have a finite, nonzero norm")
     terms = c.tolist()
 
     def f(x: np.ndarray) -> float:

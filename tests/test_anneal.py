@@ -69,6 +69,22 @@ def test_schedule_rejects_nan_arguments(args):
         gw.make_schedule(*args)
 
 
+def test_schedule_rejects_infinite_start_temperature():
+    # An infinite t0 took math.ceil of an infinite phase count.
+    with pytest.raises(PreconditionError, match="t0 must be positive and finite"):
+        gw.make_schedule(math.inf, 5, 0.1, 0.1)
+
+
+def test_initial_temperature_rejects_infinite_lipschitz():
+    with pytest.raises(PreconditionError, match="lipschitz must be positive and finite"):
+        gw.initial_temperature(s5_cap(), math.inf)
+
+
+def test_anneal_config_rejects_infinite_lipschitz():
+    with pytest.raises(PreconditionError, match="lipschitz must be positive and finite"):
+        gw.AnnealConfig(epsilon=0.1, fail_prob=0.1, lipschitz=math.inf)
+
+
 def test_initial_temperature_is_lipschitz_times_diameter():
     cap = s5_cap()
     assert gw.initial_temperature(cap, 2.0) == pytest.approx(2.0 * cap.diameter)

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from geowalk.config import (
     parse_point_spec,
     target_from_string,
 )
+from geowalk.errors import StepSizeWarning
 from geowalk.targets import as_gibbs
 from geowalk.walk import WalkParams, run_chain
 
@@ -284,6 +286,75 @@ def test_nan_settings_are_config_errors(tmp_path, capsys):
         assert main(["run", "--config", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
+
+
+# Each bad setting: the config it edits, its edits, extra flags, and the
+# message of the one object that owns the rule.
+BAD_SETTINGS = {
+    "nan-temperature": (
+        "gibbs", [("temperature = 0.3", "temperature = nan")], [], "temperature must be positive"
+    ),
+    "nan-epsilon": ("anneal", [("epsilon = 0.4", "epsilon = nan")], [], "epsilon must be positive"),
+    "zero-max-total-steps": (
+        "anneal",
+        [("max_total_steps = 4000", "max_total_steps = 0")],
+        [],
+        "max_total_steps must be >= 1",
+    ),
+    "zero-trials": ("anneal", [], ["--trials", "0"], "trials must be >= 1"),
+    "zero-thin": ("sample", [("thin = 10", "thin = 0")], [], "thin must be >= 1"),
+    "negative-burn-in": ("sample", [("burn_in = 100", "burn_in = -1")], [], "burn_in must be >= 0"),
+    "negative-delta": (
+        "sample", [("delta = 0.04", "delta = -1")], [], "step size must be finite and > 0"
+    ),
+    "over-bound-delta": (
+        "sample", [("delta = 0.04", "delta = 0.2")], [], "exceeds the guaranteed-safe bound"
+    ),
+    "start-outside-body": (
+        "sample", [("start = north", "start = 0,0,-1")], [], "chain start lies outside the body"
+    ),
+    "infinite-linear-coefficient": (
+        "anneal",
+        [
+            ("sphere:2", "euclidean:2"),
+            ("cap:0,0,1:1.0471975511965976", "box:0,0:1,1"),
+            ("distance_to:0,0,1", "linear:inf,1"),
+        ],
+        [],
+        "coefficients must have a finite, nonzero norm",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SETTINGS)
+def test_bad_settings_exit_2_before_any_output(tmp_path, capsys, case):
+    base, edits, flags, message = BAD_SETTINGS[case]
+    out = tmp_path / "out"
+    if base == "anneal":
+        text = Path(anneal_config(tmp_path, out)).read_text()
+    else:
+        target = "distance_to:0,0,1" if base == "gibbs" else None
+        text = Path(sample_config(tmp_path, out, target=target)).read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    assert main(["run", "--config", write_config(tmp_path, "bad.ini", text), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()  # no output file, not even the directory
+
+
+def test_over_bound_delta_with_override_runs_and_warns_once(tmp_path):
+    out = tmp_path / "out"
+    text = Path(sample_config(tmp_path, out)).read_text()
+    text = text.replace("delta = 0.04", "delta = 0.2\noverride_delta = true")
+    with warnings.catch_warnings(record=True) as caught:
+        # Python's default action: once per warning text and call site.
+        # Each chain's run_chain call checks the step size from one site.
+        warnings.simplefilter("default")
+        assert main(["run", "--config", write_config(tmp_path, "override.ini", text)]) == 0
+    assert [w.category for w in caught] == [StepSizeWarning]
+    assert len(read_rows(out / "samples.jsonl")) == 60
 
 
 def test_only_the_per_run_overrides_are_flags(tmp_path, capsys):

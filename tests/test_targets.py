@@ -76,6 +76,19 @@ def test_linear_target_rejects_degenerate_inputs():
         gw.linear(np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_linear_target_rejects_non_finite_coefficients(bad):
+    # An infinite coefficient gave an infinite Lipschitz constant, which
+    # overflowed the annealing schedule.
+    with pytest.raises(PreconditionError, match="finite, nonzero norm"):
+        gw.linear(np.array([bad, 1.0]))
+
+
+def test_sqdist_target_rejects_infinite_diameter():
+    with pytest.raises(PreconditionError, match="diameter must be positive and finite"):
+        gw.sqdist_to(gw.Sphere(2), np.array([0.0, 0.0, 1.0]), diameter=math.inf)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**31))
 def test_vectorized_twin_matches_scalar(seed):
