@@ -36,7 +36,7 @@ import numpy as np
 from .bodies import ConvexBody, rejection_sample_uniform
 from .errors import DegenerateSchedule, OracleError, PreconditionError
 from .rng import BLOCK, stream
-from .walk import _SLICE, _check_step_size, _drawn_slices, delta_bound, validate_delta
+from .walk import _SLICE, _check_step_size, _drawn_slices, validate_delta
 
 __all__ = [
     "AnnealSchedule",
@@ -63,7 +63,9 @@ class AnnealConfig:
 
     :func:`allocate_steps` waterfills ``max_total_steps`` across the
     phases against the theoretical demand scaled by ``budget_constant``.
-    ``delta`` of ``None`` means the safe default step size for the body.
+    ``delta`` of ``None`` means ``delta_bound(body)``, the safe default
+    step size, as for ``WalkParams.delta``; :func:`walk.validate_delta`
+    picks the step for both walks.
     """
 
     epsilon: float
@@ -91,9 +93,9 @@ class AnnealConfig:
 
 @dataclass(frozen=True)
 class PhaseRecord:
-    phase: int
-    temperature: float
-    steps: int
+    """One trial's phase; the phase at index ``k`` of a trace ran
+    ``allocations[k]`` steps at ``schedule.temps[k]``."""
+
     rejections: int
     best_f: float
     final_f: float
@@ -217,11 +219,7 @@ def anneal_trials(
         raise PreconditionError("trials must be >= 1")
     man = body.manifold
     n = man.tangent_dim
-    if config.delta is None:
-        delta = delta_bound(body)
-    else:
-        delta = config.delta
-        validate_delta(delta, config.override_delta, body)
+    delta = validate_delta(config.delta, config.override_delta, body)
     t0 = initial_temperature(body, config.lipschitz)
     schedule = _schedule(t0, n, config.epsilon, config.fail_prob)
     allocations = allocate_steps(schedule, body, config)
@@ -275,14 +273,7 @@ def anneal_trials(
             accepted += accepts[: len(slice_thresholds)].sum(axis=0)
         for t in range(trials):
             records[t].append(
-                PhaseRecord(
-                    phase,
-                    temperature,
-                    int(steps),
-                    int(steps - accepted[t]),
-                    float(phase_best[t]),
-                    float(values[t]),
-                )
+                PhaseRecord(int(steps - accepted[t]), float(phase_best[t]), float(values[t]))
             )
     return TrialsResult(
         phase_best,

@@ -40,7 +40,7 @@ from .config import (
 from .diagnostics import builtin_check_names, run_builtin_check
 from .errors import ConfigError, GeoWalkError, PreconditionError
 from .targets import as_gibbs
-from .walk import _SLICE, WalkParams, delta_bound, run_chain
+from .walk import _SLICE, WalkParams, run_chain
 
 __all__ = ["main", "build_parser"]
 
@@ -140,9 +140,8 @@ def _build_space(cfg: RunConfig):
 def _run_sample(cfg: RunConfig, out: Path, tag: str) -> int:
     man, body, start = _build_space(cfg)
     target = target_from_string(cfg.target, man, body) if cfg.target else None
-    delta = cfg.delta if cfg.delta is not None else delta_bound(body)
     params = WalkParams(
-        delta=delta,
+        delta=cfg.delta,
         max_steps=cfg.steps,
         seed=cfg.seed,
         override_delta=cfg.override_delta,
@@ -215,10 +214,11 @@ def _run_anneal(cfg: RunConfig, out: Path, tag: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with trace_path.open("w") as sink:
         sink.write("trial,phase,temperature,steps,rejections,best_f,final_f,config\n")
+        phases = list(enumerate(zip(result.schedule.temps, result.allocations)))
         for trial, trace in enumerate(result.traces):
-            for rec in trace:
+            for (phase, (temperature, steps)), rec in zip(phases, trace):
                 sink.write(
-                    f"{trial},{rec.phase},{rec.temperature!r},{rec.steps},"
+                    f"{trial},{phase},{temperature!r},{steps},"
                     f"{rec.rejections},{rec.best_f!r},{rec.final_f!r},{tag}\n"
                 )
     minimizer_path = out / "minimizers.jsonl"

@@ -109,19 +109,14 @@ def _coerce(section: str, key: str, raw: str, default):
     raw = raw.strip()
     try:
         if isinstance(default, bool):
-            lowered = raw.lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if isinstance(default, (int, float)):
             return type(default)(raw)
         if default is None:
             return None if raw in ("", "auto") else float(raw)
         if isinstance(default, tuple):
             return tuple(c.strip() for c in raw.split(",") if c.strip())
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(f"bad value {raw!r} for {key} in [{section}]") from None
     return raw
 

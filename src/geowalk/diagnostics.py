@@ -38,7 +38,14 @@ from .errors import (
 from .manifolds import Sphere
 from .quadrature import ABS_TOL, REL_TOL, integrate
 from .rng import stream
-from .walk import WalkParams, _accept_counts, _chain_f_values, delta_bound, step_ensemble
+from .walk import (
+    WalkParams,
+    _accept_counts,
+    _chain_f_values,
+    _check_step_size,
+    delta_bound,
+    step_ensemble,
+)
 
 __all__ = [
     "InequalityReport",
@@ -57,9 +64,6 @@ __all__ = [
     "ks_one_sample",
     "ks_two_sample",
     "ks_sigma",
-    "run_affine_needle_battery",
-    "run_needle_moment_battery",
-    "run_partition_battery",
     "builtin_check_names",
     "run_builtin_check",
 ]
@@ -524,7 +528,7 @@ def estimate_one_step_tv(
     x,
     y,
     body: ConvexBody,
-    params: WalkParams,
+    delta: float,
     mc_proposals: int,
     rng: np.random.Generator,
 ) -> TvEstimate:
@@ -539,13 +543,14 @@ def estimate_one_step_tv(
     the body.  The sum (capped at one) upper-bounds the true kernel
     distance and vanishes as the starts merge.
     """
+    _check_step_size(delta)
     man = body.manifold
     xc = np.asarray(x, dtype=float)
     yc = np.asarray(y, dtype=float)
     if not (body.contains_coords(xc) and body.contains_coords(yc)):
         raise PreconditionError("both starts must lie inside the body")
     d = man.dist(xc, yc)
-    transport_term = min(1.0, math.erf(d / (2.0 * math.sqrt(2.0) * params.delta)))
+    transport_term = min(1.0, math.erf(d / (2.0 * math.sqrt(2.0) * delta)))
 
     # In the frames that ``tangent_from_gaussian`` embeds the normals in,
     # the transport is the orthogonal map ``rotation``: the normals ``g_x``
@@ -558,8 +563,8 @@ def estimate_one_step_tv(
     g_x = rng.standard_normal((mc_proposals, man.tangent_dim))
     g_y = g_x @ rotation.T
     shape = (mc_proposals, man.ambient_dim)
-    in_x = body.contains_many(man.propose_many(np.broadcast_to(xc, shape), g_x, params.delta))
-    in_y = body.contains_many(man.propose_many(np.broadcast_to(yc, shape), g_y, params.delta))
+    in_x = body.contains_many(man.propose_many(np.broadcast_to(xc, shape), g_x, delta))
+    in_y = body.contains_many(man.propose_many(np.broadcast_to(yc, shape), g_y, delta))
     disagreement = float(np.mean(in_x != in_y))
     stderr = math.sqrt(max(disagreement * (1.0 - disagreement), 1e-300) / mc_proposals)
     return TvEstimate(
@@ -819,13 +824,12 @@ def _check_one_step_tv(seed: int) -> list[InequalityReport]:
     cap = _default_cap()
     man = cap.manifold
     delta = delta_bound(cap)
-    params = WalkParams(delta=delta)
     x = cap.axis
     direction = man.tangent_from_gaussian(x, np.array([1.0, 0.0]))
     direction /= math.sqrt(direction @ direction)
     distances = np.linspace(0.0, 0.8 * cap.inner_radius, 9)
     estimates = [
-        estimate_one_step_tv(x, man.exp(x, d * direction), cap, params, 20000, rng)
+        estimate_one_step_tv(x, man.exp(x, d * direction), cap, delta, 20000, rng)
         for d in distances
     ]
     worst_drop = -math.inf

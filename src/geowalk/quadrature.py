@@ -31,6 +31,7 @@ import math
 
 from .errors import OracleError, PreconditionError
 
+__all__ = ["integrate"]
 
 ABS_TOL = 1e-10
 REL_TOL = 1e-12

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["stream"]
+
 BLOCK = 4096
 
 

@@ -72,7 +72,8 @@ def linear(coefficients: np.ndarray) -> Target:
     c = np.asarray(coefficients, dtype=float)
     if c.ndim != 1 or c.size < 1:
         raise PreconditionError("coefficients must be a 1-D vector")
-    norm = float(np.linalg.norm(c))
+    with np.errstate(over="ignore"):  # an overflowing norm reads inf, rejected below
+        norm = float(np.linalg.norm(c))
     if not 0.0 < norm < math.inf:
         raise PreconditionError("coefficients must have a finite, nonzero norm")
     terms = c.tolist()

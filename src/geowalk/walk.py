@@ -7,15 +7,17 @@ propose ``y = exp_x(delta * u)``, and stay put if ``y`` leaves the body
 Metropolis filter ``min(1, exp(-(f(y) - f(x)) / T))``, so the chain targets
 the distribution with density proportional to ``exp(-f/T)`` on the body.
 
-Both walks, :func:`run_chain` and ``anneal.anneal_trials``, draw and
-filter their steps through one generator, ``_drawn_slices``, which holds
-the contract of :mod:`geowalk.rng`: step ``j`` of a block uses row ``j``
-of the normals and threshold ``j`` however it resolves, so a uniform walk
-and a Metropolis walk with constant ``f`` take bit-identical steps.  Each
-step does only the point-dependent rest of the proposal,
-``propose_factored`` for the lockstep trials and its one-row twin
-``propose_row`` for a chain.  Membership is a bool at every point of the
-manifold, so a proposal outside the body is a boundary rejection.
+Both walks, :func:`run_chain` and ``anneal.anneal_trials``, take their
+step size from :func:`validate_delta` (``delta_bound(body)`` when none is
+given), and draw and filter their steps through one generator,
+``_drawn_slices``, which holds the contract of :mod:`geowalk.rng`: step
+``j`` of a block uses row ``j`` of the normals and threshold ``j``
+however it resolves, so a uniform walk and a Metropolis walk with
+constant ``f`` take bit-identical steps.  Each step does only the
+point-dependent rest of the proposal, ``propose_factored`` for the
+lockstep trials and its one-row twin ``propose_row`` for a chain.
+Membership is a bool at every point of the manifold, so a proposal
+outside the body is a boundary rejection.
 
 The chain's step loop, ``_chain_slices``, yields the rows each slice
 keeps; :func:`run_chain` writes them into the columns of
@@ -70,21 +72,20 @@ __all__ = [
 class WalkParams:
     """Step size and chain-control knobs.
 
-    ``delta`` above the safe bound is an error unless ``override_delta`` is
-    set, in which case it only warns.
+    ``delta`` of ``None`` means ``delta_bound(body)``, the largest safe
+    step; :func:`validate_delta` picks the step as it does for
+    ``AnnealConfig.delta``.  A given ``delta`` above the safe bound is an
+    error unless ``override_delta`` is set, in which case it only warns.
     """
 
-    delta: float
+    delta: Optional[float] = None
     max_steps: int = 0
     seed: int = 0
     override_delta: bool = False
 
     def __post_init__(self):
-        if self.delta is None:
-            raise PreconditionError(
-                "WalkParams needs a numeric delta; delta_bound(body) gives the largest safe one"
-            )
-        _check_step_size(self.delta)
+        if self.delta is not None:
+            _check_step_size(self.delta)
         if self.max_steps < 0:
             raise PreconditionError("max_steps must be >= 0")
 
@@ -168,8 +169,9 @@ def delta_bound(body: ConvexBody) -> float:
     return min(curvature_term, ball_term)
 
 
-def validate_delta(delta: float, override_delta: bool, body: ConvexBody) -> None:
-    """Check ``delta`` against ``delta_bound(body)``.
+def validate_delta(delta: Optional[float], override_delta: bool, body: ConvexBody) -> float:
+    """The step size both walks take on ``body``: ``delta_bound(body)``
+    for ``None``, else ``delta`` checked against that bound.
 
     Over-bound steps raise unless ``override_delta`` is set, in which case
     a :class:`StepSizeWarning` is emitted instead (stationarity is
@@ -177,6 +179,8 @@ def validate_delta(delta: float, override_delta: bool, body: ConvexBody) -> None
     warning points at the caller of the function that called this one.
     """
     bound = delta_bound(body)
+    if delta is None:
+        return bound
     if delta > bound:
         message = (
             f"step size {delta:.6g} exceeds the guaranteed-safe bound "
@@ -186,6 +190,7 @@ def validate_delta(delta: float, override_delta: bool, body: ConvexBody) -> None
             warnings.warn(message, StepSizeWarning, stacklevel=3)
         else:
             raise PreconditionError(message + " (set override_delta to proceed)")
+    return delta
 
 
 def _start_coords(start, body: ConvexBody) -> np.ndarray:
@@ -221,13 +226,13 @@ def run_chain(
         raise PreconditionError("burn_in must be >= 0")
     if thin < 1:
         raise PreconditionError("thin must be >= 1")
-    validate_delta(params.delta, params.override_delta, body)
+    delta = validate_delta(params.delta, params.override_delta, body)
     kept = max(0, (params.max_steps - burn_in) // thin)
     steps = np.arange(burn_in + thin, burn_in + thin * kept + 1, thin, dtype=np.int64)
     coords = np.empty((kept, body.manifold.ambient_dim))
     rejected = np.empty(kept, dtype=bool)
     f_values = None if target is None else np.empty(kept)
-    slices = _chain_slices(start, body, params, target, thin, burn_in, chain_id)
+    slices = _chain_slices(start, body, params, delta, target, thin, burn_in, chain_id)
     row = 0
     while True:
         try:
@@ -270,9 +275,10 @@ def _drawn_slices(gens, steps, manifold, delta, temperature, normals, thresholds
             yield manifold.proposal_factors(drawn[rows], delta), block[rows]
 
 
-def _chain_slices(start, body, params, target, thin, burn_in, chain_id):
-    """The step loop of :func:`run_chain`, on its arguments; ``thin``,
-    ``burn_in`` and the step size are checked there, not here.
+def _chain_slices(start, body, params, delta, target, thin, burn_in, chain_id):
+    """The step loop of :func:`run_chain`, on its arguments and the step
+    size ``delta`` it picked; ``thin``, ``burn_in`` and ``delta`` are
+    checked there, not here.
 
     A generator: per ``_SLICE`` steps that keep a row it yields the kept
     rows as three lists (the points, whether the step stayed put, and the
@@ -289,7 +295,6 @@ def _chain_slices(start, body, params, target, thin, burn_in, chain_id):
         x = x.tolist()
     propose = man.propose_row
     inside_body = body.contains_coords
-    delta = params.delta
     emit = burn_in + thin
 
     f = fx = read = temperature = None
@@ -344,8 +349,8 @@ def _chain_f_values(start, body, params, target, burn_in):
     """``run_chain(start, body, params, target, burn_in=burn_in).f_values``
     without ever holding the other columns: the target values of the
     slices go straight into one array.  The arguments are checked by the
-    caller, as for ``_chain_slices``."""
-    slices = _chain_slices(start, body, params, target, 1, burn_in, 0)
+    caller, as for ``_chain_slices``, and ``params.delta`` is given."""
+    slices = _chain_slices(start, body, params, params.delta, target, 1, burn_in, 0)
     kept = max(0, params.max_steps - burn_in)
     return np.fromiter(itertools.chain.from_iterable(fs for _, _, fs in slices), float, kept)
 
@@ -404,7 +409,7 @@ def _accept_counts(
 def estimate_local_conductance(
     x,
     body: ConvexBody,
-    params: WalkParams,
+    delta: float,
     trials: int,
     rng: np.random.Generator,
 ) -> float:
@@ -416,10 +421,11 @@ def estimate_local_conductance(
     draw from the exact local conductance; on other bodies the proposals
     are drawn.
     """
+    _check_step_size(delta)
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
     coords = _start_coords(x, body)
-    counts, _ = _accept_counts(coords[None, :], body, params.delta, trials, rng)
+    counts, _ = _accept_counts(coords[None, :], body, delta, trials, rng)
     return int(counts[0]) / trials
 
 

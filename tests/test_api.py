@@ -12,8 +12,9 @@ import pytest
 
 import geowalk as gw
 
-# Every public non-module name of the package, sorted.  A name added to or
-# removed from ``geowalk/__init__.py`` must be added to or removed from here.
+# Every public non-module name of the package, sorted.  ``geowalk/__init__.py``
+# republishes each module's ``__all__``, so a name added to or removed from
+# a module's ``__all__`` must be added to or removed from here.
 PUBLIC = [
     "AcceptanceTooLow", "AnnealConfig", "AnnealSchedule", "ChainResult",
     "ConfigError", "ConvexBody", "DegenerateSchedule",

@@ -175,6 +175,24 @@ def test_load_config_rejects_bad_value(tmp_path):
         cfgmod.load_config(path)
 
 
+@pytest.mark.parametrize(
+    "token, value",
+    [
+        *[(t, True) for t in ("1", "yes", "true", "on", "TrUe")],
+        *[(t, False) for t in ("0", "no", "false", "off")],
+        ("maybe", None),
+    ],
+)
+def test_booleans_take_configparsers_spellings(tmp_path, token, value):
+    text = SAMPLE_INI.replace("delta = 0.01", f"delta = 0.01\noverride_delta = {token}")
+    path = write_ini(tmp_path, text)
+    if value is None:
+        with pytest.raises(gw.ConfigError, match=r"bad value 'maybe' for override_delta in \[walk\]"):
+            cfgmod.load_config(path)
+    else:
+        assert cfgmod.load_config(path).override_delta is value
+
+
 def test_load_config_missing_file():
     with pytest.raises(gw.ConfigError):
         cfgmod.load_config("/nonexistent/run.ini")

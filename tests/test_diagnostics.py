@@ -234,6 +234,12 @@ NAN_CALLS = {
     "warmness_cold": lambda cap: gw.estimate_l2_warmness(
         lambda x: x[:, 0], cap, 1.0, math.nan, 10, gw.stream(0)
     ),
+    "local_conductance_delta": lambda cap: gw.estimate_local_conductance(
+        cap.axis, cap, math.nan, 10, gw.stream(0)
+    ),
+    "one_step_tv_delta": lambda cap: gw.estimate_one_step_tv(
+        cap.axis, cap.axis, cap, math.nan, 10, gw.stream(0)
+    ),
 }
 
 
@@ -332,23 +338,23 @@ def test_isoperimetry_rejects_unknown_labels():
 
 
 def test_one_step_tv_vanishes_at_equal_points(cap60):
-    params = gw.WalkParams(delta=0.05)
+    delta = 0.05
     x = cap60.axis
-    est = gw.estimate_one_step_tv(x, x, cap60, params, 4000, gw.stream(41))
+    est = gw.estimate_one_step_tv(x, x, cap60, delta, 4000, gw.stream(41))
     assert est.transport_term == 0.0
     assert est.value <= 1e-12
 
 
 def test_one_step_tv_grows_with_distance(cap60):
-    params = gw.WalkParams(delta=0.05)
+    delta = 0.05
     x = cap60.axis
     y = gw.Sphere(2).exp(x, np.array([0.2, 0.0, 0.0]))
-    near = gw.estimate_one_step_tv(x, y, cap60, params, 4000, gw.stream(42))
+    near = gw.estimate_one_step_tv(x, y, cap60, delta, 4000, gw.stream(42))
     assert 0.0 < near.value <= 1.0
     assert near.transport_term > 0.0
     assert near.value <= near.transport_term + near.rejection_term + 1e-15
     z = gw.Sphere(2).exp(x, np.array([0.9, 0.0, 0.0]))
-    far = gw.estimate_one_step_tv(x, z, cap60, params, 4000, gw.stream(42))
+    far = gw.estimate_one_step_tv(x, z, cap60, delta, 4000, gw.stream(42))
     assert far.value == 1.0
 
 
@@ -386,9 +392,9 @@ def test_one_step_tv_matches_the_per_row_transport_coupling(descriptor):
     # R is the identity; on the sphere it is not.
     body, x, y = coupling_case(descriptor)
     man = body.manifold
-    params = gw.WalkParams(delta=0.1)
+    delta = 0.1
     proposals = 2000
-    est = gw.estimate_one_step_tv(x, y, body, params, proposals, gw.stream(61))
+    est = gw.estimate_one_step_tv(x, y, body, delta, proposals, gw.stream(61))
 
     basis = np.eye(man.tangent_dim)
     frame_x, frame_y = (
@@ -401,12 +407,12 @@ def test_one_step_tv_matches_the_per_row_transport_coupling(descriptor):
     for g in gw.stream(61).standard_normal((proposals, man.tangent_dim)):
         u = man.tangent_from_gaussian(x, g)
         v = man.transport(x, y, u[None, :])[0]
-        in_x.append(body.contains_coords(man.exp(x, params.delta * u)))
-        in_y.append(body.contains_coords(man.exp(y, params.delta * v)))
+        in_x.append(body.contains_coords(man.exp(x, delta * u)))
+        in_y.append(body.contains_coords(man.exp(y, delta * v)))
     disagreement = float(np.mean(np.array(in_x) != np.array(in_y)))
     d = man.dist(x, y)
     assert 0.0 < est.rejection_term == disagreement
-    assert est.transport_term == min(1.0, math.erf(d / (2.0 * math.sqrt(2.0) * params.delta)))
+    assert est.transport_term == min(1.0, math.erf(d / (2.0 * math.sqrt(2.0) * delta)))
 
 
 def test_warmness_equal_temperatures_is_exactly_one(cap60):

@@ -43,12 +43,12 @@ def test_every_entry_point_runs_on_a_four_oracle_sphere(oracle_sphere):
     assert not np.array_equal(moved, starts)
 
     rim = oracle_sphere.exp(NORTH, np.array([ball.radius - 1e-9, 0.0, 0.0]))
-    p = gw.estimate_local_conductance(rim, ball, gw.WalkParams(delta=0.05), 4000, gw.stream(7))
+    p = gw.estimate_local_conductance(rim, ball, 0.05, 4000, gw.stream(7))
     assert abs(p - 0.5) < 0.05
 
     x = oracle_sphere.exp(NORTH, np.array([0.5, 0.0, 0.0]))
     y = oracle_sphere.exp(NORTH, np.array([0.0, 0.5, 0.0]))
-    tv = gw.estimate_one_step_tv(x, y, ball, gw.WalkParams(delta=0.3), 2000, gw.stream(8))
+    tv = gw.estimate_one_step_tv(x, y, ball, 0.3, 2000, gw.stream(8))
     assert 0.0 < tv.value <= 1.0
     assert tv.transport_term == math.erf(oracle_sphere.dist(x, y) / (2.0 * math.sqrt(2.0) * 0.3))
 
@@ -71,8 +71,8 @@ def test_each_entry_point_names_the_optional_method_it_lacks(bare_oracle_sphere)
             call()
     x = bare_oracle_sphere.exp(NORTH, np.array([0.5, 0.0, 0.0]))
     with pytest.raises(PreconditionError, match=r"oracle-sphere:2 defines no transport"):
-        gw.estimate_one_step_tv(x, NORTH, ball, params, 100, gw.stream(0))
+        gw.estimate_one_step_tv(x, NORTH, ball, params.delta, 100, gw.stream(0))
     # The four oracles alone still walk from a given start.
     chain = gw.run_chain(NORTH, ball, params)
     assert np.all(ball.contains_many(chain.coords))
-    assert 0.0 < gw.estimate_local_conductance(x, ball, params, 200, gw.stream(1)) <= 1.0
+    assert 0.0 < gw.estimate_local_conductance(x, ball, params.delta, 200, gw.stream(1)) <= 1.0

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,15 @@ def test_linear_target_rejects_non_finite_coefficients(bad):
     # overflowed the annealing schedule.
     with pytest.raises(PreconditionError, match="finite, nonzero norm"):
         gw.linear(np.array([bad, 1.0]))
+
+
+def test_linear_target_rejects_an_overflowing_norm_without_a_warning():
+    # Finite coefficients whose norm overflows: numpy's overflow warning
+    # used to escape before the norm check could reject them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="finite, nonzero norm"):
+            gw.linear(np.array([1e200, 1e200]))
 
 
 def test_sqdist_target_rejects_infinite_diameter():

@@ -57,6 +57,25 @@ def test_oversized_delta_raises_unless_overridden():
     assert record[0].filename == __file__
 
 
+@pytest.mark.parametrize("gibbs", [False, True])
+def test_unset_delta_walks_with_delta_bound(gibbs):
+    # WalkParams.delta of None takes the step validate_delta picks, the
+    # same delta_bound(body) that an unset AnnealConfig.delta takes.
+    cap = cap_on_sphere()
+    target = gw.as_gibbs(gw.distance_to(cap.manifold, cap.axis), 0.3) if gibbs else None
+    assert gw.validate_delta(None, False, cap) == gw.delta_bound(cap)
+    unset = gw.run_chain(cap.axis, cap, gw.WalkParams(max_steps=700, seed=4), target, burn_in=50)
+    given = gw.WalkParams(delta=gw.delta_bound(cap), max_steps=700, seed=4)
+    bound = gw.run_chain(cap.axis, cap, given, target, burn_in=50)
+    for name in ("coords", "rejected", "final"):
+        assert getattr(unset, name).tobytes() == getattr(bound, name).tobytes()
+    if gibbs:
+        assert unset.f_values.tobytes() == bound.f_values.tobytes()
+    else:
+        assert unset.f_values is bound.f_values is None
+    assert unset.stats == bound.stats and unset.stats.rejections > 0
+
+
 def replay_chain(start, body, params, target=None, chain_id=0):
     """``run_chain`` replayed one step at a time on numpy points, from the
     block draws of ``stream(params.seed, chain_id)``: per ``_SLICE`` steps
@@ -443,9 +462,9 @@ def test_start_on_the_cut_locus_is_outside_the_body():
     with pytest.raises(InvalidStart):
         gw.run_chain(half_turn, ball, params)
     with pytest.raises(InvalidStart):
-        gw.estimate_local_conductance(half_turn, ball, params, 10, gw.stream(0))
+        gw.estimate_local_conductance(half_turn, ball, params.delta, 10, gw.stream(0))
     with pytest.raises(PreconditionError, match="inside the body"):
-        gw.estimate_one_step_tv(half_turn, ball.center, ball, params, 10, gw.stream(0))
+        gw.estimate_one_step_tv(half_turn, ball.center, ball, params.delta, 10, gw.stream(0))
 
 
 def test_chain_runs_from_the_cut_locus_of_its_target_anchor():
@@ -474,8 +493,6 @@ def test_walk_params_validation():
     for delta in (0.0, -0.05, math.nan, math.inf):
         with pytest.raises(PreconditionError):
             gw.WalkParams(delta=delta)
-    with pytest.raises(PreconditionError, match="delta_bound"):
-        gw.WalkParams(delta=None)
     with pytest.raises(PreconditionError):
         gw.WalkParams(delta=0.1, max_steps=-1)
     # NaN fails every comparison, so only "not T > 0" rejects it.
@@ -490,11 +507,10 @@ def test_walk_params_validation():
 
 def test_local_conductance_interior_vs_boundary():
     cap = cap_on_sphere()
-    params = gw.WalkParams(delta=0.04)
-    deep = gw.estimate_local_conductance(cap.axis, cap, params, 4000, gw.stream(0))
+    deep = gw.estimate_local_conductance(cap.axis, cap, 0.04, 4000, gw.stream(0))
     assert deep == 1.0
     rim = np.array([math.sin(math.pi / 3 - 1e-6), 0.0, math.cos(math.pi / 3 - 1e-6)])
-    edge = gw.estimate_local_conductance(rim, cap, params, 4000, gw.stream(1))
+    edge = gw.estimate_local_conductance(rim, cap, 0.04, 4000, gw.stream(1))
     assert abs(edge - 0.5) < 0.05
 
 
@@ -647,14 +663,14 @@ def test_local_conductance_on_a_ball_matches_the_equal_cap():
     # cap of the same centre and radius is the same set.
     cap = cap_on_sphere(2)
     ball = gw.GeodesicBall(cap.manifold, cap.axis, cap.angle)
-    params = gw.WalkParams(delta=0.3)
+    delta = 0.3
     x = _cap_point(2, 0.8)
-    q = cap.contains_coords.rejection_probability(cap, x[None, :], params.delta)[0]
+    q = cap.contains_coords.rejection_probability(cap, x[None, :], delta)[0]
     assert not hasattr(ball.contains_coords, "rejection_probability")
     trials = 20000
-    p = gw.estimate_local_conductance(x, ball, params, trials, gw.stream(5))
+    p = gw.estimate_local_conductance(x, ball, delta, trials, gw.stream(5))
     assert abs((1.0 - p) - q) <= 3.0 * math.sqrt(q * (1.0 - q) / trials)
-    exact = gw.estimate_local_conductance(x, cap, params, trials, gw.stream(5))
+    exact = gw.estimate_local_conductance(x, cap, delta, trials, gw.stream(5))
     assert abs((1.0 - exact) - q) <= 3.0 * math.sqrt(q * (1.0 - q) / trials)
 
 
