@@ -228,6 +228,14 @@ def test_missing_config_is_a_usage_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_start_outside_body_is_a_config_error(tmp_path, capsys):
+    sample_config(tmp_path, tmp_path / "out")
+    text = (tmp_path / "sample.ini").read_text()
+    cfg = write_config(tmp_path, "bad.ini", text.replace("north", "0,0,-1"))
+    assert main(["run", "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_start_on_the_cut_locus_is_a_config_error(tmp_path, capsys):
     # A half-turn is on the cut locus of the ball's centre, the identity.
     cfg = write_config(
@@ -250,6 +258,16 @@ delta = 0.02
     )
     assert main(["run", "--config", cfg]) == 2
     assert "lies outside the body" in capsys.readouterr().err
+
+
+def test_bad_anneal_budget_is_a_config_error(tmp_path, capsys):
+    anneal_config(tmp_path, tmp_path / "out")
+    text = (tmp_path / "anneal.ini").read_text()
+    bad = write_config(
+        tmp_path, "bad.ini", text.replace("max_total_steps = 4000", "max_total_steps = 0")
+    )
+    assert main(["run", "--config", bad]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 # Each bad setting: the config it edits, its edits, extra flags, and the
