@@ -161,14 +161,18 @@ def _raw_demand(body: ConvexBody, temperature: float, config: AnnealConfig) -> f
     n = body.manifold.tangent_dim
     d = body.diameter
     r = body.inner_radius
+    # (L / T)^2, not L^2 / T^2: L^2 alone overflows for L above 1e154.  A
+    # product, not ** 2, so that a ratio that still overflows reads inf.
+    ratio = config.lipschitz / temperature
     return (
         config.budget_constant
         * d
         * d
         * n**3
         * (1.0 + body.manifold.curvature_bound)
-        * config.lipschitz**2
-        / (r * r * temperature * temperature)
+        * ratio
+        * ratio
+        / (r * r)
         * math.log(1.0 / config.fail_prob)
     )
 
@@ -209,7 +213,8 @@ def anneal_trials(
     trials run beside it.  One step makes one ``propose_factored`` call for
     all trials, tests membership, scores the proposals with ``f_many`` and
     filters the in-body rows.  Points, values and best-so-far arrays are
-    updated in place in workspaces preallocated once per call.
+    updated in place in workspaces preallocated once per call, and the
+    points are projected after every slice of steps, as in ``walk``.
     ``f_many`` must accept any batch of manifold points, on or off the
     body; a non-finite value at an in-body proposal raises
     :class:`OracleError`, while values at out-of-body proposals are never
@@ -271,6 +276,7 @@ def anneal_trials(
                     np.copyto(best_points, points, where=improved[:, None])
                 np.minimum(phase_best, values, out=phase_best)
             accepted += accepts[: len(slice_thresholds)].sum(axis=0)
+            man.project(points)
         for t in range(trials):
             records[t].append(
                 PhaseRecord(int(steps - accepted[t]), float(phase_best[t]), float(values[t]))

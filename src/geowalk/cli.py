@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
@@ -38,7 +39,7 @@ from .config import (
     validate_config,
 )
 from .diagnostics import builtin_check_names, run_builtin_check
-from .errors import ConfigError, GeoWalkError, PreconditionError
+from .errors import ConfigError, GeoWalkError, PreconditionError, StepSizeWarning
 from .targets import as_gibbs
 from .walk import _SLICE, WalkParams, run_chain
 
@@ -191,7 +192,11 @@ def _run_sample(cfg: RunConfig, out: Path, tag: str) -> int:
                 f"rejection fraction {result.stats.rejection_fraction:.4f}"
             )
             del result  # before the next chain allocates its own columns
-            result = next(results, None)
+            with warnings.catch_warnings():
+                # Every chain checks the same step against the same bound,
+                # and the first chain has warned: warn once per run.
+                warnings.simplefilter("ignore", StepSizeWarning)
+                result = next(results, None)
     print(f"wrote {emitted} samples to {path}")
     return 0
 

@@ -9,13 +9,16 @@ same 1-D coordinate layout to the walk, the CLI, and the output files.
 
 Every ``exp`` re-projects its result (sphere: renormalisation, SO(n): one
 Newton-Schulz polar step), so long chains of composed steps do not drift
-off the manifold.
+off the manifold.  The walk kernels below do not: the sphere's closed-form
+step lands on the sphere up to rounding, and the walks hand their state to
+the optional ``project`` once per ``walk._SLICE`` steps instead.
 
 A manifold is defined by four oracles: ``exp``, ``dist``,
 ``tangent_from_gaussian`` and ``validate_point``.  The staged proposal
 below and ``dist_many`` have defaults built from them, which a subclass
 may override for speed.  The optional ``draw_uniform`` (compact spaces
-only) and ``transport`` raise :class:`PreconditionError` unless defined.
+only) and ``transport`` raise :class:`PreconditionError` unless defined;
+the optional ``project`` is the identity unless defined.
 
 The walk's proposal ``exp_x(delta * tangent_from_gaussian(x, g))`` is the
 one step kernel.  It is computed in two stages, from the raw normals ``g``
@@ -121,6 +124,13 @@ class Manifold:
 
     def dist_many(self, points: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.array([self.dist(x, y) for x in points])
+
+    def project(self, points: np.ndarray) -> np.ndarray:
+        """Map the rows of ``points`` (or the one point), each within
+        rounding of the manifold, back onto it, in place; returns
+        ``points``.  The walks call it on their state once per
+        ``walk._SLICE`` steps.  The default is the identity."""
+        return points
 
     def draw_uniform(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` exact uniform draws on the whole manifold, row-wise; the
@@ -286,7 +296,6 @@ class Sphere(Manifold):
         np.negative(q, out=q, where=last >= 0.0)
         y = points * c[:, None]
         y += step
-        y /= np.sqrt(np.vecdot(y, y))[:, None]
         return y
 
     def propose_row(self, x, factors):
@@ -297,12 +306,14 @@ class Sphere(Manifold):
         q = k * sum(map(operator.mul, x, g)) / (1.0 + abs(last))
         c = cos_t - q
         step[-1] = -q if last >= 0.0 else q
-        y = [c * a + b for a, b in zip(x, step)]
-        r = math.hypot(*y)
-        return [v / r for v in y]
+        return [c * a + b for a, b in zip(x, step)]
 
     def dist_many(self, points, y):
         return _arccos(points @ y)
+
+    def project(self, points):
+        points /= np.sqrt(np.vecdot(points, points))[..., None]
+        return points
 
     def draw_uniform(self, rng, count):
         g = rng.standard_normal((count, self.ambient_dim))

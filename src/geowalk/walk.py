@@ -19,6 +19,14 @@ lockstep trials and its one-row twin ``propose_row`` for a chain.
 Membership is a bool at every point of the manifold, so a proposal
 outside the body is a boundary rejection.
 
+The proposal kernels do not re-project: on the sphere each step lands on
+the sphere up to rounding.  Instead every step loop (the chain's,
+``anneal_trials``' and :func:`step_ensemble`'s) passes its state to
+``Manifold.project`` once per ``_SLICE`` steps, and ``step_ensemble``
+before it returns too, so the state stays within 1e-13 of the
+manifold.  ``f`` is not re-evaluated at the projected state: the
+difference is below 1e-15.
+
 The chain's step loop, ``_chain_slices``, yields the rows each slice
 keeps; :func:`run_chain` writes them into the columns of
 :class:`ChainResult`, allocated once, and ``_chain_f_values`` keeps only
@@ -52,7 +60,7 @@ from .bodies import ConvexBody, rejection_sample_uniform
 from .errors import InvalidStart, OracleError, PreconditionError, StepSizeWarning
 from .rng import BLOCK, stream
 
-_SLICE = 256  # steps of a drawn block staged at a time, here and in anneal
+_SLICE = 256  # steps staged, and then projected, at a time, here and in anneal
 _CHUNK = 1 << 14  # rows of normals per pass of _accept_counts' proposal loop
 
 __all__ = [
@@ -283,9 +291,9 @@ def _chain_slices(start, body, params, delta, target, thin, burn_in, chain_id):
     A generator: per ``_SLICE`` steps that keep a row it yields the kept
     rows as three lists (the points, whether the step stayed put, and the
     target values, ``None`` without a target), and it returns ``(stats,
-    final)``, the :class:`RejectionStats` and the last point.  Nothing of a
-    slice outlives its yield here, so a caller that reads one column holds
-    only that one.
+    final)``, the :class:`RejectionStats` and the last point, projected
+    like the state after every slice.  Nothing of a slice outlives its
+    yield here, so a caller that reads one column holds only that one.
     """
     man = body.manifold
     rng = stream(params.seed, chain_id)
@@ -340,6 +348,9 @@ def _chain_slices(start, body, params, delta, target, thin, burn_in, chain_id):
                 kept_rejected.append(rejected)
                 kept_f.append(fx)
                 emit += thin
+        x = man.project(np.array(x))  # a copy: the kept rows keep their values
+        if floats:
+            x = x.tolist()
         if kept_x:
             yield kept_x, kept_rejected, kept_f
     return RejectionStats(params.max_steps, boundary, filtered), x
@@ -440,12 +451,15 @@ def step_ensemble(
 
     All rows share one generator (a batch of normals per step), so this is
     not stream-compatible with per-chain runs; it exists for diagnostics
-    that push thousands of replicas at once.  Returns a new array.
+    that push thousands of replicas at once.  Returns a new array,
+    projected every ``_SLICE`` steps and at the end.
     """
     man = body.manifold
     x = np.array(points, dtype=float, copy=True)
-    for _ in range(steps):
-        g = rng.standard_normal((len(x), man.tangent_dim))
-        y = man.propose_many(x, g, delta)
-        np.copyto(x, y, where=body.contains_many(y)[:, None])
+    for done in range(0, steps, _SLICE):
+        for _ in range(min(_SLICE, steps - done)):
+            g = rng.standard_normal((len(x), man.tangent_dim))
+            y = man.propose_many(x, g, delta)
+            np.copyto(x, y, where=body.contains_many(y)[:, None])
+        man.project(x)
     return x

@@ -13,6 +13,7 @@ from geowalk.errors import (
     PreconditionError,
     StepSizeWarning,
 )
+from geowalk.walk import _SLICE
 
 
 def s5_cap(angle=math.pi / 3):
@@ -137,7 +138,9 @@ def test_anneal_config_validation():
 
 def _replay_trial(body, target, result, seed, t):
     """Trial ``t`` of ``anneal_trials(body, target.f_many, ...)`` replayed
-    one step at a time from the block draws of ``stream(seed, t)``."""
+    one step at a time from the block draws of ``stream(seed, t)``, with
+    ``Manifold.project`` of the state after every ``_SLICE`` steps of a
+    block and at its end."""
     man = body.manifold
     n = man.tangent_dim
     rng = gw.stream(seed, t)
@@ -163,6 +166,8 @@ def _replay_trial(body, target, result, seed, t):
                 phase_best = min(phase_best, fx)
                 if phase == last and fx < best_f:
                     best_x, best_f = x, fx
+                if (j + 1) % _SLICE == 0 or j + 1 == m:
+                    x = man.project(x.copy())
             done += m
         trace.append(gw.PhaseRecord(steps - accepted, phase_best, fx))
     return tuple(trace), best_x[0], best_f
@@ -274,6 +279,18 @@ def test_long_lockstep_run_stays_on_sphere_and_in_cap():
     for trace in result.traces:
         assert all(0 <= rec.rejections <= steps for rec, steps in zip(trace, result.allocations))
         assert all(rec.best_f <= rec.final_f for rec in trace)
+
+
+def test_huge_lipschitz_constant_anneals(cap60):
+    # L**2 overflows a double above L = 1e154; the demand squares L / T,
+    # which at the cold end still overflows, to an infinite demand.
+    target = gw.distance_to(cap60.manifold, cap60.axis)
+    config = gw.AnnealConfig(epsilon=0.3, fail_prob=0.2, lipschitz=1e160, max_total_steps=3_000)
+    result = gw.anneal_trials(cap60, target.f_many, config, seed=1, trials=2)
+    assert len(result.schedule.temps) > 500
+    assert sum(result.allocations) == config.max_total_steps
+    assert np.all(cap60.contains_many(result.minimizers))
+    assert np.all(np.isfinite(result.values))
 
 
 def test_lockstep_raises_on_non_finite_in_body_value(cap60):

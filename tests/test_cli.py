@@ -346,6 +346,18 @@ def test_over_bound_delta_with_override_runs_and_warns_once(tmp_path):
     assert len(read_rows(out / "samples.jsonl")) == 60
 
 
+def test_over_bound_delta_with_override_warns_once_per_run_under_always(tmp_path):
+    # As under "python -W always": one warning per run, not one per chain.
+    out = tmp_path / "out"
+    text = Path(sample_config(tmp_path, out)).read_text()
+    text = text.replace("delta = 0.04", "delta = 0.2\noverride_delta = true")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", write_config(tmp_path, "override.ini", text)]) == 0
+    assert [w.category for w in caught] == [StepSizeWarning]
+    assert len(read_rows(out / "samples.jsonl")) == 60
+
+
 def test_only_the_per_run_overrides_are_flags(tmp_path, capsys):
     good = anneal_config(tmp_path, tmp_path / "out")
     for flag in (["--budget-constant", "1"], ["--override-delta"]):

@@ -79,9 +79,10 @@ def test_unset_delta_walks_with_delta_bound(gibbs):
 def replay_chain(start, body, params, target=None, chain_id=0):
     """``run_chain`` replayed one step at a time on numpy points, from the
     block draws of ``stream(params.seed, chain_id)``: per ``_SLICE`` steps
-    the proposal factors, per block the filter thresholds ``-T log w``.
-    Returns the ``(point, rejected, f value)`` after each step, the start
-    first."""
+    the proposal factors and, after them, ``Manifold.project`` of the
+    state; per block the filter thresholds ``-T log w``.  Returns the
+    ``(point, rejected, f value)`` after each step, the start first, and
+    the projected final point."""
     man = body.manifold
     rng = gw.stream(params.seed, chain_id)
     x = np.array(start, dtype=float)
@@ -107,13 +108,14 @@ def replay_chain(start, body, params, target=None, chain_id=0):
                 if inside:
                     x, fx = y, (None if target is None else fy)
                 states.append((x, not inside, fx))
-    return states
+            x = man.project(np.array(x))
+    return states, x
 
 
 def assert_chain_replays(start, body, params, target=None, thin=1, burn_in=0, chain_id=0):
     """Every column of the chain equals the per-step replay, bit for bit."""
     chain = gw.run_chain(start, body, params, target, thin, burn_in, chain_id)
-    states = replay_chain(start, body, params, target, chain_id)
+    states, final = replay_chain(start, body, params, target, chain_id)
     kept = [states[step] for step in chain.steps]
     assert np.array_equal(chain.coords, np.array([p for p, _, _ in kept]).reshape(chain.coords.shape))
     assert chain.rejected.tolist() == [r for _, r, _ in kept]
@@ -121,7 +123,7 @@ def assert_chain_replays(start, body, params, target=None, thin=1, burn_in=0, ch
         assert chain.f_values is None
     else:
         assert chain.f_values.tolist() == [f for _, _, f in kept]
-    assert np.array_equal(chain.final, states[-1][0])
+    assert np.array_equal(chain.final, final)
     assert chain.stats.rejections == sum(r for _, r, _ in states)
     return chain
 
@@ -370,7 +372,7 @@ def record_chain(target, max_steps, thin, burn_in, seed=4, replay=False):
     result = gw.run_chain(cap.axis, cap, params, target=gibbs, thin=thin, burn_in=burn_in)
     if not replay:
         return result
-    return result, replay_chain(cap.axis, cap, params, gibbs)
+    return result, replay_chain(cap.axis, cap, params, gibbs)[0]
 
 
 @pytest.mark.parametrize("target", [False, True])
@@ -693,3 +695,78 @@ def test_step_ensemble_keeps_points_inside():
     assert moved.shape == starts.shape
     assert np.all(cap.contains_many(moved))
     assert not np.array_equal(moved, starts)
+
+
+# ---------------------------------------------------------------------------
+# Re-projection once per slice: the sphere's proposals are not renormalised,
+# so the walks' states are, by Manifold.project after every _SLICE steps.
+
+
+class CountingSphere(gw.Sphere):
+    """A sphere that counts its ``project`` calls."""
+
+    projections = 0
+
+    def project(self, points):
+        self.projections += 1
+        return super().project(points)
+
+
+def slices(steps):
+    """How many slices ``_drawn_slices`` cuts ``steps`` steps into."""
+    return sum(-(-min(BLOCK, steps - done) // _SLICE) for done in range(0, steps, BLOCK))
+
+
+def test_the_three_step_loops_project_once_per_slice():
+    man = CountingSphere(2)
+    cap = gw.SphericalCap(man, np.array([0.0, 0.0, 1.0]), math.pi / 3)
+    objective = gw.distance_to(man, cap.axis)
+    for target in (None, gw.as_gibbs(objective, 0.2)):
+        man.projections = 0
+        gw.run_chain(cap.axis, cap, gw.WalkParams(max_steps=BLOCK + 37, seed=2), target)
+        assert man.projections == slices(BLOCK + 37) == 17
+    starts = np.tile(cap.axis, (8, 1))
+    for steps, expected in ((0, 0), (_SLICE, 1), (2 * _SLICE + 88, 3)):
+        man.projections = 0
+        gw.step_ensemble(starts, cap, 0.05, gw.stream(1), steps=steps)
+        assert man.projections == expected
+    # The final phase takes 5,748 steps: two blocks, the second of 7 slices.
+    config = gw.AnnealConfig(epsilon=2.0, fail_prob=0.5, lipschitz=1.0, max_total_steps=8_000)
+    man.projections = 0
+    result = gw.anneal_trials(cap, objective.f_many, config, seed=3, trials=2)
+    assert max(result.allocations) > BLOCK
+    assert man.projections == sum(slices(steps) for steps in result.allocations)
+
+
+def max_norm_error(points):
+    return np.max(np.abs(np.linalg.norm(points, axis=-1) - 1.0))
+
+
+@pytest.mark.parametrize("gibbs", [False, True])
+def test_chain_rows_stay_on_the_sphere(gibbs):
+    cap = cap_on_sphere()
+    target = gw.as_gibbs(gw.distance_to(cap.manifold, cap.axis), 0.2) if gibbs else None
+    chain = gw.run_chain(cap.axis, cap, gw.WalkParams(max_steps=100_000, seed=6), target)
+    assert max_norm_error(chain.coords) < 1e-13
+    assert max_norm_error(chain.final) < 1e-13
+
+
+def test_ensemble_and_anneal_states_stay_on_the_sphere():
+    cap = cap_on_sphere()
+    starts = gw.sample_uniform_many(cap, gw.stream(7), 200)
+    ensemble = gw.step_ensemble(starts, cap, 0.05, gw.stream(8), steps=1_000)
+    assert max_norm_error(ensemble) < 1e-13
+    objective = gw.distance_to(cap.manifold, cap.axis)
+    config = gw.AnnealConfig(epsilon=0.3, fail_prob=0.2, lipschitz=1.0, max_total_steps=20_000)
+    result = gw.anneal_trials(cap, objective.f_many, config, seed=9, trials=4)
+    assert max_norm_error(result.minimizers) < 1e-13
+
+
+@pytest.mark.slow
+def test_chain_norm_drift_over_a_million_steps():
+    # Every kept row, not only the projected state at the slice ends.
+    cap = cap_on_sphere()
+    gibbs = gw.as_gibbs(gw.distance_to(cap.manifold, cap.axis), 0.2)
+    chain = gw.run_chain(cap.axis, cap, gw.WalkParams(max_steps=1_000_000, seed=10), gibbs)
+    assert max_norm_error(chain.coords) < 1e-13
+    assert max_norm_error(chain.final) < 1e-13
