@@ -31,7 +31,7 @@ def main() -> None:
     checkpoints = (1, 4, 16, 64, 256)
     noise = 3.0 * gw.ks_sigma(args.replicas, 2 * args.replicas)
 
-    print(f"cap: {cap.spec_string}  replicas: {args.replicas}  3-sigma: {noise:.4f}")
+    print(f"cap: {cap!r}  replicas: {args.replicas}  3-sigma: {noise:.4f}")
     header = "delta   " + "".join(f"ks@{c:<6}" for c in checkpoints)
     print(header)
     for k, delta in enumerate(args.deltas):

@@ -52,7 +52,7 @@ def main() -> None:
 
     probe = target.f_many(gw.sample_uniform_many(cap, gw.stream(args.seed), args.samples))
 
-    print(f"body: {cap.spec_string}")
+    print(f"body: {cap!r}")
     print(f"{schedule.phases} phases, ratio {schedule.ratio:.6f}")
     print("phase  T_hot      T_cold     warmness   3*stderr   ess")
     for k in range(schedule.phases):

@@ -43,9 +43,10 @@ _MAX_MISSES = 10**6  # proposals in a row that miss before the samplers give up
 class ConvexBody:
     """Membership oracle plus declared (inner_center, inner_radius, diameter).
 
-    Subclasses must set the three metadata attributes and implement
-    ``contains_coords``; ``contains_many`` has a loop fallback here and
-    should be overridden when a vectorised test is cheap.
+    Subclasses must set ``manifold`` and the three metadata attributes and
+    implement ``contains_coords``; nothing else is read, ``repr`` included.
+    ``contains_many`` has a loop fallback here and should be overridden
+    when a vectorised test is cheap.
     """
 
     manifold: Manifold
@@ -74,15 +75,10 @@ class ConvexBody:
             (self.contains_coords(p) for p in points), dtype=bool, count=len(points)
         )
 
-    @property
-    def spec_string(self) -> str:
-        raise NotImplementedError
-
     def __repr__(self) -> str:
         return (
-            f"{type(self).__name__}({self.spec_string!r} on "
-            f"{self.manifold.descriptor}, r={self.inner_radius:.4g}, "
-            f"D={self.diameter:.4g})"
+            f"{type(self).__name__}(on {self.manifold.descriptor}, "
+            f"r={self.inner_radius:.4g}, D={self.diameter:.4g})"
         )
 
 
@@ -134,11 +130,6 @@ class SphericalCap(ConvexBody):
     def contains_many(self, points):
         return points @ self.axis >= self.cos_angle
 
-    @property
-    def spec_string(self) -> str:
-        coords = ",".join(repr(float(c)) for c in self.axis)
-        return f"cap:{coords}:{self.angle!r}"
-
 
 class GeodesicBall(ConvexBody):
     """Closed geodesic ball of radius below half the injectivity radius."""
@@ -188,11 +179,6 @@ class GeodesicBall(ConvexBody):
     def contains_many(self, points):
         return self.manifold.dist_many(points, self.center) <= self.radius
 
-    @property
-    def spec_string(self) -> str:
-        coords = ",".join(repr(float(c)) for c in self.center)
-        return f"ball:{coords}:{self.radius!r}"
-
 
 class EuclideanBox(ConvexBody):
     """Axis-aligned box ``[lo, hi]`` in flat space.
@@ -241,12 +227,6 @@ class EuclideanBox(ConvexBody):
 
     def contains_many(self, points):
         return np.all((points >= self.lo) & (points <= self.hi), axis=1)
-
-    @property
-    def spec_string(self) -> str:
-        lo = ",".join(repr(float(c)) for c in self.lo)
-        hi = ",".join(repr(float(c)) for c in self.hi)
-        return f"box:{lo}:{hi}"
 
 
 def sample_uniform_many(body: ConvexBody, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -133,13 +133,12 @@ def _run(args: argparse.Namespace) -> int:
 
 def _build_space(cfg: RunConfig):
     man = manifold_from_string(cfg.manifold)
-    body = body_from_string(cfg.body, man)
-    start = parse_point_spec(cfg.start, man) if cfg.start else None
-    return man, body, start
+    return man, body_from_string(cfg.body, man)
 
 
 def _run_sample(cfg: RunConfig, out: Path, tag: str) -> int:
-    man, body, start = _build_space(cfg)
+    man, body = _build_space(cfg)
+    start = parse_point_spec(cfg.start, man) if cfg.start else None
     target = target_from_string(cfg.target, man, body) if cfg.target else None
     params = WalkParams(
         delta=cfg.delta,
@@ -202,7 +201,7 @@ def _run_sample(cfg: RunConfig, out: Path, tag: str) -> int:
 
 
 def _run_anneal(cfg: RunConfig, out: Path, tag: str) -> int:
-    man, body, start = _build_space(cfg)
+    man, body = _build_space(cfg)
     target = target_from_string(cfg.target, man, body)
     anneal_config = AnnealConfig(
         epsilon=cfg.epsilon,

@@ -8,8 +8,9 @@ parsing problems surface as :class:`ConfigError`.
 :func:`validate_config` checks only the rules no library object owns: the
 mode, ``seed >= 0``, the keys each mode requires, sample mode's ``steps``
 and ``chains >= 1``, and the check names.  The object that reads any other
-setting checks it once and raises :class:`PreconditionError`; the spec
-parsers below rewrap that error as :class:`ConfigError` with the spec.
+setting, a point included, checks it once and raises
+:class:`PreconditionError`; the spec parsers below only parse points, and
+rewrap a body's or target's error as :class:`ConfigError` with the spec.
 """
 
 from __future__ import annotations
@@ -181,12 +182,7 @@ def parse_point_spec(text: str, manifold: Manifold) -> np.ndarray:
         if not isinstance(manifold, SpecialOrthogonal):
             raise ConfigError("'identity' is only defined on rotation groups")
         return np.eye(manifold.n).ravel()
-    coords = _parse_floats(spec)
-    try:
-        manifold.validate_point(coords)
-    except GeoWalkError as exc:
-        raise ConfigError(f"point {text!r} is not on {manifold.descriptor}: {exc}") from None
-    return coords
+    return _parse_floats(spec)
 
 
 def manifold_from_string(text: str) -> Manifold:

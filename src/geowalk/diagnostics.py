@@ -23,12 +23,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bodies import (
-    ConvexBody,
-    EuclideanBox,
-    SphericalCap,
-    sample_uniform_many,
-)
+from .anneal import initial_temperature, make_schedule
+from .bodies import ConvexBody, EuclideanBox, SphericalCap, sample_uniform_many
 from .errors import (
     NotConvex,
     PreconditionError,
@@ -38,11 +34,13 @@ from .errors import (
 from .manifolds import Sphere
 from .quadrature import ABS_TOL, REL_TOL, integrate
 from .rng import stream
+from .targets import as_gibbs, distance_to
 from .walk import (
     WalkParams,
     _accept_counts,
     _chain_f_values,
     _check_step_size,
+    _start_coords,
     delta_bound,
     step_ensemble,
 )
@@ -90,7 +88,7 @@ def _report(
     lhs: float,
     rhs: float,
     mc_stderr: float = 0.0,
-    abs_tol: float = 1e-10,
+    abs_tol: float = 1e-12,
     details: Optional[dict] = None,
 ) -> InequalityReport:
     lhs = float(lhs)
@@ -160,21 +158,19 @@ def _convex_min(h: Callable[[float], float], a: float, b: float) -> float:
     return min(h(a), h(b), hc, hd)
 
 
-def _require_convex(
-    h: Callable[[float], float], a: float, b: float, tol: float = 1e-9, grid: int = 33
-) -> None:
-    """Midpoint spot test; raises :class:`NotConvex` with a witness.
+def _require_convex(h: Callable[[float], float], a: float, b: float) -> None:
+    """Midpoint spot test to 1e-9; raises :class:`NotConvex` with a witness.
 
-    Tests every grid pair at least two apart, evaluating ``h`` once per
-    distinct midpoint; the witness is the first failing pair in row-major
-    order.
+    Tests every pair at least two apart of a 33-point grid, evaluating
+    ``h`` once per distinct midpoint; the witness is the first failing pair
+    in row-major order.
     """
-    xs = np.linspace(a, b, grid)
+    xs = np.linspace(a, b, 33)
     values = np.array([h(x) for x in xs])
-    i, j = np.triu_indices(grid, 2)
+    i, j = np.triu_indices(len(xs), 2)
     mids, which = np.unique(0.5 * (xs[i] + xs[j]), return_inverse=True)
     h_mid = np.array([h(m) for m in mids])[which]
-    failed = h_mid > 0.5 * (values[i] + values[j]) + tol
+    failed = h_mid > 0.5 * (values[i] + values[j]) + 1e-9
     if failed.any():
         k = int(np.argmax(failed))
         raise NotConvex(
@@ -434,7 +430,6 @@ def check_interior_volume(
         fraction,
         bound,
         mc_stderr=stderr,
-        abs_tol=1e-12,
         details={
             "eps": eps,
             "walk_delta": delta,
@@ -509,7 +504,6 @@ def check_isoperimetry(
         lhs,
         rhs,
         mc_stderr=stderr,
-        abs_tol=1e-12,
         details={
             "p1": p1,
             "p2": p2,
@@ -541,14 +535,13 @@ def estimate_one_step_tv(
     coupled by the same shared draws, and their mismatch is estimated as
     the Monte Carlo rate at which exactly one of the two proposals leaves
     the body.  The sum (capped at one) upper-bounds the true kernel
-    distance and vanishes as the starts merge.
+    distance and vanishes as the starts merge.  Both starts are checked as
+    ``run_chain`` checks its start: points of the manifold inside the body.
     """
     _check_step_size(delta)
     man = body.manifold
-    xc = np.asarray(x, dtype=float)
-    yc = np.asarray(y, dtype=float)
-    if not (body.contains_coords(xc) and body.contains_coords(yc)):
-        raise PreconditionError("both starts must lie inside the body")
+    xc = _start_coords(x, body)
+    yc = _start_coords(y, body)
     d = man.dist(xc, yc)
     transport_term = min(1.0, math.erf(d / (2.0 * math.sqrt(2.0) * delta)))
 
@@ -646,7 +639,6 @@ def check_low_temp_expectation(
         float(values.mean()),
         temperature * (n + 1),
         mc_stderr=stderr,
-        abs_tol=1e-12,
         details={"n": int(n), "temperature": temperature, "chain_length": values.size},
     )
 
@@ -691,9 +683,10 @@ def tv_decay_curve(
 # Randomized instance batteries for the quadrature checks.
 
 
-def _random_piecewise_linear_convex(rng: np.random.Generator, pieces: int = 4):
-    """A convex function ``max_j (m_j z + q_j)`` and its kink locations."""
-    count = int(rng.integers(2, pieces + 1))
+def _random_piecewise_linear_convex(rng: np.random.Generator):
+    """A convex function ``max_j (m_j z + q_j)`` of 2 to 4 pieces, and its
+    kink locations."""
+    count = int(rng.integers(2, 5))
     slopes = np.sort(rng.uniform(-3.0, 3.0, size=count))
     offsets = rng.uniform(-2.0, 2.0, size=count)
     # Python floats: the same multiply-then-add per piece as numpy's
@@ -772,11 +765,12 @@ def _worst(run: Callable, name: str, seed: int) -> list[InequalityReport]:
     return [replace(worst, name=name, passed=passed, details=details)]
 
 
-def _default_cap(n: int = 2, angle: float = math.pi / 3.0) -> SphericalCap:
+def _default_cap(n: int = 2) -> SphericalCap:
+    """The 60-degree cap about the north pole of ``sphere:n``."""
     man = Sphere(n)
     axis = np.zeros(man.ambient_dim)
     axis[-1] = 1.0
-    return SphericalCap(man, axis, angle)
+    return SphericalCap(man, axis, math.pi / 3.0)
 
 
 def _check_interior_volume(seed: int) -> list[InequalityReport]:
@@ -795,7 +789,6 @@ def _check_interior_volume(seed: int) -> list[InequalityReport]:
         mismatch,
         0.0,
         mc_stderr=box_report.mc_stderr,
-        abs_tol=1e-12,
         details={
             "empirical": box_report.lhs,
             "expected_fraction": box_report.details["expected_fraction"],
@@ -844,7 +837,6 @@ def _check_one_step_tv(seed: int) -> list[InequalityReport]:
         worst_drop,
         0.0,
         mc_stderr=worst_sigma,
-        abs_tol=1e-12,
         details={
             "sweep": [e.value for e in estimates],
             "at_zero": estimates[0].value,
@@ -854,9 +846,6 @@ def _check_one_step_tv(seed: int) -> list[InequalityReport]:
 
 
 def _check_warmness(seed: int) -> list[InequalityReport]:
-    from .anneal import initial_temperature, make_schedule
-    from .targets import distance_to
-
     rng = stream(seed)
     cap = _default_cap(5)
     target = distance_to(cap.manifold, cap.axis)
@@ -868,7 +857,6 @@ def _check_warmness(seed: int) -> list[InequalityReport]:
         estimate.value,
         5.0,
         mc_stderr=estimate.stderr,
-        abs_tol=1e-12,
         details={"t_hot": t_hot, "t_cold": t_cold},
     )
     control_value = estimate_l2_warmness(
@@ -878,7 +866,6 @@ def _check_warmness(seed: int) -> list[InequalityReport]:
         "warmness_control",
         abs(control_value - 1.0),
         0.0,
-        mc_stderr=0.0,
         abs_tol=0.0,
         details={"value": control_value},
     )
@@ -886,8 +873,6 @@ def _check_warmness(seed: int) -> list[InequalityReport]:
 
 
 def _check_low_temp(seed: int) -> list[InequalityReport]:
-    from .targets import as_gibbs, distance_to
-
     cap = _default_cap()
     man = cap.manifold
     target = distance_to(man, cap.axis)
@@ -907,7 +892,6 @@ def _check_tv_decay(seed: int) -> list[InequalityReport]:
         "tv_decay",
         final,
         0.03,
-        mc_stderr=0.0,
         abs_tol=0.0,
         details={"curve": [[int(s), k] for s, k in curve]},
     )

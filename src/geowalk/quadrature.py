@@ -107,7 +107,7 @@ def integrate(
     budget = [MAX_SUBDIVISIONS]
     for left, right in zip(cuts[:-1], cuts[1:]):
         piece_tol = ABS_TOL * (right - left) / length
-        total += _adaptive(f, left, right, piece_tol, REL_TOL, budget)
+        total += _adaptive(f, left, right, piece_tol, budget)
     return total
 
 
@@ -129,13 +129,13 @@ def _gk21(f, a: float, b: float) -> tuple[float, float, float]:
     return half * kronrod, half * gauss, half * mass
 
 
-def _adaptive(f, a: float, b: float, tol: float, rel: float, budget: list[int]) -> float:
+def _adaptive(f, a: float, b: float, tol: float, budget: list[int]) -> float:
     stack = [(a, b, tol)]
     acc = 0.0
     while stack:
         a0, b0, tol0 = stack.pop()
         kronrod, gauss, mass = _gk21(f, a0, b0)
-        accept = abs(kronrod - gauss) <= tol0 + rel * mass
+        accept = abs(kronrod - gauss) <= tol0 + REL_TOL * mass
         if accept or (b0 - a0) <= 1e-15 * (abs(a0) + abs(b0) + 1.0):
             acc += kronrod
             continue

@@ -454,6 +454,9 @@ def step_ensemble(
     that push thousands of replicas at once.  Returns a new array,
     projected every ``_SLICE`` steps and at the end.
     """
+    _check_step_size(delta)
+    if steps < 0:
+        raise PreconditionError("steps must be >= 0")
     man = body.manifold
     x = np.array(points, dtype=float, copy=True)
     for done in range(0, steps, _SLICE):

@@ -309,6 +309,12 @@ def test_lockstep_raises_on_non_finite_in_body_value(cap60):
         gw.anneal_trials(cap60, f_many, config, seed=1, trials=3)
 
 
+def test_lockstep_raises_on_a_non_finite_start_value(cap60):
+    config = gw.AnnealConfig(epsilon=0.3, fail_prob=0.2, lipschitz=1.0, max_total_steps=2_000)
+    with pytest.raises(OracleError, match="non-finite at a start point"):
+        gw.anneal_trials(cap60, lambda points: np.full(len(points), np.nan), config, 1, 3)
+
+
 def test_lockstep_ignores_non_finite_values_outside_the_body(cap60):
     target = gw.distance_to(cap60.manifold, cap60.axis)
 

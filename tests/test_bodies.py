@@ -27,7 +27,7 @@ def test_cap_metadata(cap60):
     assert np.array_equal(cap60.inner_center, cap60.axis)
     assert cap60.inner_radius == pytest.approx(math.pi / 3)
     assert cap60.diameter == pytest.approx(2 * math.pi / 3)
-    assert cap60.spec_string.startswith("cap:")
+    assert repr(cap60) == "SphericalCap(on sphere:2, r=1.047, D=2.094)"
 
 
 def test_cap_rejects_hemisphere_and_beyond():
@@ -235,6 +235,45 @@ def test_tiny_body_trips_acceptance_guard(monkeypatch):
     monkeypatch.setattr(bodies, "_MAX_MISSES", 2000)
     with pytest.raises(AcceptanceTooLow):
         gw.sample_uniform_many(sliver, gw.stream(0), 10)
+
+
+class Lens(gw.ConvexBody):
+    """Two caps of ``sphere:2`` of one angle with axes ``(0, +-s, c)``,
+    intersected: a body that sets only the members README lists."""
+
+    def __init__(self, s, angle):
+        c = math.sqrt(1.0 - s * s)
+        self.axes = np.array([[0.0, s, c], [0.0, -s, c]])
+        self.cos_angle = math.cos(angle)
+        self.manifold = gw.Sphere(2)
+        self.inner_center = np.array([0.0, 0.0, 1.0])
+        self.inner_radius = angle - math.asin(s)
+        self.diameter = 2.0 * angle
+
+    def contains_coords(self, x):
+        return bool(np.all(self.axes @ np.asarray(x) >= self.cos_angle))
+
+
+def test_a_body_of_the_documented_members_alone_walks_and_samples():
+    lens = Lens(0.6, math.pi / 3)
+    assert repr(lens) == "Lens(on sphere:2, r=0.4037, D=2.094)"
+    points = gw.Sphere(2).draw_uniform(gw.stream(6), 300)
+    assert lens.contains_many(points).tolist() == [lens.contains_coords(p) for p in points]
+    drawn = gw.sample_uniform_many(lens, gw.stream(5), 500)  # through the fallback
+    assert np.all(drawn @ lens.axes.T >= lens.cos_angle)
+    chain = gw.run_chain(lens.inner_center, lens, gw.WalkParams(max_steps=500, seed=1))
+    assert lens.contains_coords(chain.final)
+
+
+def test_a_body_of_the_documented_members_alone_trips_the_guard(monkeypatch):
+    monkeypatch.setattr(bodies, "_MAX_MISSES", 2000)
+    with pytest.raises(AcceptanceTooLow, match=r"Lens\(on sphere:2"):
+        gw.sample_uniform_many(Lens(0.0, 1e-4), gw.stream(0), 10)
+
+
+def test_sample_uniform_many_rejects_a_negative_count(cap60):
+    with pytest.raises(PreconditionError, match="non-negative"):
+        gw.sample_uniform_many(cap60, gw.stream(0), -1)
 
 
 @pytest.mark.parametrize("case", ["cap", "sphere-ball", "so3-ball", "plane-ball"])

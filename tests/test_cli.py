@@ -302,6 +302,8 @@ BAD_SETTINGS = {
     "start-outside-body": (
         "sample", [("start = north", "start = 0,0,-1")], [], "chain start lies outside the body"
     ),
+    "off-sphere-start": ("sample", [("start = north", "start = 0,0,2")], [], "off the unit sphere"),
+    "short-start": ("sample", [("start = north", "start = 0,1")], [], "must have shape"),
     "infinite-linear-coefficient": (
         "anneal",
         [

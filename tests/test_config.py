@@ -258,9 +258,16 @@ def test_parse_point_spec_coordinates():
     point = cfgmod.parse_point_spec("0.6,0.8,0", gw.Sphere(2))
     assert math.isclose(point @ point, 1.0)
     with pytest.raises(gw.ConfigError):
-        cfgmod.parse_point_spec("1,2", gw.Sphere(2))
+        cfgmod.body_from_string("cap:1,2:0.5", gw.Sphere(2))
     with pytest.raises(gw.ConfigError):
         cfgmod.parse_point_spec("a,b,c", gw.Sphere(2))
+
+
+def test_an_ini_cap_is_the_library_cap():
+    # The cap alone checks its axis, to its own 1e-6, and normalises it.
+    axis = [0.0, 0.0, 1.0000001]
+    from_ini = cfgmod.body_from_string("cap:0,0,1.0000001:1", gw.Sphere(2))
+    assert from_ini.axis.tobytes() == gw.SphericalCap(gw.Sphere(2), axis, 1.0).axis.tobytes()
 
 
 def test_manifold_from_string():

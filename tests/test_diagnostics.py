@@ -125,7 +125,7 @@ def test_convexity_test_evaluates_each_midpoint_once():
     xs = np.linspace(0.2, 3.7, grid)
     i, j = np.triu_indices(grid, 2)
     distinct = np.unique(0.5 * (xs[i] + xs[j])).size
-    diag._require_convex(counted, 0.2, 3.7, grid=grid)
+    diag._require_convex(counted, 0.2, 3.7)
     assert len(calls) <= grid + distinct < grid + i.size
 
 
@@ -240,6 +240,10 @@ NAN_CALLS = {
     "one_step_tv_delta": lambda cap: gw.estimate_one_step_tv(
         cap.axis, cap.axis, cap, math.nan, 10, gw.stream(0)
     ),
+    "step_ensemble_delta": lambda cap: gw.step_ensemble(
+        cap.axis[None, :], cap, math.nan, gw.stream(0)
+    ),
+    "tv_decay_delta": lambda cap: gw.tv_decay_curve(cap, math.nan, (1, 4), 100, gw.stream(0)),
 }
 
 
@@ -247,6 +251,37 @@ NAN_CALLS = {
 def test_nan_arguments_are_precondition_errors(case, cap60):
     with pytest.raises(gw.PreconditionError):
         NAN_CALLS[case](cap60)
+
+
+def test_step_ensemble_rejects_negative_steps(cap60):
+    with pytest.raises(gw.PreconditionError, match="steps must be >= 0"):
+        gw.step_ensemble(cap60.axis[None, :], cap60, 0.1, gw.stream(0), steps=-1)
+
+
+@pytest.mark.parametrize(
+    "start, error",
+    [
+        ([0.0, 0.0, 2.0], gw.PreconditionError),
+        ([0.1, 0.0, 1.0], gw.PreconditionError),
+        ([0.0, 1.0], gw.DimensionMismatch),
+    ],
+    ids=["far-off-sphere", "near-off-sphere", "short"],
+)
+def test_one_step_tv_checks_both_starts_as_run_chain_does(cap60, start, error):
+    rng = gw.stream(0)
+    with pytest.raises(error):
+        gw.estimate_one_step_tv(start, cap60.axis, cap60, 0.04, 100, rng)
+    with pytest.raises(error):
+        gw.estimate_one_step_tv(cap60.axis, start, cap60, 0.04, 100, rng)
+
+
+def test_the_remaining_argument_errors(cap60):
+    with pytest.raises(gw.PreconditionError, match="empty sample"):
+        gw.ks_two_sample(np.array([]), np.array([0.5]))
+    with pytest.raises(gw.PreconditionError, match="at least 4"):
+        gw.check_low_temp_expectation(np.array([0.1, 0.2, 0.3]), 2, 0.1)
+    with pytest.raises(gw.PreconditionError, match="non-decreasing"):
+        gw.tv_decay_curve(cap60, 0.1, (4, 1), 10, gw.stream(0))
 
 
 def test_interior_volume_box_agrees_with_exact_shell():

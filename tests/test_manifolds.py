@@ -427,6 +427,17 @@ def test_point_validation_rejects_bad_inputs():
         so.validate_point(np.array([1.0, 0.0, 0.0, -1.0]))  # det = -1
 
 
+def test_the_remaining_point_and_transport_errors():
+    sphere = gw.Sphere(2)
+    with pytest.raises(PreconditionError, match="non-finite point"):
+        sphere.validate_point(np.array([0.0, 0.0, math.nan]))
+    north, south = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])
+    with pytest.raises(PreconditionError, match="antipodal"):
+        sphere.transport(north, south, np.eye(3)[:2])
+    with pytest.raises(PreconditionError, match="not orthogonal"):
+        gw.SpecialOrthogonal(3).validate_point(2.0 * np.eye(3).ravel())
+
+
 def test_descriptor_round_trip():
     for text, kind in (
         ("euclidean:4", gw.Euclidean),

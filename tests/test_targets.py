@@ -77,6 +77,11 @@ def test_linear_target_rejects_degenerate_inputs():
         gw.linear(np.zeros(3))
 
 
+def test_linear_target_rejects_a_coefficient_matrix():
+    with pytest.raises(PreconditionError, match="1-D vector"):
+        gw.linear(np.ones((2, 2)))
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_linear_target_rejects_non_finite_coefficients(bad):
     # An infinite coefficient gave an infinite Lipschitz constant, which

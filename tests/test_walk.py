@@ -465,7 +465,7 @@ def test_start_on_the_cut_locus_is_outside_the_body():
         gw.run_chain(half_turn, ball, params)
     with pytest.raises(InvalidStart):
         gw.estimate_local_conductance(half_turn, ball, params.delta, 10, gw.stream(0))
-    with pytest.raises(PreconditionError, match="inside the body"):
+    with pytest.raises(InvalidStart, match="outside the body"):
         gw.estimate_one_step_tv(half_turn, ball.center, ball, params.delta, 10, gw.stream(0))
 
 
@@ -489,6 +489,20 @@ def test_non_finite_target_raises():
     bad = gw.GibbsTarget(f=lambda x: math.nan, temperature=1.0)
     with pytest.raises(OracleError):
         gw.run_chain(cap.axis, cap, params, target=bad)
+
+
+def test_target_non_finite_after_the_start_raises_at_its_step():
+    # Finite at the start, the axis, and NaN below z = 0.95.
+    cap = cap_on_sphere()
+    bad = gw.GibbsTarget(f=lambda x: 0.0 if x[2] >= 0.95 else math.nan, temperature=1.0)
+    with pytest.raises(OracleError, match="non-finite value at step 12$"):
+        gw.run_chain(cap.axis, cap, gw.WalkParams(max_steps=2000, seed=0), target=bad)
+
+
+def test_local_conductance_needs_a_trial():
+    cap = cap_on_sphere()
+    with pytest.raises(PreconditionError, match="trials must be >= 1"):
+        gw.estimate_local_conductance(cap.axis, cap, 0.04, 0, gw.stream(0))
 
 
 def test_walk_params_validation():
