@@ -64,7 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--config", required=True, help="path to the INI file")
     run_parser.add_argument("--seed", type=int, default=None, help="override [run] seed")
     run_parser.add_argument("--output-dir", default=None, help="override [run] output_dir")
-    run_parser.add_argument("--trials", type=int, default=None, help="override [anneal] trials")
+    run_parser.add_argument(
+        "--trials", type=int, default=None, help="override [anneal] trials (anneal mode only)"
+    )
 
     sub.add_parser(
         "list-builtins",

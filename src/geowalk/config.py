@@ -6,9 +6,10 @@ diffable and the resolved form can be hashed into every output row.  All
 parsing problems surface as :class:`ConfigError`.
 
 :func:`validate_config` checks only the rules no library object owns: the
-mode, ``seed >= 0``, the keys each mode requires, sample mode's ``steps``
-and ``chains >= 1``, and the check names.  The object that reads any other
-setting, a point included, checks it once and raises
+mode, ``seed >= 0``, the keys each mode requires, the fields it does not
+read (each must keep its default, as ``_KEYS`` says), sample mode's
+``steps`` and ``chains >= 1``, and the check names.  The object that reads
+any other setting, a point included, checks it once and raises
 :class:`PreconditionError`; the spec parsers below only parse points, and
 rewrap a body's or target's error as :class:`ConfigError` with the spec.
 """
@@ -56,20 +57,33 @@ class RunConfig:
     checks: tuple[str, ...] = ()
 
 
-_SECTIONS = {
-    "run": ("mode", "seed", "output_dir"),
-    "space": ("manifold", "body", "start"),
-    "walk": ("steps", "thin", "burn_in", "chains", "delta", "override_delta"),
-    "target": ("kind", "temperature"),
-    "anneal": (
-        "epsilon",
-        "fail_prob",
-        "budget_constant",
-        "max_total_steps",
-        "trials",
-    ),
-    "diagnose": ("checks",),
-}
+_ALL, _SPACE = ("sample", "anneal", "diagnose"), ("sample", "anneal")
+
+# Every INI key: section, key, RunConfig field, the modes that read it, and
+# the field that must be set for it to be read.  A field the run's mode
+# does not read must keep its default: it would change the hash, not a result.
+_KEYS = (
+    ("run", "mode", "mode", _ALL, ""),
+    ("run", "seed", "seed", _ALL, ""),
+    ("run", "output_dir", "output_dir", _ALL, ""),
+    ("space", "manifold", "manifold", _SPACE, ""),
+    ("space", "body", "body", _SPACE, ""),
+    ("space", "start", "start", ("sample",), ""),
+    ("walk", "steps", "steps", ("sample",), ""),
+    ("walk", "thin", "thin", ("sample",), ""),
+    ("walk", "burn_in", "burn_in", ("sample",), ""),
+    ("walk", "chains", "chains", ("sample",), ""),
+    ("walk", "delta", "delta", _SPACE, ""),
+    ("walk", "override_delta", "override_delta", _SPACE, "delta"),
+    ("target", "kind", "target", _SPACE, ""),
+    ("target", "temperature", "temperature", ("sample",), "target"),
+    ("anneal", "epsilon", "epsilon", ("anneal",), ""),
+    ("anneal", "fail_prob", "fail_prob", ("anneal",), ""),
+    ("anneal", "budget_constant", "budget_constant", ("anneal",), ""),
+    ("anneal", "max_total_steps", "max_total_steps", ("anneal",), ""),
+    ("anneal", "trials", "trials", ("anneal",), ""),
+    ("diagnose", "checks", "checks", ("diagnose",), ""),
+)
 
 
 def load_config(path: str) -> RunConfig:
@@ -85,20 +99,18 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    fields = {(section, key): field for section, key, field, *_ in _KEYS}
+    sections = list(dict.fromkeys(section for section, _ in fields))
     values = {}
     for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(
-                f"unknown section [{section}]; known: {', '.join(_SECTIONS)}"
-            )
+        if section not in sections:
+            raise ConfigError(f"unknown section [{section}]; known: {', '.join(sections)}")
         for key, raw in parser.items(section):
-            if key not in _SECTIONS[section]:
-                raise ConfigError(
-                    f"unknown key {key!r} in [{section}]; "
-                    f"known: {', '.join(_SECTIONS[section])}"
-                )
-            attr = "target" if (section, key) == ("target", "kind") else key
-            values[attr] = _coerce(section, key, raw, getattr(RunConfig, attr))
+            if (section, key) not in fields:
+                known = ", ".join(k for s, k in fields if s == section)
+                raise ConfigError(f"unknown key {key!r} in [{section}]; known: {known}")
+            field = fields[section, key]
+            values[field] = _coerce(section, key, raw, getattr(RunConfig, field))
     cfg = RunConfig(**values)
     validate_config(cfg)
     return cfg
@@ -123,11 +135,21 @@ def _coerce(section: str, key: str, raw: str, default):
 
 
 def validate_config(cfg: RunConfig) -> None:
-    if cfg.mode not in ("sample", "anneal", "diagnose"):
+    if cfg.mode not in _ALL:
         raise ConfigError(f"mode must be sample, anneal, or diagnose, got {cfg.mode!r}")
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
-    if cfg.mode in ("sample", "anneal"):
+    for section, key, field, modes, needs in _KEYS:
+        if getattr(cfg, field) == getattr(RunConfig, field):
+            continue
+        if cfg.mode not in modes:
+            raise ConfigError(f"mode {cfg.mode} does not read [{section}] {key}")
+        if needs and getattr(cfg, needs) == getattr(RunConfig, needs):
+            needed = next(f"[{s}] {k}" for s, k, f, *_ in _KEYS if f == needs)
+            raise ConfigError(
+                f"mode {cfg.mode} does not read [{section}] {key} unless {needed} is set"
+            )
+    if cfg.mode in _SPACE:
         if not cfg.manifold:
             raise ConfigError(f"mode {cfg.mode} requires [space] manifold")
         if not cfg.body:

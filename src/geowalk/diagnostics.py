@@ -540,8 +540,8 @@ def estimate_one_step_tv(
     """
     _check_step_size(delta)
     man = body.manifold
-    xc = _start_coords(x, body)
-    yc = _start_coords(y, body)
+    xc = _start_coords(x, body, "x")
+    yc = _start_coords(y, body, "y")
     d = man.dist(xc, yc)
     transport_term = min(1.0, math.erf(d / (2.0 * math.sqrt(2.0) * delta)))
 

@@ -201,11 +201,11 @@ def validate_delta(delta: Optional[float], override_delta: bool, body: ConvexBod
     return delta
 
 
-def _start_coords(start, body: ConvexBody) -> np.ndarray:
+def _start_coords(start, body: ConvexBody, name="chain start") -> np.ndarray:
     coords = np.asarray(start, dtype=float)
     body.manifold.validate_point(coords)
     if not body.contains_coords(coords):
-        raise InvalidStart("chain start lies outside the body")
+        raise InvalidStart(f"{name} lies outside the body")
     return coords.copy()
 
 
@@ -435,7 +435,7 @@ def estimate_local_conductance(
     _check_step_size(delta)
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
-    coords = _start_coords(x, body)
+    coords = _start_coords(x, body, "x")
     counts, _ = _accept_counts(coords[None, :], body, delta, trials, rng)
     return int(counts[0]) / trials
 

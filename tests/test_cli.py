@@ -314,6 +314,44 @@ BAD_SETTINGS = {
         [],
         "coefficients must have a finite, nonzero norm",
     ),
+    # A key the run's mode does not read must be left out or keep its default.
+    "anneal-start": (
+        "anneal",
+        [("1.0471975511965976\n", "1.0471975511965976\nstart = 0,0,2\n")],
+        [],
+        "mode anneal does not read [space] start",
+    ),
+    "anneal-thin": (
+        "anneal",
+        [("[anneal]", "[walk]\nthin = 0\n\n[anneal]")],
+        [],
+        "mode anneal does not read [walk] thin",
+    ),
+    "anneal-temperature": (
+        "anneal",
+        [("temperature = 1.0", "temperature = 2")],
+        [],
+        "mode anneal does not read [target] temperature",
+    ),
+    "diagnose-manifold": (
+        "diagnose",
+        [("[diagnose]", "[space]\nmanifold = torus:9\n\n[diagnose]")],
+        [],
+        "mode diagnose does not read [space] manifold",
+    ),
+    "sample-trials": ("sample", [], ["--trials", "3"], "mode sample does not read [anneal] trials"),
+    "temperature-without-kind": (
+        "sample",
+        [("delta = 0.04\n", "delta = 0.04\n\n[target]\ntemperature = 2\n")],
+        [],
+        "mode sample does not read [target] temperature",
+    ),
+    "override-delta-with-auto-delta": (
+        "sample",
+        [("delta = 0.04", "delta = auto\noverride_delta = true")],
+        [],
+        "mode sample does not read [walk] override_delta",
+    ),
 }
 
 
@@ -323,6 +361,8 @@ def test_bad_settings_exit_2_before_any_output(tmp_path, capsys, case):
     out = tmp_path / "out"
     if base == "anneal":
         text = Path(anneal_config(tmp_path, out)).read_text()
+    elif base == "diagnose":
+        text = Path(diagnose_config(tmp_path, out)).read_text()
     else:
         target = "distance_to:0,0,1" if base == "gibbs" else None
         text = Path(sample_config(tmp_path, out, target=target)).read_text()

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -84,9 +86,12 @@ def test_shipped_config_hashes_are_pinned():
     assert hashes == SHIPPED_HASHES
 
 
-EVERY_KEY_INI = """
+# One INI per mode, each setting only keys its mode reads; together they
+# set every key to a value other than its default.
+EVERY_KEY_INIS = (
+    """
 [run]
-mode = anneal
+mode = sample
 seed = 9
 output_dir = elsewhere
 
@@ -106,6 +111,24 @@ override_delta = yes
 [target]
 kind = distance_to:north
 temperature = 2
+""",
+    """
+[run]
+mode = diagnose
+
+[diagnose]
+checks = affine_needle, tv_decay
+""",
+    """
+[run]
+mode = anneal
+
+[space]
+manifold = sphere:3
+body = cap:north:0.5
+
+[target]
+kind = distance_to:north
 
 [anneal]
 epsilon = 0.25
@@ -113,14 +136,20 @@ fail_prob = 0.05
 budget_constant = 3
 max_total_steps = 5000
 trials = 6
-
-[diagnose]
-checks = affine_needle, tv_decay
-"""
+""",
+)
 
 
 def test_every_key_reads_as_its_fields_type(tmp_path):
-    cfg = cfgmod.load_config(write_ini(tmp_path, EVERY_KEY_INI))
+    # Each key is read through an INI of a mode that reads it.  A field set
+    # in several INIs takes the last one's value: mode is the anneal INI's.
+    read = {}
+    for text in EVERY_KEY_INIS:
+        loaded = cfgmod.load_config(write_ini(tmp_path, text))
+        for field in fields(cfgmod.RunConfig):
+            if getattr(loaded, field.name) != field.default:
+                read[field.name] = getattr(loaded, field.name)
+    cfg = cfgmod.RunConfig(**read)
     expected = cfgmod.RunConfig(
         mode="anneal",
         seed=9,
@@ -147,6 +176,62 @@ def test_every_key_reads_as_its_fields_type(tmp_path):
         got, want = getattr(cfg, field.name), getattr(expected, field.name)
         assert want != field.default, field.name
         assert (type(got), got) == (type(want), want), field.name
+
+
+ANNEAL_INI = """
+[run]
+mode = anneal
+seed = 5
+
+[space]
+manifold = sphere:2
+body = cap:0,0,1:1.0471975511965976
+
+[target]
+kind = distance_to:0,0,1
+
+[anneal]
+trials = 2
+"""
+
+
+def test_an_unread_key_at_its_default_changes_nothing(tmp_path):
+    # Anneal mode does not read temperature; its default loads as if unset.
+    plain = cfgmod.load_config(write_ini(tmp_path, ANNEAL_INI))
+    text = ANNEAL_INI.replace("distance_to:0,0,1\n", "distance_to:0,0,1\ntemperature = 1.0\n")
+    with_default = cfgmod.load_config(write_ini(tmp_path, text))
+    assert with_default == plain
+    assert cfgmod.config_hash(with_default) == cfgmod.config_hash(plain)
+
+
+def test_validate_config_rejects_unread_fields_of_a_config_built_in_code():
+    space = dict(manifold="sphere:2", body="cap:north:1.0")
+    anneal = dict(space, mode="anneal", target="distance_to:north")
+    for cfg, message in (
+        (cfgmod.RunConfig(**anneal, thin=0), r"mode anneal does not read \[walk\] thin"),
+        (cfgmod.RunConfig(**space, trials=3), r"mode sample does not read \[anneal\] trials"),
+        (cfgmod.RunConfig(mode="diagnose", chains=0), r"does not read \[walk\] chains"),
+        (cfgmod.RunConfig(**space, temperature=0.5), r"temperature unless \[target\] kind is set"),
+        (cfgmod.RunConfig(**anneal, override_delta=True), r"override_delta unless \[walk\] delta"),
+    ):
+        with pytest.raises(gw.ConfigError, match=message):
+            cfgmod.validate_config(cfg)
+    cfgmod.validate_config(cfgmod.RunConfig(**anneal, delta=0.01, override_delta=True))
+
+
+def test_every_benchmark_workload_config_loads(tmp_path, monkeypatch):
+    # The benchmark writes its own INI files; the shipped configs are
+    # loaded by test_shipped_configs_load_and_build.
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    monkeypatch.setattr(sys, "path", [str(bench), *sys.path])
+    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    assert module.WORKLOADS
+    for name, workload in module.WORKLOADS.items():
+        text = workload.ini(workload.params, 1, tmp_path / name)
+        cfgmod.load_config(write_ini(tmp_path, text))
 
 
 def test_load_config_rejects_unknown_section(tmp_path):

@@ -469,6 +469,17 @@ def test_start_on_the_cut_locus_is_outside_the_body():
         gw.estimate_one_step_tv(half_turn, ball.center, ball, params.delta, 10, gw.stream(0))
 
 
+def test_estimators_name_the_point_outside_the_body():
+    cap = cap_on_sphere()
+    outside = np.array([0.0, 1.0, 0.0])
+    with pytest.raises(InvalidStart, match="^x lies outside the body"):
+        gw.estimate_local_conductance(outside, cap, 0.04, 10, gw.stream(0))
+    with pytest.raises(InvalidStart, match="^x lies outside the body"):
+        gw.estimate_one_step_tv(outside, cap.axis, cap, 0.04, 10, gw.stream(0))
+    with pytest.raises(InvalidStart, match="^y lies outside the body"):
+        gw.estimate_one_step_tv(cap.axis, outside, cap, 0.04, 10, gw.stream(0))
+
+
 def test_chain_runs_from_the_cut_locus_of_its_target_anchor():
     # The start, the identity, is on the cut locus of the half-turn that
     # anchors the target; f is defined there like everywhere else.
