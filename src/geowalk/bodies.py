@@ -26,7 +26,7 @@ import operator
 import numpy as np
 
 from .errors import AcceptanceTooLow, DimensionMismatch, NotConvex, PreconditionError
-from .manifolds import Euclidean, Manifold, Sphere, _arccos
+from .manifolds import Euclidean, Manifold, Sphere, _arccos, _row_dot, _row_kernel, _row_names
 
 __all__ = [
     "ConvexBody",
@@ -58,7 +58,10 @@ class ConvexBody:
         """Membership test of one point, no validation: a bool for every
         point of the manifold.  On ``sphere:n`` and ``euclidean:n`` the
         walk passes the point as a list of floats; the built-in bodies take
-        either form.
+        either form.  A row of the wrong length raises
+        :class:`DimensionMismatch` from the cap's and the box's tests,
+        straight-line kernels compiled for the dimension (see
+        :mod:`geowalk.manifolds`), and from a ball's on a sphere.
 
         Optional declarations, attributes of this function:
         ``scalar(body) = (dist, anchor, read, inside, arc)`` for a test that
@@ -111,13 +114,21 @@ class SphericalCap(ConvexBody):
         self.diameter = 2.0 * angle
 
     def contains_coords(self, x):
-        return sum(map(operator.mul, x, self._axis)) >= self.cos_angle
+        return self._inside(x)
+
+    @functools.cached_property
+    def _inside(self):
+        return _row_kernel(_cap_contains, self.manifold.ambient_dim, *self._axis, self.cos_angle)
+
+    @functools.cached_property
+    def _read(self):
+        return _row_kernel(_cap_read, self.manifold.ambient_dim, *self._axis)
 
     def _scalar(self):
-        # Sphere.dist, bound to this sphere, sums this dot product in this order.
-        axis, inside, mul = self._axis, functools.partial(operator.le, self.cos_angle), operator.mul
-        read = lambda y: sum(map(mul, y, axis))
-        return Sphere.dist.__get__(self.manifold), axis, read, inside, _arccos
+        # Sphere.dist, bound to this sphere, multiplies the same pairs and
+        # sums them in the one order manifolds._row_dot writes.
+        inside = functools.partial(operator.le, self.cos_angle)
+        return Sphere.dist.__get__(self.manifold), self._axis, self._read, inside, _arccos
 
     def _rejection_probability(self, points, delta):
         # It depends on x only through <x, axis>.
@@ -197,14 +208,16 @@ class EuclideanBox(ConvexBody):
         self.manifold = Euclidean(lo.size)
         self.lo = lo
         self.hi = hi
-        self._lo = lo.tolist()
-        self._hi = hi.tolist()
         self.inner_center = 0.5 * (lo + hi)
         self.inner_radius = float(0.5 * np.min(hi - lo))
         self.diameter = float(np.linalg.norm(hi - lo))
 
     def contains_coords(self, x):
-        return all(map(operator.le, self._lo, x)) and all(map(operator.le, x, self._hi))
+        return self._inside(x)
+
+    @functools.cached_property
+    def _inside(self):
+        return _row_kernel(_box_contains, self.manifold.n, *self.lo.tolist(), *self.hi.tolist())
 
     def _draw_uniform(self, rng, count):
         return self.lo + (self.hi - self.lo) * rng.uniform(size=(count, self.manifold.n))
@@ -227,6 +240,24 @@ class EuclideanBox(ConvexBody):
 
     def contains_many(self, points):
         return np.all((points >= self.lo) & (points <= self.hi), axis=1)
+
+
+def _cap_read(m):
+    x, a = _row_names("x", m), _row_names("a", m)
+    return "cap_read", "x", a, [(x, "x"), *_row_dot("s", x, a), "return s"]
+
+
+def _cap_contains(m):
+    _, signature, axis, lines = _cap_read(m)
+    return "cap_contains_coords", signature, [*axis, "cos_angle"], [*lines[:-1], "return s >= cos_angle"]
+
+
+def _box_contains(n):
+    # Every lower bound first, then every upper one, as all(map(le, lo, x))
+    # and all(map(le, x, hi)) evaluate; a bound may be +-inf.
+    x, lo, hi = _row_names("x", n), _row_names("lo", n), _row_names("hi", n)
+    tests = [f"{a} <= {b}" for a, b in zip(lo, x)] + [f"{a} <= {b}" for a, b in zip(x, hi)]
+    return "box_contains_coords", "x", [*lo, *hi], [(x, "x"), f"return {' and '.join(tests)}"]
 
 
 def sample_uniform_many(body: ConvexBody, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -30,9 +30,19 @@ on ``R^n``).  ``propose_row(x, factors)`` does the rest for one point (the
 step of ``run_chain``), and ``propose_factored(points, factors)`` for one
 step's rows; by default it loops over ``propose_row``.  ``propose_many``
 composes the stages.  ``Euclidean`` and ``Sphere`` evaluate them in closed
-form, and their one-row kernels, ``propose_row`` and ``Sphere.dist``, work
-on Python floats: they take lists (``dist`` also numpy rows) and return
-lists, which on a few elements avoids numpy's per-call overhead.
+form.
+
+Their one-row oracles, ``propose_row`` and ``Sphere.dist``, work on Python
+floats, which on a few elements avoids numpy's per-call overhead: they take
+lists or numpy rows and return lists (``dist`` a float).  Each is a
+straight-line kernel, compiled on first use once per dimension by the
+row-kernel helper below, which the one-row membership tests of
+:mod:`geowalk.bodies` and ``linear``'s ``f`` share: the row is unpacked
+into locals (a row of another length raises :class:`DimensionMismatch`)
+and a dot product is ``0.0 + p0``, then each product added in turn, left
+to right.  That is the order of CPython 3.11's ``sum`` of floats, which
+3.12 replaced by a compensated sum; the kernels keep the plain order on
+every version.  Nothing about them is tunable.
 
 The intrinsic dimension is ``tangent_dim``; curvature enters the walk only
 through ``curvature_bound``, an upper bound on the Frobenius norm of the
@@ -41,8 +51,8 @@ curvature operator.  For ``S^n`` and ``SO(n)`` it is ``n``.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 
 import numpy as np
 
@@ -70,7 +80,8 @@ class Manifold:
     # Whether the one-row oracles ``propose_row`` and ``dist`` take lists
     # of Python floats (``propose_row`` then returns one, from factor rows
     # converted with ``tolist``); ``run_chain`` keeps a chain's state in
-    # that form between steps when they do.
+    # that form between steps when they do.  Sphere and Euclidean compile
+    # them as straight-line kernels (see the module docstring).
     float_rows = False
 
     @property
@@ -154,6 +165,67 @@ class Manifold:
         return x
 
 
+# ---------------------------------------------------------------------------
+# Straight-line float-row kernels.  Each one-row oracle that takes lists of
+# Python floats (the sphere's and R^n's below, the cap's and the box's
+# membership tests, ``linear``'s ``f``) is written out for its dimension by
+# a template and compiled once per template and dimension: every coordinate
+# is a local, and no map, zip, sum or comprehension runs per call.  A
+# template ``template(n)`` returns ``(name, signature, constants, lines)``;
+# a line is a statement, or ``(names, row)``, the unpacking of the argument
+# ``row`` into ``names``, which raises DimensionMismatch for a row of any
+# other length.  ``constants`` are the names the caller binds, in order.
+
+
+def _row_names(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}{i}" for i in range(n)]
+
+
+def _row_dot(total: str, left: list[str], right: list[str]) -> list[str]:
+    """Statements that set ``total`` to the sum of the products ``a * b``
+    of ``zip(left, right)``, each operand order kept, in the one order every
+    float row is summed in: ``0.0 + p0``, then each product in turn, left to
+    right.  That is CPython 3.11's ``sum`` of floats (3.12's compensates),
+    ``0.0 +`` included: it turns a ``-0.0`` first product into ``+0.0``.
+    One statement per product keeps the code flat at any dimension."""
+    first, *rest = (f"{a} * {b}" for a, b in zip(left, right))
+    return [f"{total} = 0.0 + {first}", *(f"{total} += {p}" for p in rest)]
+
+
+def _row_kernel(template, n: int, *constants):
+    """The kernel that ``template`` writes for rows of ``n`` coordinates,
+    with ``constants`` bound in order."""
+    return _row_factory(template, n)(*constants)
+
+
+@functools.cache
+def _row_factory(template, n: int):
+    name, signature, constants, lines = template(n)
+    source = [f"def make({', '.join(constants)}):", f"    def {name}({signature}):"]
+    for line in lines:
+        if isinstance(line, str):
+            source.append(f"        {line}")
+            continue
+        names, row = line
+        message = f"{name}: {row} must have {len(names)} entries"
+        source += [
+            "        try:",
+            f"            {', '.join(names)}, = {row}",
+            "        except ValueError as exc:",
+            f"            raise DimensionMismatch({message!r}) from exc",
+        ]
+    source.append(f"    return {name}")
+    namespace = {"DimensionMismatch": DimensionMismatch, "acos": math.acos}
+    exec(compile("\n".join(source), f"<row kernel {name}, n={n}>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _euclidean_propose_row(n):
+    x, d = _row_names("x", n), _row_names("d", n)
+    step = ", ".join(f"{a} + {b}" for a, b in zip(x, d))
+    return "euclidean_propose_row", "x, factors", (), [(x, "x"), (d, "factors[0]"), f"return [{step}]"]
+
+
 class Euclidean(Manifold):
     """Flat ``R^n``: exp is addition, distance is the Euclidean norm."""
 
@@ -192,7 +264,11 @@ class Euclidean(Manifold):
         return points + factors[0]
 
     def propose_row(self, x, factors):
-        return [a + b for a, b in zip(x, factors[0])]
+        return self._propose_row(x, factors)
+
+    @functools.cached_property
+    def _propose_row(self):
+        return _row_kernel(_euclidean_propose_row, self.n)
 
     def dist_many(self, points, y):
         d = points - y
@@ -209,6 +285,30 @@ def _arccos(c):
         np.maximum(c, -1.0, out=c)
         return np.arccos(c, out=c)
     return math.acos(1.0 if c > 1.0 else -1.0 if c < -1.0 else c)
+
+
+def _sphere_dist(m):
+    x, y = _row_names("x", m), _row_names("y", m)
+    clipped = "1.0 if c > 1.0 else -1.0 if c < -1.0 else c"  # _arccos on a float
+    return "sphere_dist", "x, y", (), [(x, "x"), (y, "y"), *_row_dot("c", x, y), f"return acos({clipped})"]
+
+
+def _sphere_propose_row(m):
+    # propose_factored on Python floats: the normals pair with x[:-1], and
+    # the step row's last entry, -s q, is computed here.
+    x, g, b = _row_names("x", m), _row_names("g", m - 1), _row_names("b", m - 1)
+    last = x[-1]
+    row = ", ".join(f"c * {a} + {s}" for a, s in zip(x, b))
+    return "sphere_propose_row", "x, factors", (), [
+        "g, cos_t, k, step = factors",
+        (x, "x"),
+        (g, "g"),
+        ([*b, "_"], "step"),
+        *_row_dot("s", x[:-1], g),
+        f"q = k * s / (1.0 + abs({last}))",
+        "c = cos_t - q",
+        f"return [{row}, c * {last} + (-q if {last} >= 0.0 else q)]",
+    ]
 
 
 class Sphere(Manifold):
@@ -245,7 +345,11 @@ class Sphere(Manifold):
         return y
 
     def dist(self, x, y):
-        return _arccos(sum(map(operator.mul, x, y)))
+        return self._dist(x, y)
+
+    @functools.cached_property
+    def _dist(self):
+        return _row_kernel(_sphere_dist, self.ambient_dim)
 
     def tangent_from_gaussian(self, x, g):
         s = 1.0 if x[-1] >= 0.0 else -1.0
@@ -299,14 +403,11 @@ class Sphere(Manifold):
         return y
 
     def propose_row(self, x, factors):
-        # propose_factored on Python floats.  ``g`` has one entry fewer than
-        # ``x``, so zipping the two pairs the normals with x[:-1].
-        g, cos_t, k, step = factors
-        last = x[-1]
-        q = k * sum(map(operator.mul, x, g)) / (1.0 + abs(last))
-        c = cos_t - q
-        step[-1] = -q if last >= 0.0 else q
-        return [c * a + b for a, b in zip(x, step)]
+        return self._propose_row(x, factors)
+
+    @functools.cached_property
+    def _propose_row(self):
+        return _row_kernel(_sphere_propose_row, self.ambient_dim)
 
     def dist_many(self, points, y):
         return _arccos(points @ y)

@@ -16,20 +16,22 @@ the Metropolis walk only ``f``:
 The ``f`` of the two distance targets declares ``f.of_distance = (dist,
 anchor, outer)``, ``f(x) == outer(dist(anchor, x))`` (``outer`` ``None``:
 the distance), so that ``run_chain`` can share one scalar per step with a
-body's membership test; a custom ``f`` declares nothing.
+body's membership test; a custom ``f`` declares nothing.  ``linear``'s
+``f`` is a straight-line kernel compiled for the dimension, as the
+manifolds' one-row oracles are (see :mod:`geowalk.manifolds`), so a row of
+another length raises :class:`DimensionMismatch`.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import PreconditionError
-from .manifolds import Manifold
+from .manifolds import Manifold, _row_dot, _row_kernel, _row_names
 from .walk import GibbsTarget
 
 __all__ = ["Target", "distance_to", "sqdist_to", "linear", "as_gibbs"]
@@ -76,15 +78,17 @@ def linear(coefficients: np.ndarray) -> Target:
         norm = float(np.linalg.norm(c))
     if not 0.0 < norm < math.inf:
         raise PreconditionError("coefficients must have a finite, nonzero norm")
-    terms = c.tolist()
-
-    def f(x: np.ndarray) -> float:
-        return sum(map(operator.mul, terms, x))
+    f = _row_kernel(_linear_f, c.size, *c.tolist())
 
     def f_many(points: np.ndarray) -> np.ndarray:
         return points @ c
 
     return Target(f, f_many, norm)
+
+
+def _linear_f(n):
+    c, x = _row_names("c", n), _row_names("x", n)
+    return "linear_f", "x", c, [(x, "x"), *_row_dot("v", c, x), "return v"]
 
 
 def as_gibbs(target: Target, temperature: float) -> GibbsTarget:

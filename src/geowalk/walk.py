@@ -36,8 +36,11 @@ the target values.  When the body's membership test and the target's
 ``d(center, y)`` with one at its centre; see ``_shared_scalar``), a step
 computes it once and takes both from it with the same arithmetic.  On
 ``sphere:n`` and ``euclidean:n`` (``Manifold.float_rows``) the chain's
-state and each slice's factors are lists of Python floats; these oracles
-read numpy rows as well, and so does the whole step on ``so:n``.
+state and each slice's factors are lists of Python floats, and every
+one-row oracle of a step (proposal, membership, ``f``, the shared scalar)
+is a straight-line kernel compiled for the dimension, summing in the one
+order :mod:`geowalk.manifolds` fixes; these oracles read numpy rows as
+well, and so does the whole step on ``so:n``.
 
 Local-conductance counts (how many of ``trials`` one-step proposals from a
 point stay in the body) are one ``Binomial`` draw per point when the body's

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import geowalk as gw
-from geowalk import diagnostics, walk
+import row_reference
+from geowalk import diagnostics, manifolds, walk
 from geowalk import quadrature
 from geowalk.quadrature import integrate
 from geowalk.rng import BLOCK
@@ -76,17 +77,26 @@ def test_unset_delta_walks_with_delta_bound(gibbs):
     assert unset.stats == bound.stats and unset.stats.rejections > 0
 
 
-def replay_chain(start, body, params, target=None, chain_id=0):
+def replay_chain(start, body, params, target=None, chain_id=0, inside=None, f=None):
     """``run_chain`` replayed one step at a time on numpy points, from the
     block draws of ``stream(params.seed, chain_id)``: per ``_SLICE`` steps
     the proposal factors and, after them, ``Manifold.project`` of the
-    state; per block the filter thresholds ``-T log w``.  Returns the
-    ``(point, rejected, f value)`` after each step, the start first, and
-    the projected final point."""
+    state; per block the filter thresholds ``-T log w``.  On a
+    ``float_rows`` manifold each proposal is the explicit-loop reference of
+    ``row_reference.py``, not the compiled kernel.  ``inside`` and ``f``
+    replace ``body.contains_coords`` and ``target.f`` when given.  Returns
+    the ``(point, rejected, f value)`` after each step, the start first,
+    and the projected final point."""
     man = body.manifold
     rng = gw.stream(params.seed, chain_id)
+    inside_body = inside or body.contains_coords
+    f = f or (None if target is None else target.f)
+    if man.float_rows:
+        propose = lambda x, factors: row_reference.propose_row(man, x.tolist(), factors)
+    else:
+        propose = man.propose_row
     x = np.array(start, dtype=float)
-    fx = None if target is None else target.f(x)
+    fx = None if target is None else f(x)
     states = [(x, False, fx)]
     for done in range(0, params.max_steps, BLOCK):
         m = min(BLOCK, params.max_steps - done)
@@ -100,10 +110,10 @@ def replay_chain(start, body, params, target=None, chain_id=0):
             if man.float_rows:
                 factors = [a.tolist() for a in factors]
             for step, threshold in zip(zip(*factors), thresholds[lo : lo + _SLICE]):
-                y = np.array(man.propose_row(x, step))
-                inside = body.contains_coords(y)
+                y = np.array(propose(x, step))
+                inside = inside_body(y)
                 if inside and target is not None:
-                    fy = target.f(y)
+                    fy = f(y)
                     inside = fy - fx < threshold
                 if inside:
                     x, fx = y, (None if target is None else fy)
@@ -210,6 +220,65 @@ def test_run_chain_replays_across_a_slice_boundary(gibbs):
     assert chain.steps[0] < _SLICE < 2 * _SLICE < chain.steps[-1]
     assert len(chain.steps) == 133
     assert 0 < chain.stats.rejections < params.max_steps
+
+
+def float_row_path(case):
+    """One shipped float-row step path: the body, the Gibbs target (or
+    ``None``), the step size, and the explicit-loop references of the
+    body's membership test and of the target's ``f``."""
+    if case in ("low-temp-cap", "sample-cap"):
+        body = diagnostics._default_cap()
+        axis = body.axis.tolist()
+        inside = lambda y: row_reference.cap_contains(axis, body.cos_angle, y.tolist())
+        if case == "sample-cap":
+            return body, None, gw.delta_bound(body), inside, None
+        target = gw.as_gibbs(gw.distance_to(body.manifold, body.axis), 0.05)
+        return body, target, gw.delta_bound(body), inside, lambda y: row_reference.sphere_dist(axis, y.tolist())
+    if case == "box-linear":
+        body = gw.EuclideanBox(np.zeros(2), np.array([1.0, 2.0]))
+        c = [1.0, -0.5]
+        target = gw.as_gibbs(gw.linear(np.array(c)), 0.25)
+        inside = lambda y: row_reference.box_contains([0.0, 0.0], [1.0, 2.0], y.tolist())
+        return body, target, gw.delta_bound(body), inside, lambda y: row_reference.linear_f(c, y.tolist())
+    man = gw.Sphere(3)
+    center = [0.0, 0.6, 0.0, 0.8]
+    body = gw.GeodesicBall(man, np.array(center), 0.9)
+    target = gw.as_gibbs(gw.sqdist_to(man, body.center, body.diameter), 0.2)
+    inside = lambda y: row_reference.sphere_dist(center, y.tolist()) <= 0.9
+    f = lambda y: 0.5 * row_reference.sphere_dist(center, y.tolist()) ** 2
+    return body, target, gw.delta_bound(body), inside, f
+
+
+@pytest.mark.parametrize("case", ["low-temp-cap", "sample-cap", "box-linear", "sphere-ball-sqdist"])
+def test_float_row_chains_replay_the_reference_step(case):
+    # Each shipped float-row path (the shared-scalar cap of
+    # low_temp_expectation, sample_cap's plain membership, sample_box_gibbs's
+    # box with linear, a sphere:n ball with sqdist_to at its centre) against
+    # the explicit-loop references, every step kept.
+    body, target, delta, inside, f = float_row_path(case)
+    params = gw.WalkParams(delta=delta, max_steps=_SLICE + 300, seed=17)
+    chain = gw.run_chain(body.inner_center, body, params, target)
+    states, final = replay_chain(body.inner_center, body, params, target, inside=inside, f=f)
+    assert np.array_equal(chain.coords, np.array([p for p, _, _ in states[1:]]))
+    assert np.array_equal(chain.rejected, np.array([r for _, r, _ in states[1:]]))
+    if target is not None:
+        assert np.array_equal(chain.f_values, np.array([v for _, _, v in states[1:]]))
+    assert np.array_equal(chain.final, final)
+    assert 0 < chain.stats.rejections < params.max_steps
+
+
+def test_lockstep_anneal_compiles_no_sphere_step_kernel(monkeypatch):
+    # anneal_trials steps with the batched kernels; only the cap's one-row
+    # membership test (its start draws) may be built.
+    built = []
+    factory = manifolds._row_factory
+    monkeypatch.setattr(manifolds, "_row_factory", lambda template, n: built.append(template) or factory(template, n))
+    cap = diagnostics._default_cap(5)
+    target = gw.distance_to(cap.manifold, cap.axis)
+    config = gw.AnnealConfig(epsilon=0.3, fail_prob=0.2, lipschitz=target.lipschitz, max_total_steps=3000)
+    gw.anneal_trials(cap, target.f_many, config, seed=3, trials=4)
+    assert built and {t.__name__ for t in built} <= {"_cap_contains"}
+    assert not {"_propose_row", "_dist"} & set(vars(cap.manifold))
 
 
 class ZeroUniforms:
