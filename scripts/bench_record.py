@@ -1,21 +1,22 @@
 """Record a BENCH file: the end-to-end metrics of every benchmark workload.
 
-Runs ``bench/run.py --workload W --seed S --seconds T --trace 0`` ``--runs``
+Runs ``bench/run.py --workload W --seed S --seconds T --trace 0`` ``RUNS``
 times for each workload that ``BENCHMARK.json`` lists, the workloads taking
-turns, at seeds ``S, S + 1, ...``, in the checkout ``--root`` (this
-repository by default).  Each call prints the median of its processes; the
-file holds, per workload and metric (``wall_s``, ``setup_s``,
-``peak_rss_mib``), the median, quartiles and IQR over the calls, and every
-call's value.  It also holds the settings, the operations attempted and
-failed, and what the runs report of the checkout and host: git SHA,
-Python, numpy and BLAS versions, and ``nproc``.
+turns, at seeds ``SEED, SEED + 1, ...`` and at the benchmark's run length
+``T`` (its ``run_seconds``), in the checkout ``--root`` (this repository by
+default).  Each call prints the median of its processes; the file holds,
+per workload and metric (``wall_s``, ``setup_s``, ``peak_rss_mib``), the
+median, quartiles and IQR over the calls, and every call's value.  It also
+holds the settings, the operations attempted and failed, and what the runs
+report of the checkout and host: git SHA, Python, numpy and BLAS versions,
+and ``nproc``.  Nothing is tunable, so every BENCH file is recorded alike.
 
 A BENCH file is a snapshot of one checkout, not a paired comparison; two
-files compare fairly only when recorded with the same settings on the
-same host.  ``scripts/bench_compare.py`` compares two.
+files compare fairly only when recorded on the same host.
+``scripts/bench_compare.py`` compares two.
 
 Usage:
-    python3 scripts/bench_record.py --out BENCH_28.json --runs 5 --seconds 20 --seed 900
+    python3 scripts/bench_record.py --out BENCH_28.json
 """
 
 import argparse
@@ -27,6 +28,8 @@ from pathlib import Path
 
 METRICS = ("wall_s", "setup_s", "peak_rss_mib")
 STAMP = ("git_sha", "python", "numpy", "openblas", "nproc")
+RUNS = 5  # bench/run.py calls per workload
+SEED = 900  # seed of the first call; then +1 per call
 
 
 def summary(values: list[float]) -> dict:
@@ -43,19 +46,21 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads((root / "bench-out" / workload / "result.json").read_text())
 
 
-def record(root: Path, runs: int, seconds: float, seed: int) -> dict:
-    workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+def record(root: Path) -> dict:
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
     results: dict[str, list[dict]] = {w: [] for w in workloads}
-    for i in range(runs):
+    for i in range(RUNS):
         for workload in workloads:
-            got = run_once(root, workload, seed + i, seconds)
+            got = run_once(root, workload, SEED + i, seconds)
             results[workload].append(got)
-            print(f"{workload} seed {seed + i}: "
+            print(f"{workload} seed {SEED + i}: "
                   + ", ".join(f"{m} {got['metrics'][m]['value']:.4g}" for m in METRICS), file=sys.stderr)
     first = results[workloads[0]][0]
     return {
         **{key: first[key] for key in STAMP},
-        "settings": {"runs": runs, "seconds": seconds, "first_seed": seed, "trace": 0},
+        "settings": {"runs": RUNS, "seconds": seconds, "first_seed": SEED, "trace": 0},
         "workloads": {
             workload: {
                 "attempted": sum(r["attempted"] for r in rs),
@@ -72,13 +77,8 @@ def main() -> None:
     parser.add_argument("--out", type=Path, required=True, help="the BENCH file to write")
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="the checkout to measure (default: this repository)")
-    parser.add_argument("--runs", type=int, default=5, help="bench/run.py calls per workload (>= 5)")
-    parser.add_argument("--seconds", type=float, default=20.0, help="--seconds of each call")
-    parser.add_argument("--seed", type=int, default=900, help="seed of the first call; then +1 per call")
     args = parser.parse_args()
-    if args.runs < 5:
-        parser.error("--runs must be at least 5")
-    bench = record(args.root.resolve(), args.runs, args.seconds, args.seed)
+    bench = record(args.root.resolve())
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
 
 

@@ -26,7 +26,7 @@ import operator
 import numpy as np
 
 from .errors import AcceptanceTooLow, DimensionMismatch, NotConvex, PreconditionError
-from .manifolds import Euclidean, Manifold, Sphere, _arccos, _row_dot, _row_kernel, _row_names
+from .manifolds import Euclidean, Manifold, Sphere, _arccos, _row_dot, _row_factory, _row_names
 
 __all__ = [
     "ConvexBody",
@@ -118,11 +118,11 @@ class SphericalCap(ConvexBody):
 
     @functools.cached_property
     def _inside(self):
-        return _row_kernel(_cap_contains, self.manifold.ambient_dim, *self._axis, self.cos_angle)
+        return _row_factory(_cap_contains, self.manifold.ambient_dim)(*self._axis, self.cos_angle)
 
     @functools.cached_property
     def _read(self):
-        return _row_kernel(_cap_read, self.manifold.ambient_dim, *self._axis)
+        return _row_factory(_cap_read, self.manifold.ambient_dim)(*self._axis)
 
     def _scalar(self):
         # Sphere.dist, bound to this sphere, multiplies the same pairs and
@@ -217,7 +217,7 @@ class EuclideanBox(ConvexBody):
 
     @functools.cached_property
     def _inside(self):
-        return _row_kernel(_box_contains, self.manifold.n, *self.lo.tolist(), *self.hi.tolist())
+        return _row_factory(_box_contains, self.manifold.n)(*self.lo.tolist(), *self.hi.tolist())
 
     def _draw_uniform(self, rng, count):
         return self.lo + (self.hi - self.lo) * rng.uniform(size=(count, self.manifold.n))

@@ -192,14 +192,10 @@ def _row_dot(total: str, left: list[str], right: list[str]) -> list[str]:
     return [f"{total} = 0.0 + {first}", *(f"{total} += {p}" for p in rest)]
 
 
-def _row_kernel(template, n: int, *constants):
-    """The kernel that ``template`` writes for rows of ``n`` coordinates,
-    with ``constants`` bound in order."""
-    return _row_factory(template, n)(*constants)
-
-
 @functools.cache
 def _row_factory(template, n: int):
+    """The maker of the kernel that ``template`` writes for rows of ``n``
+    coordinates: call it with the template's constants, in order."""
     name, signature, constants, lines = template(n)
     source = [f"def make({', '.join(constants)}):", f"    def {name}({signature}):"]
     for line in lines:
@@ -268,7 +264,7 @@ class Euclidean(Manifold):
 
     @functools.cached_property
     def _propose_row(self):
-        return _row_kernel(_euclidean_propose_row, self.n)
+        return _row_factory(_euclidean_propose_row, self.n)()
 
     def dist_many(self, points, y):
         d = points - y
@@ -349,7 +345,7 @@ class Sphere(Manifold):
 
     @functools.cached_property
     def _dist(self):
-        return _row_kernel(_sphere_dist, self.ambient_dim)
+        return _row_factory(_sphere_dist, self.ambient_dim)()
 
     def tangent_from_gaussian(self, x, g):
         s = 1.0 if x[-1] >= 0.0 else -1.0
@@ -407,7 +403,7 @@ class Sphere(Manifold):
 
     @functools.cached_property
     def _propose_row(self):
-        return _row_kernel(_sphere_propose_row, self.ambient_dim)
+        return _row_factory(_sphere_propose_row, self.ambient_dim)()
 
     def dist_many(self, points, y):
         return _arccos(points @ y)

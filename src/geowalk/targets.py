@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError
-from .manifolds import Manifold, _row_dot, _row_kernel, _row_names
+from .manifolds import Manifold, _row_dot, _row_factory, _row_names
 from .walk import GibbsTarget
 
 __all__ = ["Target", "distance_to", "sqdist_to", "linear", "as_gibbs"]
@@ -78,7 +78,7 @@ def linear(coefficients: np.ndarray) -> Target:
         norm = float(np.linalg.norm(c))
     if not 0.0 < norm < math.inf:
         raise PreconditionError("coefficients must have a finite, nonzero norm")
-    f = _row_kernel(_linear_f, c.size, *c.tolist())
+    f = _row_factory(_linear_f, c.size)(*c.tolist())
 
     def f_many(points: np.ndarray) -> np.ndarray:
         return points @ c

@@ -76,9 +76,9 @@ def test_cap_membership_and_read_match_the_reference(data, n, seed, angle):
     assert bits(read(x)) == bits(ref.cap_read(unit, x))
     # The kernels with arbitrary constants, specials included.
     a, cos_angle = data.draw(rows(n + 1)), data.draw(FLOATS)
-    kernel = manifolds._row_kernel(bodies._cap_contains, n + 1, *a, cos_angle)
+    kernel = manifolds._row_factory(bodies._cap_contains, n + 1)(*a, cos_angle)
     assert kernel(x) == ref.cap_contains(a, cos_angle, x)
-    assert bits(manifolds._row_kernel(bodies._cap_read, n + 1, *a)(x)) == bits(ref.cap_read(a, x))
+    assert bits(manifolds._row_factory(bodies._cap_read, n + 1)(*a)(x)) == bits(ref.cap_read(a, x))
 
 
 @settings(max_examples=150, deadline=None)
@@ -88,7 +88,7 @@ def test_box_membership_matches_the_reference(data, n):
     lo = [min(a, b) for a, b in ends]
     hi = [max(a, b) for a, b in ends]
     x = data.draw(rows(n))
-    kernel = manifolds._row_kernel(bodies._box_contains, n, *lo, *hi)
+    kernel = manifolds._row_factory(bodies._box_contains, n)(*lo, *hi)
     assert kernel(x) is ref.box_contains(lo, hi, x)
     if all(b > a for a, b in zip(lo, hi)):
         with np.errstate(all="ignore"):  # the metadata of an infinite box

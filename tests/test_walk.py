@@ -11,7 +11,7 @@ import pytest
 
 import geowalk as gw
 import row_reference
-from geowalk import diagnostics, manifolds, walk
+from geowalk import bodies, diagnostics, manifolds, targets, walk
 from geowalk import quadrature
 from geowalk.quadrature import integrate
 from geowalk.rng import BLOCK
@@ -272,7 +272,8 @@ def test_lockstep_anneal_compiles_no_sphere_step_kernel(monkeypatch):
     # membership test (its start draws) may be built.
     built = []
     factory = manifolds._row_factory
-    monkeypatch.setattr(manifolds, "_row_factory", lambda template, n: built.append(template) or factory(template, n))
+    for module in (manifolds, bodies, targets):  # each holds its own reference
+        monkeypatch.setattr(module, "_row_factory", lambda template, n: built.append(template) or factory(template, n))
     cap = diagnostics._default_cap(5)
     target = gw.distance_to(cap.manifold, cap.axis)
     config = gw.AnnealConfig(epsilon=0.3, fail_prob=0.2, lipschitz=target.lipschitz, max_total_steps=3000)
