@@ -56,12 +56,12 @@ class ConvexBody:
 
     def contains_coords(self, x) -> bool:
         """Membership test of one point, no validation: a bool for every
-        point of the manifold.  On ``sphere:n`` and ``euclidean:n`` the
-        walk passes the point as a list of floats; the built-in bodies take
-        either form.  A row of the wrong length raises
-        :class:`DimensionMismatch` from the cap's and the box's tests,
-        straight-line kernels compiled for the dimension (see
-        :mod:`geowalk.manifolds`), and from a ball's on a sphere.
+        point of the manifold.  The package passes the point as
+        ``Manifold.as_row`` gives it, a list of floats on ``sphere:n`` and
+        ``euclidean:n``.  A row of the wrong length raises
+        :class:`DimensionMismatch` from every built-in test: the cap's and
+        the box's are straight-line kernels compiled for the dimension (see
+        :mod:`geowalk.manifolds`), and a ball's calls ``dist``.
 
         Optional declarations, attributes of this function:
         ``scalar(body) = (dist, anchor, read, inside, arc)`` for a test that
@@ -74,9 +74,8 @@ class ConvexBody:
         raise NotImplementedError
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
-        return np.fromiter(
-            (self.contains_coords(p) for p in points), dtype=bool, count=len(points)
-        )
+        rows = map(self.manifold.as_row, points)
+        return np.fromiter(map(self.contains_coords, rows), dtype=bool, count=len(points))
 
     def __repr__(self) -> str:
         return (
@@ -106,7 +105,7 @@ class SphericalCap(ConvexBody):
         sphere.validate_point(axis, atol=1e-6)
         self.manifold = sphere
         self.axis = axis / math.sqrt(axis @ axis)
-        self._axis = self.axis.tolist()
+        self._axis = sphere.as_row(self.axis)
         self.angle = angle
         self.cos_angle = math.cos(angle)
         self.inner_center = self.axis
@@ -114,11 +113,7 @@ class SphericalCap(ConvexBody):
         self.diameter = 2.0 * angle
 
     def contains_coords(self, x):
-        return self._inside(x)
-
-    @functools.cached_property
-    def _inside(self):
-        return _row_factory(_cap_contains, self.manifold.ambient_dim)(*self._axis, self.cos_angle)
+        return self._read(x) >= self.cos_angle
 
     @functools.cached_property
     def _read(self):
@@ -159,17 +154,18 @@ class GeodesicBall(ConvexBody):
         manifold.validate_point(center)
         self.manifold = manifold
         self.center = center
+        self._center = manifold.as_row(center)  # what dist reads; center stays the anchor
         self.radius = radius
         self.inner_center = center
         self.inner_radius = radius
         self.diameter = 2.0 * radius
 
     def contains_coords(self, x):
-        return self.manifold.dist(self.center, x) <= self.radius
+        return self.manifold.dist(self._center, x) <= self.radius
 
     def _scalar(self):
         dist, inside = self.manifold.dist, functools.partial(operator.ge, self.radius)
-        return dist, self.center, functools.partial(dist, self.center), inside, None
+        return dist, self.center, functools.partial(dist, self._center), inside, None
 
     def _draw_uniform(self, rng, count):
         # Exact on a flat manifold, where exp at the center maps the tangent
@@ -247,11 +243,6 @@ def _cap_read(m):
     return "cap_read", "x", a, [(x, "x"), *_row_dot("s", x, a), "return s"]
 
 
-def _cap_contains(m):
-    _, signature, axis, lines = _cap_read(m)
-    return "cap_contains_coords", signature, [*axis, "cos_angle"], [*lines[:-1], "return s >= cos_angle"]
-
-
 def _box_contains(n):
     # Every lower bound first, then every upper one, as all(map(le, lo, x))
     # and all(map(le, x, hi)) evaluate; a bound may be +-inf.
@@ -295,7 +286,7 @@ def _sample_uniform(body, rng, count, chunk):
     while have < count:
         proposals = man.draw_uniform(rng, chunk)
         # One proposal takes the scalar test, the one the walk's steps use.
-        keep = [body.contains_coords(proposals[0])] if chunk == 1 else body.contains_many(proposals)
+        keep = [body.contains_coords(man.as_row(proposals[0]))] if chunk == 1 else body.contains_many(proposals)
         hits = int(np.count_nonzero(keep))
         if hits == 0:
             misses += chunk

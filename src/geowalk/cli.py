@@ -40,8 +40,7 @@ from .config import (
 )
 from .diagnostics import builtin_check_names, run_builtin_check
 from .errors import ConfigError, GeoWalkError, PreconditionError, StepSizeWarning
-from .targets import as_gibbs
-from .walk import _SLICE, WalkParams, run_chain
+from .walk import _SLICE, GibbsTarget, WalkParams, run_chain
 
 __all__ = ["main", "build_parser"]
 
@@ -148,7 +147,7 @@ def _run_sample(cfg: RunConfig, out: Path, tag: str) -> int:
         seed=cfg.seed,
         override_delta=cfg.override_delta,
     )
-    gibbs = as_gibbs(target, cfg.temperature) if target is not None else None
+    gibbs = GibbsTarget(target.f, cfg.temperature) if target is not None else None
     results = (
         run_chain(
             start,

@@ -34,8 +34,9 @@ from .errors import (
 from .manifolds import Sphere
 from .quadrature import ABS_TOL, REL_TOL, integrate
 from .rng import stream
-from .targets import as_gibbs, distance_to
+from .targets import distance_to
 from .walk import (
+    GibbsTarget,
     WalkParams,
     _accept_counts,
     _chain_f_values,
@@ -477,7 +478,7 @@ def check_isoperimetry(
         ii = rng.integers(0, len(first), size=k)
         jj = rng.integers(0, len(third), size=k)
         for i, j in zip(ii, jj):
-            d = man.dist(first[i], third[j])
+            d = man.dist(man.as_row(first[i]), man.as_row(third[j]))
             if d < eps * (1.0 - 1e-9):
                 raise SeparationViolated(
                     f"sampled points of pieces 1 and 3 at distance {d:.6g} < {eps:.6g}"
@@ -542,7 +543,7 @@ def estimate_one_step_tv(
     man = body.manifold
     xc = _start_coords(x, body, "x")
     yc = _start_coords(y, body, "y")
-    d = man.dist(xc, yc)
+    d = man.dist(man.as_row(xc), man.as_row(yc))
     transport_term = min(1.0, math.erf(d / (2.0 * math.sqrt(2.0) * delta)))
 
     # In the frames that ``tangent_from_gaussian`` embeds the normals in,
@@ -878,7 +879,7 @@ def _check_low_temp(seed: int) -> list[InequalityReport]:
     target = distance_to(man, cap.axis)
     temperature = 0.05
     params = WalkParams(delta=delta_bound(cap), max_steps=150_000, seed=seed)
-    f_values = _chain_f_values(cap.axis, cap, params, as_gibbs(target, temperature), 20_000)
+    f_values = _chain_f_values(cap.axis, cap, params, GibbsTarget(target.f, temperature), 20_000)
     return [check_low_temp_expectation(f_values, man.tangent_dim, temperature)]
 
 

@@ -34,15 +34,17 @@ form.
 
 Their one-row oracles, ``propose_row`` and ``Sphere.dist``, work on Python
 floats, which on a few elements avoids numpy's per-call overhead: they take
-lists or numpy rows and return lists (``dist`` a float).  Each is a
-straight-line kernel, compiled on first use once per dimension by the
-row-kernel helper below, which the one-row membership tests of
-:mod:`geowalk.bodies` and ``linear``'s ``f`` share: the row is unpacked
-into locals (a row of another length raises :class:`DimensionMismatch`)
-and a dot product is ``0.0 + p0``, then each product added in turn, left
-to right.  That is the order of CPython 3.11's ``sum`` of floats, which
-3.12 replaced by a compensated sum; the kernels keep the plain order on
-every version.  Nothing about them is tunable.
+lists, which ``as_row`` makes of numpy rows, and return lists (``dist`` a
+float).  Each is a straight-line kernel, compiled on first use once per
+dimension by the row-kernel helper below, which the one-row membership
+tests of :mod:`geowalk.bodies` and ``linear``'s ``f`` share: the row is
+unpacked into locals (a row of another length raises
+:class:`DimensionMismatch`) and a dot product is ``0.0 + p0``, then each
+product added in turn, left to right.  That is the order of CPython 3.11's
+``sum`` of floats, which 3.12 replaced by a compensated sum; the kernels
+keep the plain order on every version.  Nothing about them is tunable.
+``Euclidean.dist`` stays on numpy (``d @ d``), since an unrolled sum need
+not round as it does.
 
 The intrinsic dimension is ``tangent_dim``; curvature enters the walk only
 through ``curvature_bound``, an upper bound on the Frobenius norm of the
@@ -77,12 +79,6 @@ class Manifold:
     tangent_dim: int
     curvature_bound: float
     injectivity_radius: float
-    # Whether the one-row oracles ``propose_row`` and ``dist`` take lists
-    # of Python floats (``propose_row`` then returns one, from factor rows
-    # converted with ``tolist``); ``run_chain`` keeps a chain's state in
-    # that form between steps when they do.  Sphere and Euclidean compile
-    # them as straight-line kernels (see the module docstring).
-    float_rows = False
 
     @property
     def descriptor(self) -> str:
@@ -122,19 +118,29 @@ class Manifold:
 
     def propose_factored(self, points: np.ndarray, factors: tuple) -> np.ndarray:
         """:meth:`propose_many` from a step's :meth:`proposal_factors`, which it may overwrite."""
-        return np.stack([self.propose_row(x, r) for x, r in zip(points, zip(*factors))])
+        rows = zip(*map(self.as_row, factors))
+        return np.stack([self.propose_row(self.as_row(x), r) for x, r in zip(points, rows)])
+
+    def as_row(self, a: np.ndarray):
+        """The point ``a`` (or an array of factor rows) in the form the
+        one-row oracles read: ``propose_row``, ``dist``, the bodies'
+        ``contains_coords`` and a target's ``f``.  ``a`` itself by default,
+        ``a.tolist()`` on ``Sphere`` and ``Euclidean``.  Every call of the
+        package that hands them a numpy point converts it here, one point
+        at a time."""
+        return a
 
     def propose_row(self, x, factors):
         """The one-row twin of :meth:`propose_factored`: the proposal from
         the point ``x`` for one row of :meth:`proposal_factors`, which it
-        may overwrite.  Never writes to ``x``.  Where ``float_rows`` is
-        set, ``x`` and the factor row hold Python floats (array rows
-        converted with ``tolist``) and the result is a list of floats."""
+        may overwrite, both converted by :meth:`as_row`; the result is in
+        that form too.  Never writes to ``x``."""
         g, delta = factors
         return self.exp(x, delta * self.tangent_from_gaussian(x, g))
 
     def dist_many(self, points: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.array([self.dist(x, y) for x in points])
+        y = self.as_row(y)
+        return np.array([self.dist(self.as_row(x), y) for x in points])
 
     def project(self, points: np.ndarray) -> np.ndarray:
         """Map the rows of ``points`` (or the one point), each within
@@ -225,8 +231,6 @@ def _euclidean_propose_row(n):
 class Euclidean(Manifold):
     """Flat ``R^n``: exp is addition, distance is the Euclidean norm."""
 
-    float_rows = True
-
     def __init__(self, n: int):
         if n < 1:
             raise PreconditionError("Euclidean dimension must be >= 1")
@@ -244,6 +248,8 @@ class Euclidean(Manifold):
         return x + v
 
     def dist(self, x, y):
+        if len(x) != self.n or len(y) != self.n:
+            raise DimensionMismatch(f"dist on {self.descriptor}: rows must have {self.n} entries")
         d = np.subtract(x, y)
         return math.sqrt(d @ d)
 
@@ -252,6 +258,9 @@ class Euclidean(Manifold):
 
     def validate_point(self, x, atol=1e-8):
         self._check_shape(x)
+
+    def as_row(self, a):
+        return a.tolist()
 
     def proposal_factors(self, g, delta):
         return (delta * g,)
@@ -317,8 +326,6 @@ class Sphere(Manifold):
     normal variates and is tangent to machine precision.
     """
 
-    float_rows = True
-
     def __init__(self, n: int):
         if n < 1:
             raise PreconditionError("sphere dimension must be >= 1")
@@ -339,6 +346,9 @@ class Sphere(Manifold):
         y = math.cos(t) * x + (math.sin(t) / t) * v
         y /= math.sqrt(y @ y)
         return y
+
+    def as_row(self, a):
+        return a.tolist()
 
     def dist(self, x, y):
         return self._dist(x, y)

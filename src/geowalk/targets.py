@@ -19,7 +19,9 @@ the distance), so that ``run_chain`` can share one scalar per step with a
 body's membership test; a custom ``f`` declares nothing.  ``linear``'s
 ``f`` is a straight-line kernel compiled for the dimension, as the
 manifolds' one-row oracles are (see :mod:`geowalk.manifolds`), so a row of
-another length raises :class:`DimensionMismatch`.
+another length raises :class:`DimensionMismatch`.  Every ``f`` reads its
+point as ``Manifold.as_row`` gives it; a distance target's ``f`` holds its
+anchor in that form too, and ``f_many`` reads the numpy rows.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .manifolds import Manifold, _row_dot, _row_factory, _row_names
-from .walk import GibbsTarget
 
-__all__ = ["Target", "distance_to", "sqdist_to", "linear", "as_gibbs"]
+__all__ = ["Target", "distance_to", "sqdist_to", "linear"]
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class Target:
 def _of_distance(manifold: Manifold, point, outer, lipschitz: float) -> Target:
     point = np.asarray(point, dtype=float)
     manifold.validate_point(point)
-    anchor = point.tolist() if manifold.float_rows else point
+    anchor = manifold.as_row(point)
     f = lambda x: manifold.dist(anchor, x)
     f_many = lambda points: manifold.dist_many(points, point)
     if outer is not None:
@@ -89,7 +90,3 @@ def linear(coefficients: np.ndarray) -> Target:
 def _linear_f(n):
     c, x = _row_names("c", n), _row_names("x", n)
     return "linear_f", "x", c, [(x, "x"), *_row_dot("v", c, x), "return v"]
-
-
-def as_gibbs(target: Target, temperature: float) -> GibbsTarget:
-    return GibbsTarget(target.f, temperature)

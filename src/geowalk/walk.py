@@ -34,13 +34,13 @@ the target values.  When the body's membership test and the target's
 ``f`` declare the same scalar of the proposal with equal anchors (a cap's
 ``<y, axis>`` with ``distance_to`` or ``sqdist_to`` at its axis, a ball's
 ``d(center, y)`` with one at its centre; see ``_shared_scalar``), a step
-computes it once and takes both from it with the same arithmetic.  On
-``sphere:n`` and ``euclidean:n`` (``Manifold.float_rows``) the chain's
-state and each slice's factors are lists of Python floats, and every
-one-row oracle of a step (proposal, membership, ``f``, the shared scalar)
-is a straight-line kernel compiled for the dimension, summing in the one
-order :mod:`geowalk.manifolds` fixes; these oracles read numpy rows as
-well, and so does the whole step on ``so:n``.
+computes it once and takes both from it with the same arithmetic.  The
+chain's state and each slice's factor rows are in the form
+``Manifold.as_row`` gives: on ``sphere:n`` and ``euclidean:n`` lists of
+Python floats, which the one-row oracles of a step (proposal, membership,
+``f``, the shared scalar) read as straight-line kernels compiled for the
+dimension, summing in the one order :mod:`geowalk.manifolds` fixes
+(``Euclidean.dist`` excepted); on ``so:n`` numpy rows.
 
 Local-conductance counts (how many of ``trials`` one-step proposals from a
 point stay in the body) are one ``Binomial`` draw per point when the body's
@@ -106,9 +106,9 @@ class GibbsTarget:
     """Convex energy and a temperature.
 
     ``f`` maps coordinates to a finite real on the body (values off the
-    body may be anything finite; the walk only compares them).  On
-    ``sphere:n`` and ``euclidean:n``, :func:`run_chain` passes the
-    coordinates as a list of floats.
+    body may be anything finite; the walk only compares them).
+    :func:`run_chain` passes the coordinates as ``Manifold.as_row`` gives
+    them: a list of floats on ``sphere:n`` and ``euclidean:n``.
     """
 
     f: Callable[[np.ndarray], float]
@@ -207,7 +207,7 @@ def validate_delta(delta: Optional[float], override_delta: bool, body: ConvexBod
 def _start_coords(start, body: ConvexBody, name="chain start") -> np.ndarray:
     coords = np.asarray(start, dtype=float)
     body.manifold.validate_point(coords)
-    if not body.contains_coords(coords):
+    if not body.contains_coords(body.manifold.as_row(coords)):
         raise InvalidStart(f"{name} lies outside the body")
     return coords.copy()
 
@@ -301,9 +301,7 @@ def _chain_slices(start, body, params, delta, target, thin, burn_in, chain_id):
     man = body.manifold
     rng = stream(params.seed, chain_id)
     x = rejection_sample_uniform(body, rng) if start is None else _start_coords(start, body)
-    floats = man.float_rows
-    if floats:
-        x = x.tolist()
+    x = man.as_row(x)
     propose = man.propose_row
     inside_body = body.contains_coords
     emit = burn_in + thin
@@ -324,9 +322,7 @@ def _chain_slices(start, body, params, delta, target, thin, burn_in, chain_id):
     thresholds = np.empty(normals.shape[:2])
     drawn = _drawn_slices([rng], params.max_steps, man, delta, temperature, normals, thresholds)
     for factors, slice_thresholds in drawn:
-        factors = [a[:, 0] for a in factors]
-        if floats:
-            factors = [a.tolist() for a in factors]
+        factors = [man.as_row(a[:, 0]) for a in factors]
         kept_x, kept_rejected, kept_f = [], [], []
         for factor_row, threshold in zip(zip(*factors), slice_thresholds[:, 0].tolist()):
             step += 1
@@ -351,9 +347,7 @@ def _chain_slices(start, body, params, delta, target, thin, burn_in, chain_id):
                 kept_rejected.append(rejected)
                 kept_f.append(fx)
                 emit += thin
-        x = man.project(np.array(x))  # a copy: the kept rows keep their values
-        if floats:
-            x = x.tolist()
+        x = man.as_row(man.project(np.array(x)))  # a copy: the kept rows keep their values
         if kept_x:
             yield kept_x, kept_rejected, kept_f
     return RejectionStats(params.max_steps, boundary, filtered), x

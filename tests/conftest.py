@@ -46,6 +46,15 @@ class BandCap(gw.SphericalCap):
 
 
 @pytest.fixture
+def sphere_dist_types(monkeypatch):
+    """Patch ``Sphere.dist`` to record the types of its two arguments, one
+    pair per call, in the list this returns."""
+    seen, dist = [], gw.Sphere.dist
+    monkeypatch.setattr(gw.Sphere, "dist", lambda self, x, y: seen.append((type(x), type(y))) or dist(self, x, y))
+    return seen
+
+
+@pytest.fixture
 def band_cap():
     """A fresh :class:`BandCap`."""
     return BandCap()

@@ -46,7 +46,8 @@ def euclidean_propose_row(x, factors):
 
 
 def propose_row(man, x, factors):
-    """The reference of ``man.propose_row`` on a ``float_rows`` manifold."""
+    """The reference of ``man.propose_row`` on ``sphere:n`` or
+    ``euclidean:n``, whose ``as_row`` makes lists of floats."""
     name = type(man).__name__
     if name == "Sphere":
         return sphere_propose_row(x, factors)

@@ -150,7 +150,7 @@ def test_adjacent_temperatures_give_warm_start():
 
 
 def test_cold_chain_concentrates_near_minimum():
-    target = gw.as_gibbs(gw.distance_to(gw.Sphere(2), CAP60.axis), 0.05)
+    target = gw.GibbsTarget(gw.distance_to(gw.Sphere(2), CAP60.axis).f, 0.05)
     params = gw.WalkParams(delta=0.04, max_steps=150_000, seed=9)
     result = gw.run_chain(CAP60.axis, CAP60, params, target=target, burn_in=20_000)
     report = gw.check_low_temp_expectation(result.f_values, n=2, temperature=0.05)

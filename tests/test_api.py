@@ -25,7 +25,7 @@ PUBLIC = [
     "ScheduleTooAggressive", "SeparationViolated", "SpecialOrthogonal", "Sphere",
     "SphericalCap", "StepSizeWarning", "Target", "TrialsResult", "TvEstimate",
     "WalkParams", "WarmnessEstimate", "allocate_steps",
-    "anneal_trials", "as_gibbs", "box_shell_fraction", "builtin_check_names",
+    "anneal_trials", "box_shell_fraction", "builtin_check_names",
     "check_affine_needle_lemma", "check_interior_volume", "check_isoperimetry",
     "check_low_temp_expectation", "check_needle_moment_lemma",
     "check_partition_function_logconcavity", "delta_bound", "distance_to",
@@ -96,6 +96,16 @@ def test_removed_members_stay_removed():
         (importlib.import_module("geowalk.errors"), "CutLocusError"),
         (importlib.import_module("geowalk.bodies"), "_contains_row"),
         (importlib.import_module("geowalk.bodies"), "_contains_rows"),
+        # One converter, Manifold.as_row, owns the float-row rule; the cap
+        # tests membership with its one read kernel; a Gibbs target is
+        # GibbsTarget(target.f, T).
+        (gw.Manifold, "float_rows"),
+        (gw.Sphere, "float_rows"),
+        (gw.Euclidean, "float_rows"),
+        (importlib.import_module("geowalk.bodies"), "_cap_contains"),
+        (gw.SphericalCap, "_inside"),
+        (gw, "as_gibbs"),
+        (importlib.import_module("geowalk.targets"), "as_gibbs"),
     ]:
         assert not hasattr(owner, name), (owner.__name__, name)
     # Fields nothing read.

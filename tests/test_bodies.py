@@ -294,7 +294,7 @@ def test_declared_scalar_gives_membership_and_distance_bit_for_bit(case):
         body = gw.GeodesicBall(man, np.array([0.5, -1.0]), 0.75)
     center = np.broadcast_to(body.inner_center, (300, man.ambient_dim))
     rows = man.propose_many(center, rng.standard_normal((300, man.tangent_dim)), 0.8)
-    rows = list(rows.tolist() if man.float_rows else rows)
+    rows = [man.as_row(row) for row in rows]
     dist, anchor, read, inside, arc = body.contains_coords.scalar(body)
     assert dist == man.dist
     flags = [body.contains_coords(row) for row in rows]

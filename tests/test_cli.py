@@ -14,8 +14,7 @@ from geowalk.config import (
     target_from_string,
 )
 from geowalk.errors import StepSizeWarning
-from geowalk.targets import as_gibbs
-from geowalk.walk import WalkParams, run_chain
+from geowalk.walk import GibbsTarget, WalkParams, run_chain
 
 
 def write_config(tmp_path, name, text):
@@ -119,7 +118,8 @@ def test_sample_rows_are_the_run_chain_columns(tmp_path, target):
     rows = read_rows(out / "samples.jsonl")
     man = manifold_from_string(cfg.manifold)
     body = body_from_string(cfg.body, man)
-    gibbs = None if target is None else as_gibbs(target_from_string(target, man, body), cfg.temperature)
+    f = None if target is None else target_from_string(target, man, body).f
+    gibbs = None if f is None else GibbsTarget(f, cfg.temperature)
     params = WalkParams(delta=cfg.delta, max_steps=cfg.steps, seed=cfg.seed)
     for chain in range(cfg.chains):
         result = run_chain(

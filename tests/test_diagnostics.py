@@ -360,6 +360,19 @@ def test_isoperimetry_detects_touching_pieces():
         )
 
 
+def test_one_point_distances_read_lists(cap60, sphere_dist_types):
+    # check_isoperimetry's pair loop and estimate_one_step_tv convert each
+    # point by Manifold.as_row, one pair at a time, so Sphere.dist's kernel
+    # reads lists.
+    seen = sphere_dist_types
+    gw.check_isoperimetry(cap60, _band_classifier(-0.2, 0.2), eps=0.4, mc_samples=2000, rng=gw.stream(5))
+    pairs = len(seen)
+    assert pairs == 1000
+    y = gw.sample_uniform_many(cap60, gw.stream(6), 1)[0]
+    gw.estimate_one_step_tv(cap60.axis, y, cap60, 0.04, 100, gw.stream(7))
+    assert len(seen) == pairs + 1 and set(seen) == {(list, list)}
+
+
 def test_isoperimetry_rejects_unknown_labels():
     box = gw.EuclideanBox(np.zeros(2), np.ones(2))
     with pytest.raises(gw.PreconditionError):
@@ -488,7 +501,7 @@ def test_low_temp_check_is_the_run_chain_f_values(seed):
     cap = diag._default_cap()
     man = cap.manifold
     params = gw.WalkParams(delta=gw.delta_bound(cap), max_steps=150_000, seed=seed)
-    gibbs = gw.as_gibbs(gw.distance_to(man, cap.axis), 0.05)
+    gibbs = gw.GibbsTarget(gw.distance_to(man, cap.axis).f, 0.05)
     chain = gw.run_chain(cap.axis, cap, params, target=gibbs, burn_in=20_000)
     expected = gw.check_low_temp_expectation(chain.f_values, man.tangent_dim, 0.05)
     assert gw.run_builtin_check("low_temp_expectation", seed) == [expected]

@@ -214,13 +214,12 @@ def test_proposal_stages_equal_propose_many_across_a_sub_block(descriptor):
 
 def one_row_proposals(man, pts, g, delta):
     """``propose_row`` from each row of ``pts`` with that row's factors, fed
-    as ``run_chain`` feeds it: as Python floats where ``float_rows`` is set."""
-    factors = man.proposal_factors(g, delta)
-    rows = pts
-    if man.float_rows:
-        rows, factors = pts.tolist(), [a.tolist() for a in factors]
+    as ``run_chain`` feeds it: each converted by ``Manifold.as_row``, as
+    Python floats on ``sphere:n`` and ``euclidean:n``."""
+    factors = [man.as_row(a) for a in man.proposal_factors(g, delta)]
+    rows = [man.as_row(x) for x in pts]
     proposed = [man.propose_row(x, step) for x, step in zip(rows, zip(*factors))]
-    if man.float_rows:
+    if isinstance(man, (gw.Sphere, gw.Euclidean)):
         assert all(type(v) is float for y in proposed for v in y)
         assert rows == pts.tolist()
     return np.array(proposed)

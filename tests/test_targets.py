@@ -133,16 +133,6 @@ def test_one_row_values_take_lists():
     assert lin.f([0.3, 0.7]) == lin.f(np.array([0.3, 0.7]))
 
 
-def test_as_gibbs_wraps_target():
-    man = gw.Sphere(2)
-    target = gw.distance_to(man, np.array([0.0, 0.0, 1.0]))
-    gibbs = gw.as_gibbs(target, 0.3)
-    assert gibbs.temperature == 0.3
-    assert gibbs.f is target.f
-    with pytest.raises(PreconditionError):
-        gw.as_gibbs(target, 0.0)
-
-
 def test_distance_targets_declare_what_they_read():
     sphere = gw.Sphere(2)
     anchor = np.array([0.0, 0.6, 0.8])

@@ -63,7 +63,7 @@ def test_unset_delta_walks_with_delta_bound(gibbs):
     # WalkParams.delta of None takes the step validate_delta picks, the
     # same delta_bound(body) that an unset AnnealConfig.delta takes.
     cap = cap_on_sphere()
-    target = gw.as_gibbs(gw.distance_to(cap.manifold, cap.axis), 0.3) if gibbs else None
+    target = gw.GibbsTarget(gw.distance_to(cap.manifold, cap.axis).f, 0.3) if gibbs else None
     assert gw.validate_delta(None, False, cap) == gw.delta_bound(cap)
     unset = gw.run_chain(cap.axis, cap, gw.WalkParams(max_steps=700, seed=4), target, burn_in=50)
     given = gw.WalkParams(delta=gw.delta_bound(cap), max_steps=700, seed=4)
@@ -81,8 +81,8 @@ def replay_chain(start, body, params, target=None, chain_id=0, inside=None, f=No
     """``run_chain`` replayed one step at a time on numpy points, from the
     block draws of ``stream(params.seed, chain_id)``: per ``_SLICE`` steps
     the proposal factors and, after them, ``Manifold.project`` of the
-    state; per block the filter thresholds ``-T log w``.  On a
-    ``float_rows`` manifold each proposal is the explicit-loop reference of
+    state; per block the filter thresholds ``-T log w``.  On ``sphere:n``
+    and ``euclidean:n`` each proposal is the explicit-loop reference of
     ``row_reference.py``, not the compiled kernel.  ``inside`` and ``f``
     replace ``body.contains_coords`` and ``target.f`` when given.  Returns
     the ``(point, rejected, f value)`` after each step, the start first,
@@ -91,7 +91,7 @@ def replay_chain(start, body, params, target=None, chain_id=0, inside=None, f=No
     rng = gw.stream(params.seed, chain_id)
     inside_body = inside or body.contains_coords
     f = f or (None if target is None else target.f)
-    if man.float_rows:
+    if isinstance(man, (gw.Sphere, gw.Euclidean)):
         propose = lambda x, factors: row_reference.propose_row(man, x.tolist(), factors)
     else:
         propose = man.propose_row
@@ -106,9 +106,7 @@ def replay_chain(start, body, params, target=None, chain_id=0, inside=None, f=No
         if target is not None:
             thresholds *= -target.temperature
         for lo in range(0, m, _SLICE):
-            factors = man.proposal_factors(normals[lo : lo + _SLICE], params.delta)
-            if man.float_rows:
-                factors = [a.tolist() for a in factors]
+            factors = [man.as_row(a) for a in man.proposal_factors(normals[lo : lo + _SLICE], params.delta)]
             for step, threshold in zip(zip(*factors), thresholds[lo : lo + _SLICE]):
                 y = np.array(propose(x, step))
                 inside = inside_body(y)
@@ -167,7 +165,7 @@ def test_uniform_walk_equals_constant_target_walk():
 
 def test_run_chain_equals_iterated_metropolis_steps():
     cap = cap_on_sphere()
-    gibbs = gw.as_gibbs(gw.distance_to(cap.manifold, cap.axis), 0.2)
+    gibbs = gw.GibbsTarget(gw.distance_to(cap.manifold, cap.axis).f, 0.2)
     params = gw.WalkParams(delta=0.04, max_steps=400, seed=12)
     chain = assert_chain_replays(cap.axis, cap, params, gibbs, chain_id=3)
     assert len(chain.steps) == 400
@@ -185,18 +183,18 @@ ACROSS = dict(max_steps=BLOCK + 37, thin=2, burn_in=BLOCK - 5)
 def test_run_chain_replays_across_a_block_boundary(case):
     if case == "sphere2-cap-gibbs":
         body = cap_on_sphere()
-        target = gw.as_gibbs(gw.distance_to(body.manifold, body.axis), 0.2)
+        target = gw.GibbsTarget(gw.distance_to(body.manifold, body.axis).f, 0.2)
         delta = 0.04
     elif case == "euclidean2-box-linear":
         body = gw.EuclideanBox(np.zeros(2), np.array([1.0, 2.0]))
-        target = gw.as_gibbs(gw.linear(np.array([1.0, -0.5])), 0.25)
+        target = gw.GibbsTarget(gw.linear(np.array([1.0, -0.5])).f, 0.25)
         delta = 0.05
     else:
         man = gw.SpecialOrthogonal(3)
         body = gw.GeodesicBall(man, np.eye(3).ravel(), 0.5)
         target = None
         if case == "so3-ball-gibbs":
-            target = gw.as_gibbs(gw.distance_to(man, np.eye(3).ravel()), 0.15)
+            target = gw.GibbsTarget(gw.distance_to(man, np.eye(3).ravel()).f, 0.15)
         delta = 0.05
     params = gw.WalkParams(delta=delta, max_steps=ACROSS["max_steps"], seed=21, override_delta=True)
     with warnings.catch_warnings():
@@ -214,7 +212,7 @@ def test_run_chain_replays_across_a_slice_boundary(gibbs):
     # Burn-in ends mid-slice and the kept rows 203, 206, ..., 599 fall on
     # both sides of the slice boundaries at steps 256 and 512.
     cap = cap_on_sphere()
-    target = gw.as_gibbs(gw.distance_to(cap.manifold, cap.axis), 0.2) if gibbs else None
+    target = gw.GibbsTarget(gw.distance_to(cap.manifold, cap.axis).f, 0.2) if gibbs else None
     params = gw.WalkParams(delta=0.04, max_steps=2 * _SLICE + 88, seed=23)
     chain = assert_chain_replays(cap.axis, cap, params, target, thin=3, burn_in=_SLICE - 56)
     assert chain.steps[0] < _SLICE < 2 * _SLICE < chain.steps[-1]
@@ -232,18 +230,18 @@ def float_row_path(case):
         inside = lambda y: row_reference.cap_contains(axis, body.cos_angle, y.tolist())
         if case == "sample-cap":
             return body, None, gw.delta_bound(body), inside, None
-        target = gw.as_gibbs(gw.distance_to(body.manifold, body.axis), 0.05)
+        target = gw.GibbsTarget(gw.distance_to(body.manifold, body.axis).f, 0.05)
         return body, target, gw.delta_bound(body), inside, lambda y: row_reference.sphere_dist(axis, y.tolist())
     if case == "box-linear":
         body = gw.EuclideanBox(np.zeros(2), np.array([1.0, 2.0]))
         c = [1.0, -0.5]
-        target = gw.as_gibbs(gw.linear(np.array(c)), 0.25)
+        target = gw.GibbsTarget(gw.linear(np.array(c)).f, 0.25)
         inside = lambda y: row_reference.box_contains([0.0, 0.0], [1.0, 2.0], y.tolist())
         return body, target, gw.delta_bound(body), inside, lambda y: row_reference.linear_f(c, y.tolist())
     man = gw.Sphere(3)
     center = [0.0, 0.6, 0.0, 0.8]
     body = gw.GeodesicBall(man, np.array(center), 0.9)
-    target = gw.as_gibbs(gw.sqdist_to(man, body.center, body.diameter), 0.2)
+    target = gw.GibbsTarget(gw.sqdist_to(man, body.center, body.diameter).f, 0.2)
     inside = lambda y: row_reference.sphere_dist(center, y.tolist()) <= 0.9
     f = lambda y: 0.5 * row_reference.sphere_dist(center, y.tolist()) ** 2
     return body, target, gw.delta_bound(body), inside, f
@@ -269,7 +267,7 @@ def test_float_row_chains_replay_the_reference_step(case):
 
 def test_lockstep_anneal_compiles_no_sphere_step_kernel(monkeypatch):
     # anneal_trials steps with the batched kernels; only the cap's one-row
-    # membership test (its start draws) may be built.
+    # read, behind its membership test of the start draws, may be built.
     built = []
     factory = manifolds._row_factory
     for module in (manifolds, bodies, targets):  # each holds its own reference
@@ -278,8 +276,28 @@ def test_lockstep_anneal_compiles_no_sphere_step_kernel(monkeypatch):
     target = gw.distance_to(cap.manifold, cap.axis)
     config = gw.AnnealConfig(epsilon=0.3, fail_prob=0.2, lipschitz=target.lipschitz, max_total_steps=3000)
     gw.anneal_trials(cap, target.f_many, config, seed=3, trials=4)
-    assert built and {t.__name__ for t in built} <= {"_cap_contains"}
+    assert built and {t.__name__ for t in built} <= {"_cap_read"}
     assert not {"_propose_row", "_dist"} & set(vars(cap.manifold))
+
+
+@pytest.mark.parametrize("target", [None, "sqdist_to centre", "distance_to north"])
+def test_sphere_ball_chain_hands_dist_two_lists(target, sphere_dist_types):
+    # The ball's centre and the target's anchor are held as Manifold.as_row
+    # gives them, so the start checks, the uniform start draw, membership
+    # and f all call Sphere.dist's kernel on lists.
+    seen = sphere_dist_types
+    man = gw.Sphere(3)
+    ball = gw.GeodesicBall(man, np.array([0.0, 0.6, 0.0, 0.8]), 0.9)
+    if target == "sqdist_to centre":  # the step shares d(centre, y)
+        target = gw.GibbsTarget(gw.sqdist_to(man, ball.center, ball.diameter).f, 0.2)
+    elif target is not None:
+        target = gw.GibbsTarget(gw.distance_to(man, np.array([0.0, 0.0, 0.0, 1.0])).f, 0.2)
+    params = gw.WalkParams(delta=0.2, max_steps=600, seed=3, override_delta=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepSizeWarning)
+        for start in (None, ball.center):
+            assert gw.run_chain(start, ball, params, target).stats.boundary_rejections > 0
+    assert len(seen) > 1200 and set(seen) == {(list, list)}
 
 
 class ZeroUniforms:
@@ -310,7 +328,7 @@ def test_zero_uniforms_accept_every_in_body_proposal(monkeypatch):
     # A steep target rejects most uphill moves from the axis; w = 0 must
     # accept all of them.
     cap = cap_on_sphere()
-    steep = gw.as_gibbs(gw.distance_to(cap.manifold, cap.axis), 1e-4)
+    steep = gw.GibbsTarget(gw.distance_to(cap.manifold, cap.axis).f, 1e-4)
     params = gw.WalkParams(delta=0.04, max_steps=300, seed=8)
     assert gw.run_chain(cap.axis, cap, params, steep).stats.filter_rejections > 0
     monkeypatch.setattr(walk, "stream", ZeroUniforms)
@@ -437,7 +455,7 @@ def record_chain(target, max_steps, thin, burn_in, seed=4, replay=False):
     cap = cap_on_sphere()
     gibbs = None
     if target:
-        gibbs = gw.as_gibbs(gw.distance_to(cap.manifold, cap.axis), 0.2)
+        gibbs = gw.GibbsTarget(gw.distance_to(cap.manifold, cap.axis).f, 0.2)
     params = gw.WalkParams(delta=0.04, max_steps=max_steps, seed=seed)
     result = gw.run_chain(cap.axis, cap, params, target=gibbs, thin=thin, burn_in=burn_in)
     if not replay:
@@ -497,7 +515,7 @@ def test_metropolis_samples_carry_f_values():
     cap = cap_on_sphere()
     target = gw.distance_to(cap.manifold, cap.axis)
     params = gw.WalkParams(delta=0.04, max_steps=100, seed=2)
-    gibbs = gw.as_gibbs(target, 0.2)
+    gibbs = gw.GibbsTarget(target.f, 0.2)
     result = gw.run_chain(cap.axis, cap, params, target=gibbs, thin=10)
     assert result.f_values.shape == (10,)
     for f_value, coords in zip(result.f_values, result.coords):
@@ -555,7 +573,7 @@ def test_chain_runs_from_the_cut_locus_of_its_target_anchor():
     # anchors the target; f is defined there like everywhere else.
     man = gw.SpecialOrthogonal(3)
     ball = gw.GeodesicBall(man, np.eye(3).ravel(), 1.2)
-    target = gw.as_gibbs(gw.distance_to(man, np.diag([1.0, -1.0, -1.0]).ravel()), 0.15)
+    target = gw.GibbsTarget(gw.distance_to(man, np.diag([1.0, -1.0, -1.0]).ravel()).f, 0.15)
     params = gw.WalkParams(delta=0.1, max_steps=600, seed=27, override_delta=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StepSizeWarning)
@@ -816,7 +834,7 @@ def test_the_three_step_loops_project_once_per_slice():
     man = CountingSphere(2)
     cap = gw.SphericalCap(man, np.array([0.0, 0.0, 1.0]), math.pi / 3)
     objective = gw.distance_to(man, cap.axis)
-    for target in (None, gw.as_gibbs(objective, 0.2)):
+    for target in (None, gw.GibbsTarget(objective.f, 0.2)):
         man.projections = 0
         gw.run_chain(cap.axis, cap, gw.WalkParams(max_steps=BLOCK + 37, seed=2), target)
         assert man.projections == slices(BLOCK + 37) == 17
@@ -840,7 +858,7 @@ def max_norm_error(points):
 @pytest.mark.parametrize("gibbs", [False, True])
 def test_chain_rows_stay_on_the_sphere(gibbs):
     cap = cap_on_sphere()
-    target = gw.as_gibbs(gw.distance_to(cap.manifold, cap.axis), 0.2) if gibbs else None
+    target = gw.GibbsTarget(gw.distance_to(cap.manifold, cap.axis).f, 0.2) if gibbs else None
     chain = gw.run_chain(cap.axis, cap, gw.WalkParams(max_steps=100_000, seed=6), target)
     assert max_norm_error(chain.coords) < 1e-13
     assert max_norm_error(chain.final) < 1e-13
@@ -861,7 +879,7 @@ def test_ensemble_and_anneal_states_stay_on_the_sphere():
 def test_chain_norm_drift_over_a_million_steps():
     # Every kept row, not only the projected state at the slice ends.
     cap = cap_on_sphere()
-    gibbs = gw.as_gibbs(gw.distance_to(cap.manifold, cap.axis), 0.2)
+    gibbs = gw.GibbsTarget(gw.distance_to(cap.manifold, cap.axis).f, 0.2)
     chain = gw.run_chain(cap.axis, cap, gw.WalkParams(max_steps=1_000_000, seed=10), gibbs)
     assert max_norm_error(chain.coords) < 1e-13
     assert max_norm_error(chain.final) < 1e-13
