@@ -169,13 +169,11 @@ def test_rows_of_the_wrong_length_raise():
         lambda: gw.Euclidean(2).dist([0.0, 0.0], [0.5]),
         lambda: gw.Euclidean(2).dist([0.5], [0.0, 0.0]),
     ]
-    for kernel, call in [(True, call) for call in cases] + [(False, call) for call in checked]:
-        with pytest.raises(DimensionMismatch) as caught:
-            call()
-        if kernel:
-            assert isinstance(caught.value.__cause__, ValueError)
-        else:
-            assert caught.value.__cause__ is None
+    for cause, calls in ((ValueError, cases), (type(None), checked)):
+        for call in calls:
+            with pytest.raises(DimensionMismatch) as caught:
+                call()
+            assert isinstance(caught.value.__cause__, cause)
 
 
 def test_kernels_are_compiled_once_per_dimension():
