@@ -8,7 +8,7 @@ the inequalities the guarantees rest on.
 
 The package republishes each layer module's public names.  A module's
 ``__all__`` is the one place a public name is declared (``errors`` has
-none: it defines only its exception and warning classes).
+none: its public names are its exception and warning classes).
 """
 
 from .anneal import *

@@ -34,9 +34,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bodies import ConvexBody, rejection_sample_uniform
-from .errors import DegenerateSchedule, OracleError, PreconditionError
+from .errors import DegenerateSchedule, OracleError, PreconditionError, _require_positive
 from .rng import BLOCK, stream
-from .walk import _SLICE, _check_step_size, _drawn_slices, validate_delta
+from .walk import _SLICE, _drawn_slices, validate_delta
 
 __all__ = [
     "AnnealSchedule",
@@ -77,18 +77,15 @@ class AnnealConfig:
     override_delta: bool = False
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise PreconditionError("epsilon must be positive")
+        _require_positive(self.epsilon, "epsilon")
         if not 0.0 < self.fail_prob < 1.0:
             raise PreconditionError("fail_prob must lie in (0, 1)")
-        if not 0.0 < self.lipschitz < math.inf:
-            raise PreconditionError("lipschitz must be positive and finite")
-        if not self.budget_constant > 0.0:
-            raise PreconditionError("budget_constant must be positive")
+        _require_positive(self.lipschitz, "lipschitz")
+        _require_positive(self.budget_constant, "budget_constant")
         if self.max_total_steps < 1:
             raise PreconditionError("max_total_steps must be >= 1")
         if self.delta is not None:
-            _check_step_size(self.delta)
+            _require_positive(self.delta, "step size")
 
 
 @dataclass(frozen=True)
@@ -128,10 +125,10 @@ def _schedule(t0: float, n: int, epsilon: float, fail_prob: float) -> AnnealSche
     # stacklevel=3 names the caller of make_schedule or of anneal_trials.
     if n < 2:
         raise PreconditionError("schedule needs intrinsic dimension n >= 2")
-    if not (0.0 < t0 < math.inf and epsilon > 0.0 and 0.0 < fail_prob < 1.0):
-        raise PreconditionError(
-            "t0 must be positive and finite, epsilon positive and fail_prob in (0, 1)"
-        )
+    _require_positive(t0, "t0")
+    _require_positive(epsilon, "epsilon")
+    if not 0.0 < fail_prob < 1.0:
+        raise PreconditionError("fail_prob must lie in (0, 1)")
     ratio = 1.0 - 1.0 / math.sqrt(n)
     target = epsilon * fail_prob / (n + 1)
     if t0 < target:
@@ -152,8 +149,7 @@ def _schedule(t0: float, n: int, epsilon: float, fail_prob: float) -> AnnealSche
 def initial_temperature(body: ConvexBody, lipschitz: float) -> float:
     """Hottest useful temperature, ``L * D``: at or above it the Gibbs
     weights across the whole body differ by at most a factor ``e``."""
-    if not 0.0 < lipschitz < math.inf:
-        raise PreconditionError("lipschitz must be positive and finite")
+    _require_positive(lipschitz, "lipschitz")
     return lipschitz * body.diameter
 
 

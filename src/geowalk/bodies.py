@@ -25,8 +25,8 @@ import operator
 
 import numpy as np
 
-from .errors import AcceptanceTooLow, DimensionMismatch, NotConvex, PreconditionError
-from .manifolds import Euclidean, Manifold, Sphere, _arccos, _row_dot, _row_factory, _row_names
+from .errors import AcceptanceTooLow, DimensionMismatch, NotConvex, PreconditionError, _require_positive
+from .manifolds import Euclidean, Manifold, Sphere, _arccos, _dot_constants, _row_factory, _row_names
 
 __all__ = [
     "ConvexBody",
@@ -117,7 +117,7 @@ class SphericalCap(ConvexBody):
 
     @functools.cached_property
     def _read(self):
-        return _row_factory(_cap_read, self.manifold.ambient_dim)(*self._axis)
+        return _row_factory(_dot_constants, self.manifold.ambient_dim)(*self._axis)
 
     def _scalar(self):
         # Sphere.dist, bound to this sphere, multiplies the same pairs and
@@ -142,8 +142,7 @@ class GeodesicBall(ConvexBody):
 
     def __init__(self, manifold: Manifold, center: np.ndarray, radius: float):
         radius = float(radius)
-        if not radius > 0.0:
-            raise PreconditionError("ball radius must be positive")
+        _require_positive(radius, "ball radius")
         if radius >= 0.5 * manifold.injectivity_radius:
             raise NotConvex(
                 f"ball radius {radius} reaches half the injectivity radius "
@@ -236,11 +235,6 @@ class EuclideanBox(ConvexBody):
 
     def contains_many(self, points):
         return np.all((points >= self.lo) & (points <= self.hi), axis=1)
-
-
-def _cap_read(m):
-    x, a = _row_names("x", m), _row_names("a", m)
-    return "cap_read", "x", a, [(x, "x"), *_row_dot("s", x, a), "return s"]
 
 
 def _box_contains(n):

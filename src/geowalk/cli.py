@@ -22,14 +22,18 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
 from .anneal import AnnealConfig, anneal_trials
 from .config import (
+    _ALL,
+    _BODIES,
+    _TARGETS,
     RunConfig,
+    _ini_key,
     body_from_string,
     config_hash,
     load_config,
@@ -43,6 +47,9 @@ from .errors import ConfigError, GeoWalkError, PreconditionError, StepSizeWarnin
 from .walk import _SLICE, GibbsTarget, WalkParams, run_chain
 
 __all__ = ["main", "build_parser"]
+
+# The settings that change between runs of one config, each a ``run`` flag.
+_OVERRIDES = ("seed", "output_dir", "trials")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,11 +68,15 @@ def build_parser() -> argparse.ArgumentParser:
         "change between runs of one config.",
     )
     run_parser.add_argument("--config", required=True, help="path to the INI file")
-    run_parser.add_argument("--seed", type=int, default=None, help="override [run] seed")
-    run_parser.add_argument("--output-dir", default=None, help="override [run] output_dir")
-    run_parser.add_argument(
-        "--trials", type=int, default=None, help="override [anneal] trials (anneal mode only)"
-    )
+    for setting in fields(RunConfig):
+        if setting.name in _OVERRIDES:
+            modes = setting.metadata["modes"]
+            only = "" if modes == _ALL else f" ({', '.join(modes)} mode only)"
+            run_parser.add_argument(
+                "--" + setting.name.replace("_", "-"),
+                type=type(setting.default),
+                help="override [%s] %s" % _ini_key(setting) + only,
+            )
 
     sub.add_parser(
         "list-builtins",
@@ -93,14 +104,10 @@ def _list_builtins() -> int:
     print("  euclidean:<n>   flat n-dimensional space")
     print("  sphere:<n>      unit n-sphere in R^(n+1)")
     print("  so:<n>          rotation group SO(n), points are flat n*n matrices")
-    print("bodies:")
-    print("  cap:<axis>:<angle>      spherical cap, angle in (0, pi/2)")
-    print("  ball:<center>:<radius>  geodesic ball")
-    print("  box:<lo>:<hi>           axis-aligned box (euclidean only)")
-    print("targets:")
-    print("  distance_to:<point>     geodesic distance to a point")
-    print("  sqdist_to:<point>       half squared geodesic distance")
-    print("  linear:<coefficients>   inner product with a vector (box only)")
+    for family, kinds in (("bodies", _BODIES), ("targets", _TARGETS)):
+        print(f"{family}:")
+        for kind, (syntax, about, _) in kinds.items():
+            print(f"  {kind + ':' + syntax:<24}{about}")
     print("checks:")
     for name in builtin_check_names():
         print(f"  {name}")
@@ -108,13 +115,7 @@ def _list_builtins() -> int:
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.output_dir is not None:
-        updates["output_dir"] = args.output_dir
-    if args.trials is not None:
-        updates["trials"] = args.trials
+    updates = {name: getattr(args, name) for name in _OVERRIDES if getattr(args, name) is not None}
     if updates:
         cfg = replace(cfg, **updates)
         validate_config(cfg)

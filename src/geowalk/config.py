@@ -7,11 +7,12 @@ parsing problems surface as :class:`ConfigError`.
 
 :func:`validate_config` checks only the rules no library object owns: the
 mode, ``seed >= 0``, the keys each mode requires, the fields it does not
-read (each must keep its default, as ``_KEYS`` says), sample mode's
-``steps`` and ``chains >= 1``, and the check names.  The object that reads
-any other setting, a point included, checks it once and raises
-:class:`PreconditionError`; the spec parsers below only parse points, and
-rewrap a body's or target's error as :class:`ConfigError` with the spec.
+read (each must keep its default; every ``RunConfig`` field declares its
+key and the modes that read it), sample mode's ``steps`` and ``chains >=
+1``, and the check names.  The object that reads any other setting, a
+point included, checks it once and raises :class:`PreconditionError`; the
+spec parsers below only parse points, and rewrap a body's or target's
+error as :class:`ConfigError` with the spec.
 """
 
 from __future__ import annotations
@@ -19,71 +20,59 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import Field, asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
+from .anneal import AnnealConfig
 from .bodies import ConvexBody, EuclideanBox, GeodesicBall, SphericalCap
 from .diagnostics import builtin_check_names
 from .errors import ConfigError, GeoWalkError
 from .manifolds import Euclidean, Manifold, SpecialOrthogonal, Sphere, from_descriptor
 from .targets import Target, distance_to, linear, sqdist_to
+from .walk import WalkParams
+
+
+_ALL, _SPACE = ("sample", "anneal", "diagnose"), ("sample", "anneal")
+
+
+def _setting(section: str, modes: tuple[str, ...], default, key: str = "", needs: str = ""):
+    """A ``RunConfig`` field read from ``[section] key`` (``key`` defaults to
+    the field's name) by the runs of ``modes``, and only when the field
+    ``needs`` is set.  A field the run's mode does not read must keep its
+    default: it would change the hash, not a result."""
+    return field(default=default, metadata={"section": section, "key": key, "modes": modes, "needs": needs})
 
 
 @dataclass
 class RunConfig:
     """Everything a CLI run needs, as parsed (strings stay strings)."""
 
-    mode: str = "sample"
-    seed: int = 0
-    output_dir: str = "geowalk-out"
-    manifold: str = ""
-    body: str = ""
-    start: str = ""
-    steps: int = 10_000
-    thin: int = 1
-    burn_in: int = 0
-    chains: int = 1
-    delta: Optional[float] = None
-    override_delta: bool = False
-    target: str = ""
-    temperature: float = 1.0
-    epsilon: float = 0.1
-    fail_prob: float = 0.1
-    budget_constant: float = 1.0
-    max_total_steps: int = 10**6
-    trials: int = 1
-    checks: tuple[str, ...] = ()
+    mode: str = _setting("run", _ALL, "sample")
+    seed: int = _setting("run", _ALL, 0)
+    output_dir: str = _setting("run", _ALL, "geowalk-out")
+    manifold: str = _setting("space", _SPACE, "")
+    body: str = _setting("space", _SPACE, "")
+    start: str = _setting("space", ("sample",), "")
+    steps: int = _setting("walk", ("sample",), 10_000)
+    thin: int = _setting("walk", ("sample",), 1)
+    burn_in: int = _setting("walk", ("sample",), 0)
+    chains: int = _setting("walk", ("sample",), 1)
+    delta: Optional[float] = _setting("walk", _SPACE, WalkParams.delta)
+    override_delta: bool = _setting("walk", _SPACE, WalkParams.override_delta, needs="delta")
+    target: str = _setting("target", _SPACE, "", key="kind")
+    temperature: float = _setting("target", ("sample",), 1.0, needs="target")
+    epsilon: float = _setting("anneal", ("anneal",), 0.1)
+    fail_prob: float = _setting("anneal", ("anneal",), 0.1)
+    budget_constant: float = _setting("anneal", ("anneal",), AnnealConfig.budget_constant)
+    max_total_steps: int = _setting("anneal", ("anneal",), AnnealConfig.max_total_steps)
+    trials: int = _setting("anneal", ("anneal",), 1)
+    checks: tuple[str, ...] = _setting("diagnose", ("diagnose",), ())
 
 
-_ALL, _SPACE = ("sample", "anneal", "diagnose"), ("sample", "anneal")
-
-# Every INI key: section, key, RunConfig field, the modes that read it, and
-# the field that must be set for it to be read.  A field the run's mode
-# does not read must keep its default: it would change the hash, not a result.
-_KEYS = (
-    ("run", "mode", "mode", _ALL, ""),
-    ("run", "seed", "seed", _ALL, ""),
-    ("run", "output_dir", "output_dir", _ALL, ""),
-    ("space", "manifold", "manifold", _SPACE, ""),
-    ("space", "body", "body", _SPACE, ""),
-    ("space", "start", "start", ("sample",), ""),
-    ("walk", "steps", "steps", ("sample",), ""),
-    ("walk", "thin", "thin", ("sample",), ""),
-    ("walk", "burn_in", "burn_in", ("sample",), ""),
-    ("walk", "chains", "chains", ("sample",), ""),
-    ("walk", "delta", "delta", _SPACE, ""),
-    ("walk", "override_delta", "override_delta", _SPACE, "delta"),
-    ("target", "kind", "target", _SPACE, ""),
-    ("target", "temperature", "temperature", ("sample",), "target"),
-    ("anneal", "epsilon", "epsilon", ("anneal",), ""),
-    ("anneal", "fail_prob", "fail_prob", ("anneal",), ""),
-    ("anneal", "budget_constant", "budget_constant", ("anneal",), ""),
-    ("anneal", "max_total_steps", "max_total_steps", ("anneal",), ""),
-    ("anneal", "trials", "trials", ("anneal",), ""),
-    ("diagnose", "checks", "checks", ("diagnose",), ""),
-)
+def _ini_key(setting: Field) -> tuple[str, str]:
+    return setting.metadata["section"], setting.metadata["key"] or setting.name
 
 
 def load_config(path: str) -> RunConfig:
@@ -99,18 +88,18 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    fields = {(section, key): field for section, key, field, *_ in _KEYS}
-    sections = list(dict.fromkeys(section for section, _ in fields))
+    settings = {_ini_key(setting): setting for setting in fields(RunConfig)}
+    sections = list(dict.fromkeys(section for section, _ in settings))
     values = {}
     for section in parser.sections():
         if section not in sections:
             raise ConfigError(f"unknown section [{section}]; known: {', '.join(sections)}")
         for key, raw in parser.items(section):
-            if (section, key) not in fields:
-                known = ", ".join(k for s, k in fields if s == section)
+            if (section, key) not in settings:
+                known = ", ".join(k for s, k in settings if s == section)
                 raise ConfigError(f"unknown key {key!r} in [{section}]; known: {known}")
-            field = fields[section, key]
-            values[field] = _coerce(section, key, raw, getattr(RunConfig, field))
+            setting = settings[section, key]
+            values[setting.name] = _coerce(section, key, raw, setting.default)
     cfg = RunConfig(**values)
     validate_config(cfg)
     return cfg
@@ -139,16 +128,17 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"mode must be sample, anneal, or diagnose, got {cfg.mode!r}")
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
-    for section, key, field, modes, needs in _KEYS:
-        if getattr(cfg, field) == getattr(RunConfig, field):
+    settings = {setting.name: setting for setting in fields(RunConfig)}
+    for name, setting in settings.items():
+        if getattr(cfg, name) == setting.default:
             continue
-        if cfg.mode not in modes:
-            raise ConfigError(f"mode {cfg.mode} does not read [{section}] {key}")
-        if needs and getattr(cfg, needs) == getattr(RunConfig, needs):
-            needed = next(f"[{s}] {k}" for s, k, f, *_ in _KEYS if f == needs)
-            raise ConfigError(
-                f"mode {cfg.mode} does not read [{section}] {key} unless {needed} is set"
-            )
+        where = "[%s] %s" % _ini_key(setting)
+        if cfg.mode not in setting.metadata["modes"]:
+            raise ConfigError(f"mode {cfg.mode} does not read {where}")
+        needs = setting.metadata["needs"]
+        if needs and getattr(cfg, needs) == settings[needs].default:
+            needed = "[%s] %s" % _ini_key(settings[needs])
+            raise ConfigError(f"mode {cfg.mode} does not read {where} unless {needed} is set")
     if cfg.mode in _SPACE:
         if not cfg.manifold:
             raise ConfigError(f"mode {cfg.mode} requires [space] manifold")
@@ -214,72 +204,79 @@ def manifold_from_string(text: str) -> Manifold:
         raise ConfigError(str(exc)) from None
 
 
-def body_from_string(text: str, manifold: Manifold) -> ConvexBody:
-    """A body given as ``cap:<axis>:<angle>``, ``ball:<center>:<radius>``,
-    or ``box:<lo>:<hi>`` (box only on matching Euclidean space)."""
+def _pair(rest: str) -> tuple[str, str]:
+    first, _, second = rest.partition(":")
+    if not (first and second):
+        raise ConfigError(f"expected two ':'-separated parts, got {rest!r}")
+    return first, second
+
+
+def _anchored(body: type):
+    """The builder of ``body(manifold, point, value)`` from ``<point>:<value>``."""
+
+    def build(rest: str, manifold: Manifold) -> ConvexBody:
+        point, value = _pair(rest)
+        return body(manifold, parse_point_spec(point, manifold), float(value))
+
+    return build
+
+
+def _box(rest: str, manifold: Manifold) -> ConvexBody:
+    lo, hi = map(_parse_floats, _pair(rest))
+    if not isinstance(manifold, Euclidean) or manifold.n != lo.size:
+        raise ConfigError(f"box bodies require euclidean:{lo.size}, got {manifold.descriptor}")
+    return EuclideanBox(lo, hi)
+
+
+def _linear(rest: str, manifold: Manifold, body: ConvexBody) -> Target:
+    if not isinstance(body, EuclideanBox):
+        raise ConfigError("linear targets require a box body")
+    coefficients = _parse_floats(rest)
+    if coefficients.size != body.manifold.n:
+        raise ConfigError(
+            f"{coefficients.size} coefficients for a box in {body.manifold.descriptor}"
+        )
+    return linear(coefficients)
+
+
+# Each spec kind: its syntax after ``kind:``, what ``list-builtins`` says of
+# it, and the builder that reads the rest of the spec.  A builder's error, a
+# bad float included, is rewrapped with the spec.
+_BODIES = {
+    "cap": ("<axis>:<angle>", "spherical cap, angle in (0, pi/2)", _anchored(SphericalCap)),
+    "ball": ("<center>:<radius>", "geodesic ball", _anchored(GeodesicBall)),
+    "box": ("<lo>:<hi>", "axis-aligned box (euclidean only)", _box),
+}
+_TARGETS = {
+    "distance_to": (
+        "<point>",
+        "geodesic distance to a point",
+        lambda rest, man, body: distance_to(man, parse_point_spec(rest, man)),
+    ),
+    "sqdist_to": (
+        "<point>",
+        "half squared geodesic distance",
+        lambda rest, man, body: sqdist_to(man, parse_point_spec(rest, man), body.diameter),
+    ),
+    "linear": ("<coefficients>", "inner product with a vector (box only)", _linear),
+}
+
+
+def _from_spec(family: str, kinds: dict, text: str, *context):
     kind, _, rest = text.strip().partition(":")
+    if kind not in kinds:
+        raise ConfigError(f"unknown {family} kind {kind!r}; known: {', '.join(kinds)}")
     try:
-        if kind == "cap":
-            axis_spec, _, angle_text = rest.rpartition(":")
-            if not axis_spec:
-                raise ConfigError(f"cap needs axis and angle, got {text!r}")
-            axis = parse_point_spec(axis_spec, manifold)
-            return SphericalCap(manifold, axis, _parse_scalar(angle_text, "cap angle"))
-        if kind == "ball":
-            center_spec, _, radius_text = rest.rpartition(":")
-            if not center_spec:
-                raise ConfigError(f"ball needs center and radius, got {text!r}")
-            center = parse_point_spec(center_spec, manifold)
-            return GeodesicBall(manifold, center, _parse_scalar(radius_text, "radius"))
-        if kind == "box":
-            lo_text, _, hi_text = rest.partition(":")
-            if not hi_text:
-                raise ConfigError(f"box needs lo and hi lists, got {text!r}")
-            lo = _parse_floats(lo_text)
-            hi = _parse_floats(hi_text)
-            if not isinstance(manifold, Euclidean) or manifold.n != lo.size:
-                raise ConfigError(
-                    f"box bodies require euclidean:{lo.size}, got {manifold.descriptor}"
-                )
-            return EuclideanBox(lo, hi)
-    except ConfigError:
-        raise
-    except GeoWalkError as exc:
-        raise ConfigError(f"invalid body {text!r}: {exc}") from None
-    raise ConfigError(f"unknown body kind {kind!r}; known: cap, ball, box")
+        return kinds[kind][2](rest, *context)
+    except (GeoWalkError, ValueError) as exc:
+        raise ConfigError(f"invalid {family} {text!r}: {exc}") from None
 
 
-def _parse_scalar(text: str, label: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"bad {label} {text!r}") from None
+def body_from_string(text: str, manifold: Manifold) -> ConvexBody:
+    """A body given as ``<kind>:<rest>``, with a kind and syntax of ``_BODIES``."""
+    return _from_spec("body", _BODIES, text, manifold)
 
 
 def target_from_string(text: str, manifold: Manifold, body: ConvexBody) -> Target:
-    """A target given as ``distance_to:<point>``, ``sqdist_to:<point>``,
-    or ``linear:<coefficients>`` (linear only on a box)."""
-    kind, _, rest = text.strip().partition(":")
-    try:
-        if kind == "distance_to":
-            return distance_to(manifold, parse_point_spec(rest, manifold))
-        if kind == "sqdist_to":
-            point = parse_point_spec(rest, manifold)
-            return sqdist_to(manifold, point, body.diameter)
-        if kind == "linear":
-            if not isinstance(body, EuclideanBox):
-                raise ConfigError("linear targets require a box body")
-            coefficients = _parse_floats(rest)
-            if coefficients.size != body.manifold.n:
-                raise ConfigError(
-                    f"linear target {text!r} has {coefficients.size} coefficients "
-                    f"for a box in {body.manifold.descriptor}"
-                )
-            return linear(coefficients)
-    except ConfigError:
-        raise
-    except GeoWalkError as exc:
-        raise ConfigError(f"invalid target {text!r}: {exc}") from None
-    raise ConfigError(
-        f"unknown target kind {kind!r}; known: distance_to, sqdist_to, linear"
-    )
+    """A target given as ``<kind>:<rest>``, with a kind and syntax of ``_TARGETS``."""
+    return _from_spec("target", _TARGETS, text, manifold, body)

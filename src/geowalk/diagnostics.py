@@ -30,6 +30,7 @@ from .errors import (
     PreconditionError,
     ScheduleTooAggressive,
     SeparationViolated,
+    _require_positive,
 )
 from .manifolds import Sphere
 from .quadrature import ABS_TOL, REL_TOL, integrate
@@ -40,7 +41,6 @@ from .walk import (
     WalkParams,
     _accept_counts,
     _chain_f_values,
-    _check_step_size,
     _start_coords,
     delta_bound,
     step_ensemble,
@@ -327,8 +327,8 @@ def check_partition_function_logconcavity(
     lo, hi = float(interval[0]), float(interval[1])
     if not 0.0 < lo < hi or not math.isfinite(hi):
         raise PreconditionError("interval must satisfy 0 < lo < hi, finite")
-    if not (alpha > 0.0 and beta > 0.0):
-        raise PreconditionError("alpha and beta must be positive")
+    _require_positive(alpha, "alpha")
+    _require_positive(beta, "beta")
     if n < 1 or int(n) != n:
         raise PreconditionError("n must be a positive integer")
     _require_convex(h, lo, hi)
@@ -462,8 +462,7 @@ def check_isoperimetry(
     the body's declared center, and propagates sampling error through both
     sides by the delta method; it passes within ``3 * stderr + 1e-12``.
     """
-    if not eps > 0.0:
-        raise PreconditionError("eps must be positive")
+    _require_positive(eps, "eps")
     man = body.manifold
     samples = sample_uniform_many(body, rng, mc_samples)
     labels = np.asarray(classifier(samples))
@@ -539,7 +538,7 @@ def estimate_one_step_tv(
     distance and vanishes as the starts merge.  Both starts are checked as
     ``run_chain`` checks its start: points of the manifold inside the body.
     """
-    _check_step_size(delta)
+    _require_positive(delta, "step size")
     man = body.manifold
     xc = _start_coords(x, body, "x")
     yc = _start_coords(y, body, "y")

@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the one
+positivity rule every layer applies to its positive real settings."""
 
 
 class GeoWalkError(Exception):
@@ -50,3 +51,10 @@ class DegenerateSchedule(UserWarning):
 
 class StepSizeWarning(UserWarning):
     """A walk is being run with a step size above the validated bound."""
+
+
+def _require_positive(value: float, what: str) -> None:
+    """Raise :class:`PreconditionError` unless ``value`` is positive and
+    finite: zero, negatives, NaN and +inf all fail ``0 < value < inf``."""
+    if not 0.0 < value < float("inf"):
+        raise PreconditionError(f"{what} must be positive and finite, got {value}")

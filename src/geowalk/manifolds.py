@@ -198,6 +198,13 @@ def _row_dot(total: str, left: list[str], right: list[str]) -> list[str]:
     return [f"{total} = 0.0 + {first}", *(f"{total} += {p}" for p in rest)]
 
 
+def _dot_constants(n):
+    """The kernel ``x -> <x, c>`` for the constants ``c`` bound at make
+    time: a cap's read ``<x, axis>`` and ``linear``'s ``f``."""
+    x, c = _row_names("x", n), _row_names("c", n)
+    return "dot_constants", "x", c, [(x, "x"), *_row_dot("s", x, c), "return s"]
+
+
 @functools.cache
 def _row_factory(template, n: int):
     """The maker of the kernel that ``template`` writes for rows of ``n``

@@ -32,8 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import PreconditionError
-from .manifolds import Manifold, _row_dot, _row_factory, _row_names
+from .errors import PreconditionError, _require_positive
+from .manifolds import Manifold, _dot_constants, _row_factory
 
 __all__ = ["Target", "distance_to", "sqdist_to", "linear"]
 
@@ -65,8 +65,7 @@ def distance_to(manifold: Manifold, point: np.ndarray) -> Target:
 def sqdist_to(manifold: Manifold, point: np.ndarray, diameter: float) -> Target:
     """Half squared distance; ``diameter`` bounds the Lipschitz constant on
     the body the target will be used with."""
-    if not 0.0 < diameter < math.inf:
-        raise PreconditionError("diameter must be positive and finite")
+    _require_positive(diameter, "diameter")
     return _of_distance(manifold, point, lambda d: 0.5 * d * d, float(diameter))
 
 
@@ -79,14 +78,9 @@ def linear(coefficients: np.ndarray) -> Target:
         norm = float(np.linalg.norm(c))
     if not 0.0 < norm < math.inf:
         raise PreconditionError("coefficients must have a finite, nonzero norm")
-    f = _row_factory(_linear_f, c.size)(*c.tolist())
+    f = _row_factory(_dot_constants, c.size)(*c.tolist())
 
     def f_many(points: np.ndarray) -> np.ndarray:
         return points @ c
 
     return Target(f, f_many, norm)
-
-
-def _linear_f(n):
-    c, x = _row_names("c", n), _row_names("x", n)
-    return "linear_f", "x", c, [(x, "x"), *_row_dot("v", c, x), "return v"]

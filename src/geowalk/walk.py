@@ -60,7 +60,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bodies import ConvexBody, rejection_sample_uniform
-from .errors import InvalidStart, OracleError, PreconditionError, StepSizeWarning
+from .errors import InvalidStart, OracleError, PreconditionError, StepSizeWarning, _require_positive
 from .rng import BLOCK, stream
 
 _SLICE = 256  # steps staged, and then projected, at a time, here and in anneal
@@ -96,7 +96,7 @@ class WalkParams:
 
     def __post_init__(self):
         if self.delta is not None:
-            _check_step_size(self.delta)
+            _require_positive(self.delta, "step size")
         if self.max_steps < 0:
             raise PreconditionError("max_steps must be >= 0")
 
@@ -115,8 +115,7 @@ class GibbsTarget:
     temperature: float
 
     def __post_init__(self):
-        if not self.temperature > 0.0:
-            raise PreconditionError("temperature must be positive")
+        _require_positive(self.temperature, "temperature")
 
 
 @dataclass
@@ -157,11 +156,6 @@ class ChainResult:
     f_values: Optional[np.ndarray]
     stats: RejectionStats
     final: np.ndarray
-
-
-def _check_step_size(delta: float) -> None:
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise PreconditionError(f"step size must be finite and > 0, got {delta}")
 
 
 def delta_bound(body: ConvexBody) -> float:
@@ -429,7 +423,7 @@ def estimate_local_conductance(
     draw from the exact local conductance; on other bodies the proposals
     are drawn.
     """
-    _check_step_size(delta)
+    _require_positive(delta, "step size")
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
     coords = _start_coords(x, body, "x")
@@ -451,7 +445,7 @@ def step_ensemble(
     that push thousands of replicas at once.  Returns a new array,
     projected every ``_SLICE`` steps and at the end.
     """
-    _check_step_size(delta)
+    _require_positive(delta, "step size")
     if steps < 0:
         raise PreconditionError("steps must be >= 0")
     man = body.manifold

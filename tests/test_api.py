@@ -8,6 +8,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import geowalk as gw
@@ -90,6 +91,12 @@ def test_removed_members_stay_removed():
         (gw, "DEFAULT_SPEC"),
         (importlib.import_module("geowalk.quadrature"), "QuadratureSpec"),
         (importlib.import_module("geowalk.config"), "_INT_KEYS"),
+        # Each RunConfig field declares its INI key; one rule checks every
+        # positive real; one kernel template reads a row against constants.
+        (importlib.import_module("geowalk.config"), "_KEYS"),
+        (walk, "_check_step_size"),
+        (importlib.import_module("geowalk.bodies"), "_cap_read"),
+        (importlib.import_module("geowalk.targets"), "_linear_f"),
         # The SO(n) distance is defined everywhere, so nothing raises or
         # catches a cut-locus error.
         (gw, "CutLocusError"),
@@ -115,3 +122,50 @@ def test_removed_members_stay_removed():
     cap = gw.SphericalCap(gw.Sphere(2), [0.0, 0.0, 1.0], 1.0)
     with pytest.raises(TypeError):
         gw.delta_bound(cap.manifold, cap)
+
+
+CAP = gw.SphericalCap(gw.Sphere(2), [0.0, 0.0, 1.0], 1.0)
+FLAT = gw.Euclidean(2)
+
+# Every argument the one positivity rule guards: its name in the message,
+# and a call that passes it the value ``v``.
+POSITIVE_ARGUMENTS = {
+    "WalkParams.delta": ("step size", lambda v: gw.WalkParams(delta=v)),
+    "GibbsTarget.temperature": ("temperature", lambda v: gw.GibbsTarget(abs, v)),
+    "AnnealConfig.epsilon": ("epsilon", lambda v: gw.AnnealConfig(v, 0.1, 1.0)),
+    "AnnealConfig.lipschitz": ("lipschitz", lambda v: gw.AnnealConfig(0.1, 0.1, v)),
+    "AnnealConfig.budget_constant": (
+        "budget_constant", lambda v: gw.AnnealConfig(0.1, 0.1, 1.0, budget_constant=v)
+    ),
+    "AnnealConfig.delta": ("step size", lambda v: gw.AnnealConfig(0.1, 0.1, 1.0, delta=v)),
+    "make_schedule.t0": ("t0", lambda v: gw.make_schedule(v, 5, 0.1, 0.1)),
+    "make_schedule.epsilon": ("epsilon", lambda v: gw.make_schedule(1.0, 5, v, 0.1)),
+    "initial_temperature.lipschitz": ("lipschitz", lambda v: gw.initial_temperature(CAP, v)),
+    "GeodesicBall.radius": ("ball radius", lambda v: gw.GeodesicBall(FLAT, np.zeros(2), v)),
+    "sqdist_to.diameter": ("diameter", lambda v: gw.sqdist_to(FLAT, np.zeros(2), v)),
+    "estimate_local_conductance.delta": (
+        "step size", lambda v: gw.estimate_local_conductance(CAP.axis, CAP, v, 10, gw.stream(0))
+    ),
+    "estimate_one_step_tv.delta": (
+        "step size", lambda v: gw.estimate_one_step_tv(CAP.axis, CAP.axis, CAP, v, 10, gw.stream(0))
+    ),
+    "check_partition_function_logconcavity.alpha": (
+        "alpha", lambda v: gw.check_partition_function_logconcavity(lambda z: z, (0.5, 1.0), 2, v, 1.0)
+    ),
+    "check_partition_function_logconcavity.beta": (
+        "beta", lambda v: gw.check_partition_function_logconcavity(lambda z: z, (0.5, 1.0), 2, 1.0, v)
+    ),
+    "check_isoperimetry.eps": (
+        "eps",
+        lambda v: gw.check_isoperimetry(CAP, lambda x: np.full(len(x), 2), v, 10, gw.stream(0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", POSITIVE_ARGUMENTS)
+def test_every_positive_argument_must_be_finite(case):
+    what, call = POSITIVE_ARGUMENTS[case]
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(gw.PreconditionError, match=f"^{what} must be positive and finite, got"):
+            call(bad)
+    call(1.0)

@@ -278,6 +278,19 @@ BAD_SETTINGS = {
         "gibbs", [("temperature = 0.3", "temperature = nan")], [], "temperature must be positive"
     ),
     "nan-epsilon": ("anneal", [("epsilon = 0.4", "epsilon = nan")], [], "epsilon must be positive"),
+    # +inf passes a check written "x > 0"; every positive setting is also finite.
+    "inf-temperature": (
+        "gibbs", [("temperature = 0.3", "temperature = inf")], [], "temperature must be positive and finite"
+    ),
+    "inf-epsilon": (
+        "anneal", [("epsilon = 0.4", "epsilon = inf")], [], "epsilon must be positive and finite"
+    ),
+    "inf-budget-constant": (
+        "anneal",
+        [("epsilon = 0.4", "epsilon = 0.4\nbudget_constant = inf")],
+        [],
+        "budget_constant must be positive and finite",
+    ),
     "nan-ball-radius": (
         "sample",
         [("cap:0,0,1:1.0471975511965976", "ball:north:nan")],
@@ -294,7 +307,7 @@ BAD_SETTINGS = {
     "zero-thin": ("sample", [("thin = 10", "thin = 0")], [], "thin must be >= 1"),
     "negative-burn-in": ("sample", [("burn_in = 100", "burn_in = -1")], [], "burn_in must be >= 0"),
     "negative-delta": (
-        "sample", [("delta = 0.04", "delta = -1")], [], "step size must be finite and > 0"
+        "sample", [("delta = 0.04", "delta = -1")], [], "step size must be positive and finite"
     ),
     "over-bound-delta": (
         "sample", [("delta = 0.04", "delta = 0.2")], [], "exceeds the guaranteed-safe bound"

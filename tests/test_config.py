@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -193,6 +194,29 @@ kind = distance_to:0,0,1
 [anneal]
 trials = 2
 """
+
+
+def test_readme_key_table_lists_exactly_the_declared_keys():
+    # Each row: section, keys, and the modes that read them, "with" the key
+    # that must be set first.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("Config sections and keys:\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for row in table.splitlines()[2:]:
+        section, keys, read_by = (cell.strip() for cell in row.strip("|").split("|"))
+        modes, _, needs = read_by.partition(", with")
+        modes = cfgmod._ALL if modes == "every mode" else tuple(modes.split(", "))
+        for key in re.findall(r"`(\w+)`", keys):
+            listed[section.strip("`[]"), key] = (modes, re.findall(r"`(\w+)`", needs))
+    settings = {setting.name: setting for setting in fields(cfgmod.RunConfig)}
+    declared = {
+        cfgmod._ini_key(setting): (
+            setting.metadata["modes"],
+            [cfgmod._ini_key(settings[needs])[1] for needs in [setting.metadata["needs"]] if needs],
+        )
+        for setting in settings.values()
+    }
+    assert listed == declared
 
 
 def test_an_unread_key_at_its_default_changes_nothing(tmp_path):

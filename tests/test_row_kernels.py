@@ -76,7 +76,7 @@ def test_cap_membership_and_read_match_the_reference(data, n, seed, angle):
     assert bits(read(x)) == bits(ref.cap_read(unit, x))
     # The one cap kernel, read, with an arbitrary axis, specials included.
     a = data.draw(rows(n + 1))
-    assert bits(manifolds._row_factory(bodies._cap_read, n + 1)(*a)(x)) == bits(ref.cap_read(a, x))
+    assert bits(manifolds._row_factory(manifolds._dot_constants, n + 1)(*a)(x)) == bits(ref.cap_read(a, x))
 
 
 @settings(max_examples=150, deadline=None)

@@ -276,7 +276,7 @@ def test_lockstep_anneal_compiles_no_sphere_step_kernel(monkeypatch):
     target = gw.distance_to(cap.manifold, cap.axis)
     config = gw.AnnealConfig(epsilon=0.3, fail_prob=0.2, lipschitz=target.lipschitz, max_total_steps=3000)
     gw.anneal_trials(cap, target.f_many, config, seed=3, trials=4)
-    assert built and {t.__name__ for t in built} <= {"_cap_read"}
+    assert built and {t.__name__ for t in built} <= {"_dot_constants"}
     assert not {"_propose_row", "_dist"} & set(vars(cap.manifold))
 
 
