@@ -230,6 +230,7 @@ class EuclideanBox(ConvexBody):
 
         return _in_blocks(rows, points)
 
+    contains_coords.kernel = operator.attrgetter("_inside")
     contains_coords.draw_uniform = _draw_uniform
     contains_coords.rejection_probability = _rejection_probability
 

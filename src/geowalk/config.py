@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import inspect
 import json
 from dataclasses import Field, asdict, dataclass, field, fields
 from typing import Optional
@@ -31,10 +32,11 @@ from .diagnostics import builtin_check_names
 from .errors import ConfigError, GeoWalkError
 from .manifolds import Euclidean, Manifold, SpecialOrthogonal, Sphere, from_descriptor
 from .targets import Target, distance_to, linear, sqdist_to
-from .walk import WalkParams
+from .walk import WalkParams, run_chain
 
 
 _ALL, _SPACE = ("sample", "anneal", "diagnose"), ("sample", "anneal")
+_CHAIN = inspect.signature(run_chain).parameters  # the owner of the thin and burn_in defaults
 
 
 def _setting(section: str, modes: tuple[str, ...], default, key: str = "", needs: str = ""):
@@ -56,8 +58,8 @@ class RunConfig:
     body: str = _setting("space", _SPACE, "")
     start: str = _setting("space", ("sample",), "")
     steps: int = _setting("walk", ("sample",), 10_000)
-    thin: int = _setting("walk", ("sample",), 1)
-    burn_in: int = _setting("walk", ("sample",), 0)
+    thin: int = _setting("walk", ("sample",), _CHAIN["thin"].default)
+    burn_in: int = _setting("walk", ("sample",), _CHAIN["burn_in"].default)
     chains: int = _setting("walk", ("sample",), 1)
     delta: Optional[float] = _setting("walk", _SPACE, WalkParams.delta)
     override_delta: bool = _setting("walk", _SPACE, WalkParams.override_delta, needs="delta")

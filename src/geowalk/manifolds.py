@@ -32,19 +32,17 @@ step's rows; by default it loops over ``propose_row``.  ``propose_many``
 composes the stages.  ``Euclidean`` and ``Sphere`` evaluate them in closed
 form.
 
-Their one-row oracles, ``propose_row`` and ``Sphere.dist``, work on Python
-floats, which on a few elements avoids numpy's per-call overhead: they take
-lists, which ``as_row`` makes of numpy rows, and return lists (``dist`` a
-float).  Each is a straight-line kernel, compiled on first use once per
-dimension by the row-kernel helper below, which the one-row membership
-tests of :mod:`geowalk.bodies` and ``linear``'s ``f`` share: the row is
-unpacked into locals (a row of another length raises
-:class:`DimensionMismatch`) and a dot product is ``0.0 + p0``, then each
-product added in turn, left to right.  That is the order of CPython 3.11's
-``sum`` of floats, which 3.12 replaced by a compensated sum; the kernels
-keep the plain order on every version.  Nothing about them is tunable.
-``Euclidean.dist`` stays on numpy (``d @ d``), since an unrolled sum need
-not round as it does.
+Their one-row oracles, ``propose_row`` and ``Sphere.dist``, take lists of
+Python floats (``as_row`` makes them), which on a few elements avoids
+numpy's per-call overhead.  Each is a straight-line kernel that a template
+writes for its dimension and the row-kernel helper below compiles once, as
+are the membership tests of :mod:`geowalk.bodies` and ``linear``'s ``f``:
+the row is unpacked into locals (another length raises
+:class:`DimensionMismatch`), and a dot product is ``0.0 + p0``, then each
+product in turn, left to right, as CPython 3.11's ``sum`` of floats adds
+(3.12's compensates).  The same lines, inlined, make ``run_chain``'s one
+step loop.  ``Euclidean.dist`` stays on numpy (``d @ d``), since an
+unrolled sum need not round as it does.
 
 The intrinsic dimension is ``tangent_dim``; curvature enters the walk only
 through ``curvature_bound``, an upper bound on the Frobenius norm of the
@@ -55,6 +53,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+import re
 
 import numpy as np
 
@@ -208,8 +208,10 @@ def _dot_constants(n):
 @functools.cache
 def _row_factory(template, n: int):
     """The maker of the kernel that ``template`` writes for rows of ``n``
-    coordinates: call it with the template's constants, in order."""
-    name, signature, constants, lines = template(n)
+    coordinates, or of the one whose ``(name, signature, constants, lines)``
+    it is: call it with the constants, in order.  The kernel declares
+    ``row = (template, n, constants)``."""
+    name, signature, constants, lines = template if isinstance(template, tuple) else template(n)
     source = [f"def make({', '.join(constants)}):", f"    def {name}({signature}):"]
     for line in lines:
         if isinstance(line, str):
@@ -223,16 +225,41 @@ def _row_factory(template, n: int):
             "        except ValueError as exc:",
             f"            raise DimensionMismatch({message!r}) from exc",
         ]
+    source.append(f"    {name}.row = template, {n}, ({''.join(c + ', ' for c in constants)})")
     source.append(f"    return {name}")
-    namespace = {"DimensionMismatch": DimensionMismatch, "acos": math.acos}
+    namespace = {"DimensionMismatch": DimensionMismatch, "acos": math.acos, "template": template}
     exec(compile("\n".join(source), f"<row kernel {name}, n={n}>", "exec"), namespace)
     return namespace["make"]
+
+
+def _inline(fn, owner, point, tag):
+    """The kernel that the one-row oracle ``fn`` is, or declares it calls
+    (``fn.kernel(owner)``), as lines for a caller that holds the point it
+    reads as the locals ``point``: the unpacking of ``x`` is dropped, each
+    constant ``c`` is renamed ``c_<tag>`` and the returned expression comes
+    apart.  Returns ``(lines, expression, {renamed constant: value})``, or
+    ``None`` if ``fn`` is no kernel."""
+    kernel = getattr(fn, "kernel", None)
+    row = getattr(fn if kernel is None else kernel(owner), "row", None)
+    if row is None:
+        return None
+    template, n, values = row
+    _, _, constants, lines = template(n)
+    rename, kept = {c: f"{c}_{tag}" for c in constants}, []
+    for line in lines:
+        if isinstance(line, tuple) and line[1] == "x":
+            rename.update(zip(line[0], point))
+        else:
+            kept.append(line)
+    word = lambda line: re.sub(r"\w+", lambda m: rename.get(m[0], m[0]), line)
+    *body, result = (line if isinstance(line, tuple) else word(line) for line in kept)
+    return body, result.removeprefix("return "), dict(zip(map(rename.get, constants), values))
 
 
 def _euclidean_propose_row(n):
     x, d = _row_names("x", n), _row_names("d", n)
     step = ", ".join(f"{a} + {b}" for a, b in zip(x, d))
-    return "euclidean_propose_row", "x, factors", (), [(x, "x"), (d, "factors[0]"), f"return [{step}]"]
+    return "euclidean_propose_row", "x, factors", (), [(["d"], "factors"), (x, "x"), (d, "d"), f"return [{step}]"]
 
 
 class Euclidean(Manifold):
@@ -282,6 +309,8 @@ class Euclidean(Manifold):
     def _propose_row(self):
         return _row_factory(_euclidean_propose_row, self.n)()
 
+    propose_row.kernel = operator.attrgetter("_propose_row")
+
     def dist_many(self, points, y):
         d = points - y
         return np.sqrt(np.einsum("ij,ij->i", d, d))
@@ -301,8 +330,12 @@ def _arccos(c):
 
 def _sphere_dist(m):
     x, y = _row_names("x", m), _row_names("y", m)
-    clipped = "1.0 if c > 1.0 else -1.0 if c < -1.0 else c"  # _arccos on a float
-    return "sphere_dist", "x, y", (), [(x, "x"), (y, "y"), *_row_dot("c", x, y), f"return acos({clipped})"]
+    return "sphere_dist", "x, y", (), [(x, "x"), (y, "y"), *_row_dot("c", x, y), f"return {_acos('c')}"]
+
+
+def _acos(c: str) -> str:
+    """``_arccos`` of the float ``c`` as an expression."""
+    return f"acos(1.0 if {c} > 1.0 else -1.0 if {c} < -1.0 else {c})"
 
 
 def _sphere_propose_row(m):
@@ -312,7 +345,7 @@ def _sphere_propose_row(m):
     last = x[-1]
     row = ", ".join(f"c * {a} + {s}" for a, s in zip(x, b))
     return "sphere_propose_row", "x, factors", (), [
-        "g, cos_t, k, step = factors",
+        (["g", "cos_t", "k", "step"], "factors"),
         (x, "x"),
         (g, "g"),
         ([*b, "_"], "step"),
@@ -421,6 +454,8 @@ class Sphere(Manifold):
     @functools.cached_property
     def _propose_row(self):
         return _row_factory(_sphere_propose_row, self.ambient_dim)()
+
+    propose_row.kernel = operator.attrgetter("_propose_row")
 
     def dist_many(self, points, y):
         return _arccos(points @ y)

@@ -27,20 +27,17 @@ before it returns too, so the state stays within 1e-13 of the
 manifold.  ``f`` is not re-evaluated at the projected state: the
 difference is below 1e-15.
 
-The chain's step loop, ``_chain_slices``, yields the rows each slice
-keeps; :func:`run_chain` writes them into the columns of
-:class:`ChainResult`, allocated once, and ``_chain_f_values`` keeps only
-the target values.  When the body's membership test and the target's
-``f`` declare the same scalar of the proposal with equal anchors (a cap's
-``<y, axis>`` with ``distance_to`` or ``sqdist_to`` at its axis, a ball's
-``d(center, y)`` with one at its centre; see ``_shared_scalar``), a step
-computes it once and takes both from it with the same arithmetic.  The
-chain's state and each slice's factor rows are in the form
-``Manifold.as_row`` gives: on ``sphere:n`` and ``euclidean:n`` lists of
-Python floats, which the one-row oracles of a step (proposal, membership,
-``f``, the shared scalar) read as straight-line kernels compiled for the
-dimension, summing in the one order :mod:`geowalk.manifolds` fixes
-(``Euclidean.dist`` excepted); on ``so:n`` numpy rows.
+A chain's steps run in one function per chain, which ``_slice_function``
+writes from the row templates of :mod:`geowalk.manifolds`: per slice it
+takes the factors and thresholds, and it emits only the columns its
+caller reads (:func:`run_chain` all, ``_chain_f_values`` the target
+values).  On ``sphere:n`` and ``euclidean:n`` the state and the proposal
+are locals per coordinate, and the proposal, membership and ``linear``'s
+``f`` are inlined.  When the body's test and ``f`` declare the same scalar
+with equal anchors (a cap's ``<y, axis>`` with ``distance_to`` or
+``sqdist_to`` at its axis, a ball's ``d(center, y)`` with one at its
+centre; see ``_shared_scalar``), a step computes it once.  Any other
+oracle, and every one on ``so:n``, is called on ``Manifold.as_row`` rows.
 
 Local-conductance counts (how many of ``trials`` one-step proposals from a
 point stay in the body) are one ``Binomial`` draw per point when the body's
@@ -51,8 +48,10 @@ proposals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -60,6 +59,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bodies import ConvexBody, rejection_sample_uniform
+from .manifolds import _acos, _arccos, _inline, _row_factory, _row_names
 from .errors import InvalidStart, OracleError, PreconditionError, StepSizeWarning, _require_positive
 from .rng import BLOCK, stream
 
@@ -237,19 +237,18 @@ def run_chain(
     coords = np.empty((kept, body.manifold.ambient_dim))
     rejected = np.empty(kept, dtype=bool)
     f_values = None if target is None else np.empty(kept)
-    slices = _chain_slices(start, body, params, delta, target, thin, burn_in, chain_id)
+    columns = [coords, rejected] + ([] if target is None else [f_values])
+    slices = _chain_slices(start, body, params, delta, target, thin, burn_in, chain_id, "xrf"[: len(columns)])
     row = 0
     while True:
         try:
-            xs, flags, fs = next(slices)
+            kept = next(slices)
         except StopIteration as end:
             stats, final = end.value
             return ChainResult(steps, coords, rejected, f_values, stats, np.array(final))
-        stop = row + len(xs)
-        coords[row:stop] = xs
-        rejected[row:stop] = flags
-        if f_values is not None:
-            f_values[row:stop] = fs
+        stop = row + len(kept[0])
+        for column, values in zip(columns, kept):
+            column[row:stop] = values
         row = stop
 
 
@@ -280,98 +279,168 @@ def _drawn_slices(gens, steps, manifold, delta, temperature, normals, thresholds
             yield manifold.proposal_factors(drawn[rows], delta), block[rows]
 
 
-def _chain_slices(start, body, params, delta, target, thin, burn_in, chain_id):
-    """The step loop of :func:`run_chain`, on its arguments and the step
-    size ``delta`` it picked; ``thin``, ``burn_in`` and ``delta`` are
-    checked there, not here.
+def _chain_slices(start, body, params, delta, target, thin, burn_in, chain_id, keep):
+    """The steps of :func:`run_chain`, on its arguments and the step size
+    ``delta`` it picked; ``thin``, ``burn_in`` and ``delta`` are checked
+    there, not here.
 
     A generator: per ``_SLICE`` steps that keep a row it yields the kept
-    rows as three lists (the points, whether the step stayed put, and the
-    target values, ``None`` without a target), and it returns ``(stats,
-    final)``, the :class:`RejectionStats` and the last point, projected
-    like the state after every slice.  Nothing of a slice outlives its
-    yield here, so a caller that reads one column holds only that one.
+    rows as one list per letter of ``keep``, ``x`` the points, ``r``
+    whether the step stayed put and ``f`` the target values, and it
+    returns ``(stats, final)``, the :class:`RejectionStats` and the last
+    point, projected like the state after every slice.  Nothing of a slice
+    outlives its yield here, so a caller that reads one column holds only
+    that one.
     """
     man = body.manifold
     rng = stream(params.seed, chain_id)
     x = rejection_sample_uniform(body, rng) if start is None else _start_coords(start, body)
     x = man.as_row(x)
-    propose = man.propose_row
-    inside_body = body.contains_coords
-    emit = burn_in + thin
-
-    f = fx = read = temperature = None
+    fx = temperature = None
     if target is not None:
-        f, temperature = target.f, target.temperature
-        fx = float(f(x))
+        temperature = target.temperature
+        fx = float(target.f(x))
         if not math.isfinite(fx):
             raise OracleError("target is non-finite at the start point")
-        shared = _shared_scalar(body, f)
-        if shared is not None:
-            read, inside_body, f = shared
-
-    boundary = filtered = 0
-    step = 0
+    run = _slice_function(body, None if target is None else target.f, thin, keep)
+    at, emit, boundary, filtered = 0, burn_in + thin, 0, 0
     normals = np.empty((min(params.max_steps, BLOCK), 1, man.tangent_dim))
     thresholds = np.empty(normals.shape[:2])
-    drawn = _drawn_slices([rng], params.max_steps, man, delta, temperature, normals, thresholds)
-    for factors, slice_thresholds in drawn:
-        factors = [man.as_row(a[:, 0]) for a in factors]
-        kept_x, kept_rejected, kept_f = [], [], []
-        for factor_row, threshold in zip(zip(*factors), slice_thresholds[:, 0].tolist()):
-            step += 1
-            y = propose(x, factor_row)
-            s = y if read is None else read(y)
-            if not inside_body(s):
-                rejected = True
-                boundary += 1
-            elif f is None:
-                x, rejected = y, False
-            else:
-                fy = float(f(s))
-                if not math.isfinite(fy):
-                    raise OracleError(f"target returned non-finite value at step {step}")
-                if fy - fx < threshold:
-                    x, fx, rejected = y, fy, False
-                else:
-                    rejected = True
-                    filtered += 1
-            if step == emit:
-                kept_x.append(x)
-                kept_rejected.append(rejected)
-                kept_f.append(fx)
-                emit += thin
+    for factors, w in _drawn_slices([rng], params.max_steps, man, delta, temperature, normals, thresholds):
+        x, fx, at, emit, boundary, filtered, kept = run(factors, w[:, 0].tolist(), x, fx, at, emit, boundary, filtered)
         x = man.as_row(man.project(np.array(x)))  # a copy: the kept rows keep their values
-        if kept_x:
-            yield kept_x, kept_rejected, kept_f
+        if kept[0]:
+            yield kept
     return RejectionStats(params.max_steps, boundary, filtered), x
 
 
 def _chain_f_values(start, body, params, target, burn_in):
     """``run_chain(start, body, params, target, burn_in=burn_in).f_values``
-    without ever holding the other columns: the target values of the
-    slices go straight into one array.  The arguments are checked by the
-    caller, as for ``_chain_slices``, and ``params.delta`` is given."""
-    slices = _chain_slices(start, body, params, params.delta, target, 1, burn_in, 0)
+    without ever building the other columns: the step loop emits only the
+    target values.  The arguments are checked by the caller, as for
+    ``_chain_slices``, and ``params.delta`` is given."""
+    slices = _chain_slices(start, body, params, params.delta, target, 1, burn_in, 0, "f")
     kept = max(0, params.max_steps - burn_in)
-    return np.fromiter(itertools.chain.from_iterable(fs for _, _, fs in slices), float, kept)
+    return np.fromiter(itertools.chain.from_iterable(fs for fs, in slices), float, kept)
 
 
 def _shared_scalar(body: ConvexBody, f):
-    """``(read, inside, value)`` when ``body.contains_coords.scalar`` and
-    ``f.of_distance`` declare the same distance and equal anchors: then a
-    proposal ``y`` is inside iff ``inside(s)``, ``s = read(y)``, and ``f(y)
-    == value(s)`` bit for bit.  ``None`` otherwise."""
+    """``(read, inside, arc, outer)`` when the body's membership test
+    declares the scalar it reads (``contains_coords.scalar``) and ``f`` is
+    ``None`` or declares the same distance with an equal anchor
+    (``f.of_distance``): then ``y`` is inside iff ``inside(s)``, ``s =
+    read(y)``, and ``f(y) == outer(arc(s))`` bit for bit, a ``None`` stage
+    passing ``s`` on.  ``None`` otherwise."""
     declare = getattr(body.contains_coords, "scalar", None)
     of_distance = getattr(f, "of_distance", None)
-    if declare is None or of_distance is None:
+    if declare is None or (f is not None and of_distance is None):
         return None
     dist, anchor, read, inside, arc = declare(body)
+    if f is None:
+        return read, inside, None, None
     f_dist, point, outer = of_distance
-    if dist != f_dist or not np.array_equal(anchor, point):
-        return None
-    value = outer if arc is None else arc if outer is None else lambda s: outer(arc(s))
-    return read, inside, value or float
+    return (read, inside, arc, outer) if dist == f_dist and np.array_equal(anchor, point) else None
+
+
+_COMPARE = {operator.le: "<=", operator.ge: ">="}
+
+
+def _slice_function(body, f, thin, keep):
+    """The step loop of one chain on ``body``, filtered by ``f`` unless it
+    is ``None``, compiled by ``manifolds._row_factory``: ``run(factors,
+    thresholds, x, fx, at, emit, boundary, filtered)`` takes a slice of
+    ``_drawn_slices`` and the state after step ``at``, and returns the
+    state after the slice and its kept rows, one list per letter of
+    ``keep``.  A stage (the proposal, the membership test or the declared
+    scalar read, ``f``) whose oracle is or declares a row kernel is inlined
+    from its template; any other is a call, and every one is when the
+    proposal is."""
+    man = body.manifold
+    values = {"OracleError": OracleError, "isfinite": math.isfinite, "thin": thin}
+    indent = lambda lines: [f"    {line}" for line in lines]
+    flag = lambda value: [f"flag = {value}"] if "r" in keep else []
+    xs, ys = _row_names("x", man.ambient_dim), _row_names("y", man.ambient_dim)
+    proposal = _inline(man.propose_row, man, xs, "p")
+
+    def stage(fn, owner, name, argument):
+        # The lines and value of fn: inlined, its constants renamed by name, or a call.
+        inlined = proposal and _inline(fn, owner, ys, name)
+        if not inlined:
+            values[name] = fn
+            return [], f"{name}({argument})"
+        values.update(inlined[2])
+        return inlined[:2]
+
+    if proposal is None:
+        values["as_row"] = man.as_row
+        head, loop = [], "factor_row, w in zip(zip(*[as_row(a[:, 0]) for a in factors]), thresholds)"
+        step = ["y = " + stage(man.propose_row, man, "propose", "x, factor_row")[1]]
+        state, move = "x", "x = y"
+    else:
+        lines, value, _ = proposal
+        head, step, columns = [(tuple(xs), "x")], [], {}
+        for line in lines:  # the unpacking of factors into arrays, then of arrays into columns
+            if isinstance(line, str):
+                step.append(line)
+            elif line[1] == "factors":
+                head.append((tuple(line[0]), "factors"))
+                columns = dict.fromkeys(line[0])
+            else:
+                columns[line[1]] = [c for c in line[0] if c != "_"]
+        names = [c for a, read in columns.items() for c in read or [a]]
+        sources = [
+            f"*{a}[:, 0, :{len(read)}].T.tolist()" if read else f"{a}[:, 0].tolist()" for a, read in columns.items()
+        ]
+        loop = f"{', '.join(names)}, w in zip({', '.join(sources)}, thresholds)"
+        step.append(f"{', '.join(ys)} = {value[1:-1]}")
+        state, move = f"[{', '.join(xs)}]", f"{', '.join(xs)} = {', '.join(ys)}"
+    proposed = len(step)
+    shared = _shared_scalar(body, f)
+    if shared is None:
+        lines, inside = stage(body.contains_coords, body, "contains", "y")
+    else:
+        read, inside, arc, outer = shared
+        lines, value = stage(read, None, "read", "y")
+        lines.append(f"z = {value}")
+        if isinstance(inside, functools.partial) and inside.func in _COMPARE:
+            values["bound"], inside = inside.args[0], f"bound {_COMPARE[inside.func]} z"
+        else:
+            values["inside"], inside = inside, "inside(z)"
+    step += [*lines, f"if not ({inside}):", *indent(["boundary += 1", *flag(True)]), "else:"]
+    if f is None:
+        step += indent([move, *flag(False)])
+    else:
+        if shared is None:
+            lines, value = stage(f, None, "f", "y")
+        else:
+            lines, value = [], _acos("z") if arc is _arccos else "z"
+            for name, fn in ("arc", arc), ("outer", outer):
+                if fn not in (None, _arccos):
+                    values[name], value = fn, f"{name}({value})"
+        if "f" in values or (shared and not value.startswith("acos")):
+            value = f"float({value})"  # a called oracle's value, as run_chain records it
+        step += indent(
+            [
+                *lines,
+                f"fy = {value}",
+                "if not isfinite(fy):",
+                '    raise OracleError(f"target returned non-finite value at step {at}")',
+                "if fy - fx < w:",
+                *indent([move, "fx = fy", *flag(False)]),
+                "else:",
+                *indent(["filtered += 1", *flag(True)]),
+            ]
+        )
+    if proposal and {"contains", "read", "f"} & set(values):  # a called oracle reads y as a row
+        step.insert(proposed, f"y = [{', '.join(ys)}]")
+    emitted = {"x": state, "r": "flag", "f": "fx"}
+    for c in keep:
+        head += [f"kept_{c} = []", f"keep_{c} = kept_{c}.append"]
+    emit = [*(f"keep_{c}({emitted[c]})" for c in keep), "emit += thin"]
+    lines = [*head, f"for {loop}:", *indent(["at += 1", *step, "if at == emit:", *indent(emit)])]
+    lines.append(f"return {state}, fx, at, emit, boundary, filtered, ({''.join(f'kept_{c}, ' for c in keep)})")
+    source = ("chain_slice", "factors, thresholds, x, fx, at, emit, boundary, filtered", tuple(values), tuple(lines))
+    return _row_factory(source, man.ambient_dim)(*values.values())
 
 
 def _accept_counts(

@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -263,6 +264,61 @@ def test_float_row_chains_replay_the_reference_step(case):
         assert np.array_equal(chain.f_values, np.array([v for _, _, v in states[1:]]))
     assert np.array_equal(chain.final, final)
     assert 0 < chain.stats.rejections < params.max_steps
+
+
+# Burn-in ends mid-slice, and emission and the step counter cross three
+# slice boundaries.
+SLICES = dict(max_steps=3 * _SLICE + 5, thin=7, burn_in=101)
+
+
+@pytest.mark.parametrize("case", ["low-temp-cap", "sample-cap", "box-linear", "sphere-ball-sqdist"])
+def test_float_row_chains_replay_the_reference_step_thinned(case):
+    body, target, delta, inside, f = float_row_path(case)
+    params = gw.WalkParams(delta=delta, max_steps=SLICES["max_steps"], seed=19)
+    chain = gw.run_chain(body.inner_center, body, params, target, SLICES["thin"], SLICES["burn_in"])
+    states, final = replay_chain(body.inner_center, body, params, target, inside=inside, f=f)
+    kept = [states[step] for step in chain.steps]
+    assert chain.steps[0] < _SLICE and chain.steps[-1] > 3 * _SLICE - SLICES["thin"]
+    assert np.array_equal(chain.coords, np.array([p for p, _, _ in kept]))
+    assert chain.rejected.tolist() == [r for _, r, _ in kept]
+    if target is not None:
+        assert chain.f_values.tolist() == [v for _, _, v in kept]
+    assert np.array_equal(chain.final, final)
+    assert chain.stats.rejections == sum(r for _, r, _ in states)
+
+
+@pytest.mark.parametrize("case", ["low-temp-cap", "box-linear", "sphere-ball-sqdist"])
+def test_chain_f_values_are_the_run_chain_column(case):
+    # The loop that emits only f values against the one that emits every
+    # column, on each float-row path with a target (sample-cap has none).
+    body, target, delta, _, _ = float_row_path(case)
+    params = gw.WalkParams(delta=delta, max_steps=SLICES["max_steps"], seed=20)
+    chain = gw.run_chain(body.inner_center, body, params, target, burn_in=SLICES["burn_in"])
+    alone = walk._chain_f_values(body.inner_center, body, params, target, SLICES["burn_in"])
+    assert alone.tobytes() == chain.f_values.tobytes()
+
+
+@pytest.mark.parametrize("case", ["so3-ball-distance", "oracle-sphere-ball", "cap-custom-f"])
+def test_called_stages_replay_the_reference_step(case, oracle_sphere):
+    # Stages without a row kernel are calls inside the one generated loop:
+    # every stage on so:3 and on a sphere built from the four oracles, and
+    # membership and f for an f that declares no distance.
+    if case == "so3-ball-distance":
+        man = gw.SpecialOrthogonal(3)
+        body = gw.GeodesicBall(man, np.eye(3).ravel(), 0.9)
+        target = gw.GibbsTarget(gw.distance_to(man, np.eye(3).ravel()).f, 0.3)
+    elif case == "oracle-sphere-ball":
+        body = gw.GeodesicBall(oracle_sphere, np.array([0.0, 0.0, 1.0]), 0.9)
+        target = gw.GibbsTarget(gw.distance_to(oracle_sphere, np.array([0.0, 0.6, 0.8])).f, 0.2)
+    else:
+        body = cap_on_sphere()
+        target = gw.GibbsTarget(lambda x: 1.0 - x[2], 0.05)
+    assert (manifolds._inline(body.manifold.propose_row, body.manifold, [], "p") is None) == (case != "cap-custom-f")
+    params = gw.WalkParams(delta=0.1, max_steps=SLICES["max_steps"], seed=26, override_delta=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepSizeWarning)
+        chain = assert_chain_replays(body.inner_center, body, params, target, SLICES["thin"], SLICES["burn_in"])
+    assert 0 < chain.stats.boundary_rejections and 0 < chain.stats.filter_rejections
 
 
 def test_lockstep_anneal_compiles_no_sphere_step_kernel(monkeypatch):
@@ -596,6 +652,20 @@ def test_target_non_finite_after_the_start_raises_at_its_step():
     bad = gw.GibbsTarget(f=lambda x: 0.0 if x[2] >= 0.95 else math.nan, temperature=1.0)
     with pytest.raises(OracleError, match="non-finite value at step 12$"):
         gw.run_chain(cap.axis, cap, gw.WalkParams(max_steps=2000, seed=0), target=bad)
+
+
+def test_target_non_finite_in_a_later_slice_raises_at_its_step():
+    # A flat f takes the uniform chain's steps and is called once at the
+    # start and once per step that stays in the body; its 301st call, NaN,
+    # falls in the second slice.
+    cap = cap_on_sphere()
+    params = gw.WalkParams(delta=0.04, max_steps=2 * _SLICE, seed=0)
+    moved = np.flatnonzero(~gw.run_chain(cap.axis, cap, params).rejected) + 1
+    assert _SLICE < moved[299] <= 2 * _SLICE
+    calls = itertools.count()
+    bad = gw.GibbsTarget(f=lambda x: math.nan if next(calls) == 300 else 0.0, temperature=1.0)
+    with pytest.raises(OracleError, match=f"non-finite value at step {moved[299]}$"):
+        gw.run_chain(cap.axis, cap, params, target=bad)
 
 
 def test_local_conductance_needs_a_trial():
