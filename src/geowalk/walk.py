@@ -242,12 +242,12 @@ def run_chain(
     row = 0
     while True:
         try:
-            kept = next(slices)
+            rows = next(slices)
         except StopIteration as end:
             stats, final = end.value
             return ChainResult(steps, coords, rejected, f_values, stats, np.array(final))
-        stop = row + len(kept[0])
-        for column, values in zip(columns, kept):
+        stop = row + len(rows[0])
+        for column, values in zip(columns, rows):
             column[row:stop] = values
         row = stop
 
