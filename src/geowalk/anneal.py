@@ -20,8 +20,10 @@ including a running minimum estimate, changes nothing.
 
 :func:`anneal_trials` runs the trials in lockstep on the draws of
 ``walk._drawn_slices``: each step makes one ``Manifold.propose_factored``
-call for all trials, bit for bit one ``propose_many`` call, and one
-``contains_many`` call tests them.
+call for all trials, bit for bit one ``propose_many`` call.  Given the
+objective's one-point form ``f``, a step reads the scalar it shares with
+the body's test once for all trials, as ``run_chain`` does; otherwise
+``contains_many`` tests them and ``f_many`` scores them.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from .bodies import ConvexBody, rejection_sample_uniform
 from .errors import DegenerateSchedule, OracleError, PreconditionError, _require_positive
 from .rng import BLOCK, stream
-from .walk import _SLICE, _drawn_slices, validate_delta
+from .walk import _SLICE, _drawn_slices, _shared_scalar, validate_delta
 
 __all__ = [
     "AnnealSchedule",
@@ -199,6 +201,7 @@ def anneal_trials(
     config: AnnealConfig,
     seed: int,
     trials: int,
+    f: Optional[Callable] = None,
 ) -> TrialsResult:
     """``trials`` independent annealing runs advanced in lockstep.
 
@@ -207,14 +210,15 @@ def anneal_trials(
     contract of :mod:`geowalk.rng`, through ``walk._drawn_slices`` into
     step-major buffers, so a trial's result does not depend on how many
     trials run beside it.  One step makes one ``propose_factored`` call for
-    all trials, tests membership, scores the proposals with ``f_many`` and
-    filters the in-body rows.  Points, values and best-so-far arrays are
-    updated in place in workspaces preallocated once per call, and the
-    points are projected after every slice of steps, as in ``walk``.
-    ``f_many`` must accept any batch of manifold points, on or off the
-    body; a non-finite value at an in-body proposal raises
-    :class:`OracleError`, while values at out-of-body proposals are never
-    used or checked.
+    all trials, tests membership, scores the proposals and filters the
+    in-body rows.  Points, values and best-so-far arrays are updated in
+    place in workspaces preallocated once per call, and the points are
+    projected after every slice of steps, as in ``walk``.  ``f_many`` must
+    accept any batch of manifold points, on or off the body; a non-finite
+    value at an in-body proposal raises :class:`OracleError`, while values
+    at out-of-body proposals are never used or checked.  ``f``, the
+    one-point form of ``f_many`` (``Target.f``), changes no result; see
+    ``_lockstep_stage``.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
@@ -230,6 +234,7 @@ def anneal_trials(
     values = np.array(f_many(points), dtype=float)  # a copy: updated in place
     if not np.all(np.isfinite(values)):
         raise OracleError("objective is non-finite at a start point")
+    score, checked = _lockstep_stage(body, f_many, f, points, values)
 
     propose = man.propose_factored
     last = len(schedule.temps) - 1
@@ -252,11 +257,10 @@ def anneal_trials(
         ):
             for step, threshold, accept in zip(zip(*factors), slice_thresholds, accepts):
                 proposals = propose(points, step)
-                inside = body.contains_many(proposals)
-                trial_values = np.asarray(f_many(proposals), dtype=float)
+                inside, trial_values = score(proposals)
                 # A finite sum clears the whole batch; otherwise only the
                 # in-body rows count, since out-of-body rows are never used.
-                if not math.isfinite(trial_values.sum()) and not np.all(
+                if checked and not math.isfinite(trial_values.sum()) and not np.all(
                     np.isfinite(trial_values[inside])
                 ):
                     raise OracleError(
@@ -285,3 +289,30 @@ def anneal_trials(
         tuple(allocations),
         delta,
     )
+
+
+def _lockstep_stage(body, f_many, f, starts, start_values):
+    """``(score, checked)``, chosen once: ``score(proposals) = (inside,
+    values)``, and whether the values need the finiteness check.
+
+    With a shared scalar (``walk._shared_scalar(body, f)``) ``score``
+    reads ``s`` once, then ``inside(s)`` and ``outer(arc(s))`` in place,
+    if that reproduces ``start_values``, ``f_many`` at ``starts``, bit for
+    bit.  Without an ``outer`` no check is needed: NaN fails ``inside``,
+    so an in-body ``s``, and ``arc(s)``, is finite.  Otherwise
+    ``contains_many`` and ``f_many`` score the rows, checked.
+    """
+    shared = None if f is None else _shared_scalar(body, f, batched=True)
+    if shared is not None:
+        read, inside, arc, outer = shared
+
+        def score(proposals):
+            s = read(proposals)
+            within = inside(s)
+            if arc is not None:
+                s = arc(s)
+            return within, s if outer is None else outer(s)
+
+        if np.asarray(score(starts)[1], dtype=float).tobytes() == start_values.tobytes():
+            return score, outer is not None
+    return lambda proposals: (body.contains_many(proposals), np.asarray(f_many(proposals), dtype=float)), True

@@ -64,10 +64,14 @@ class ConvexBody:
         :mod:`geowalk.manifolds`), and a ball's calls ``dist``.
 
         Optional declarations, attributes of this function:
-        ``scalar(body) = (dist, anchor, read, inside, arc)`` for a test that
-        reads one scalar ``s = read(x)`` (the cap's ``<x, axis>``, the ball's
-        ``d(center, x)``): ``x`` is inside iff ``inside(s)`` and ``dist(anchor,
-        x) == arc(s)`` (``s`` if ``arc`` is ``None``).  ``draw_uniform(body,
+        ``scalar(body, batched=False) = (dist, anchor, read, inside, arc)``
+        for a test that reads one scalar ``s = read(x)`` (the cap's ``<x,
+        axis>``, the ball's ``d(center, x)``): ``x`` is inside iff
+        ``inside(s)`` and ``dist(anchor, x) == arc(s)`` (``s`` if ``arc`` is
+        ``None``).  With ``batched`` ``read`` is the one ``contains_many``
+        makes, on the rows of an array, and ``inside`` and ``arc`` act
+        elementwise, so ``manifold.dist_many(points, anchor) ==
+        arc(read(points))``.  ``draw_uniform(body,
         rng, count)``: ``count`` exact uniform draws, or ``None``.
         ``rejection_probability(body, points, delta)``: the exact chance that
         one walk proposal from each row of ``points`` leaves the body."""
@@ -119,11 +123,13 @@ class SphericalCap(ConvexBody):
     def _read(self):
         return _row_factory(_dot_constants, self.manifold.ambient_dim)(*self._axis)
 
-    def _scalar(self):
+    def _scalar(self, batched=False):
         # Sphere.dist, bound to this sphere, multiplies the same pairs and
-        # sums them in the one order manifolds._row_dot writes.
+        # sums them in the one order manifolds._row_dot writes; dist_many
+        # is _arccos(points @ axis).
         inside = functools.partial(operator.le, self.cos_angle)
-        return Sphere.dist.__get__(self.manifold), self._axis, self._read, inside, _arccos
+        read = self._read_many if batched else self._read
+        return Sphere.dist.__get__(self.manifold), self._axis, read, inside, _arccos
 
     def _rejection_probability(self, points, delta):
         # It depends on x only through <x, axis>.
@@ -133,8 +139,11 @@ class SphericalCap(ConvexBody):
     contains_coords.scalar = _scalar
     contains_coords.rejection_probability = _rejection_probability
 
+    def _read_many(self, points):
+        return points @ self.axis
+
     def contains_many(self, points):
-        return points @ self.axis >= self.cos_angle
+        return self._read_many(points) >= self.cos_angle
 
 
 class GeodesicBall(ConvexBody):
@@ -162,9 +171,13 @@ class GeodesicBall(ConvexBody):
     def contains_coords(self, x):
         return self.manifold.dist(self._center, x) <= self.radius
 
-    def _scalar(self):
+    def _scalar(self, batched=False):
         dist, inside = self.manifold.dist, functools.partial(operator.ge, self.radius)
-        return dist, self.center, functools.partial(dist, self._center), inside, None
+        read = self._read_many if batched else functools.partial(dist, self._center)
+        return dist, self.center, read, inside, None
+
+    def _read_many(self, points):
+        return self.manifold.dist_many(points, self.center)
 
     def _draw_uniform(self, rng, count):
         # Exact on a flat manifold, where exp at the center maps the tangent
@@ -183,7 +196,7 @@ class GeodesicBall(ConvexBody):
     contains_coords.draw_uniform = _draw_uniform
 
     def contains_many(self, points):
-        return self.manifold.dist_many(points, self.center) <= self.radius
+        return self._read_many(points) <= self.radius
 
 
 class EuclideanBox(ConvexBody):

@@ -214,7 +214,7 @@ def _run_anneal(cfg: RunConfig, out: Path, tag: str) -> int:
         delta=cfg.delta,
         override_delta=cfg.override_delta,
     )
-    result = anneal_trials(body, target.f_many, anneal_config, cfg.seed, cfg.trials)
+    result = anneal_trials(body, target.f_many, anneal_config, cfg.seed, cfg.trials, f=target.f)
 
     trace_path = out / "trace.csv"
     out.mkdir(parents=True, exist_ok=True)

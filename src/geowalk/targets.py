@@ -1,7 +1,7 @@
 """Built-in convex energies with known Lipschitz constants.
 
-Three families; the annealer reads only ``f_many`` and ``lipschitz``, and
-the Metropolis walk only ``f``:
+Three families; the annealer reads ``f_many``, ``lipschitz`` and, given
+``f``, only its declaration, and the Metropolis walk only ``f``:
 
 - ``distance_to(p)``: geodesic distance to an anchor, Lipschitz 1, minimum
   0 at the anchor.  Geodesically convex on the bodies this package builds
@@ -15,8 +15,10 @@ the Metropolis walk only ``f``:
 
 The ``f`` of the two distance targets declares ``f.of_distance = (dist,
 anchor, outer)``, ``f(x) == outer(dist(anchor, x))`` (``outer`` ``None``:
-the distance), so that ``run_chain`` can share one scalar per step with a
-body's membership test; a custom ``f`` declares nothing.  ``linear``'s
+the distance; it maps arrays elementwise too, as ``f_many`` is
+``outer(dist_many(points, anchor))``), so that ``run_chain``, and
+``anneal_trials`` given ``f``, can share one scalar per step with a body's
+membership test; a custom ``f`` declares nothing.  ``linear``'s
 ``f`` is a straight-line kernel compiled for the dimension, as the
 manifolds' one-row oracles are (see :mod:`geowalk.manifolds`), so a row of
 another length raises :class:`DimensionMismatch`.  Every ``f`` reads its

@@ -36,8 +36,10 @@ are locals per coordinate, and the proposal, membership and ``linear``'s
 ``f`` are inlined.  When the body's test and ``f`` declare the same scalar
 with equal anchors (a cap's ``<y, axis>`` with ``distance_to`` or
 ``sqdist_to`` at its axis, a ball's ``d(center, y)`` with one at its
-centre; see ``_shared_scalar``), a step computes it once.  Any other
-oracle, and every one on ``so:n``, is called on ``Manifold.as_row`` rows.
+centre; see ``_shared_scalar``), a step computes it once, in both walks:
+a chain reads it per row, and ``anneal_trials``, given the target's ``f``,
+reads it for all trials with the body's batched read.  Any other oracle,
+and every one on ``so:n``, is called on ``Manifold.as_row`` rows.
 
 Local-conductance counts (how many of ``trials`` one-step proposals from a
 point stay in the body) are one ``Binomial`` draw per point when the body's
@@ -324,18 +326,20 @@ def _chain_f_values(start, body, params, target, burn_in):
     return np.fromiter(itertools.chain.from_iterable(fs for fs, in slices), float, kept)
 
 
-def _shared_scalar(body: ConvexBody, f):
+def _shared_scalar(body: ConvexBody, f, batched=False):
     """``(read, inside, arc, outer)`` when the body's membership test
     declares the scalar it reads (``contains_coords.scalar``) and ``f`` is
     ``None`` or declares the same distance with an equal anchor
     (``f.of_distance``): then ``y`` is inside iff ``inside(s)``, ``s =
     read(y)``, and ``f(y) == outer(arc(s))`` bit for bit, a ``None`` stage
-    passing ``s`` on.  ``None`` otherwise."""
+    passing ``s`` on.  ``None`` otherwise.  With ``batched`` ``read`` takes
+    the rows of an array, as ``contains_many`` does, and the values are
+    those of the target's ``f_many``."""
     declare = getattr(body.contains_coords, "scalar", None)
     of_distance = getattr(f, "of_distance", None)
     if declare is None or (f is not None and of_distance is None):
         return None
-    dist, anchor, read, inside, arc = declare(body)
+    dist, anchor, read, inside, arc = declare(body, batched)
     if f is None:
         return read, inside, None, None
     f_dist, point, outer = of_distance

@@ -330,3 +330,85 @@ def test_lockstep_ignores_non_finite_values_outside_the_body(cap60):
     plain = gw.anneal_trials(cap60, target.f_many, config, seed=6, trials=3)
     assert np.array_equal(masked.values, plain.values)
     assert masked.traces == plain.traces
+
+
+# ---------------------------------------------------------------------------
+# One shared scalar per lockstep step, when the body and f declare it.
+
+S3BALL = gw.GeodesicBall(gw.Sphere(3), np.array([0.0, 0.0, 0.0, 1.0]), 0.9)
+
+
+def _counted(f_many, calls):
+    def counted(points):
+        calls.append(len(points))
+        return f_many(points)
+
+    return counted
+
+
+def _with_and_without_f(body, target, f, budget, seed, f_many=None):
+    """``anneal_trials`` given ``f`` and not, and the ``f_many`` calls of
+    the first run."""
+    config = gw.AnnealConfig(
+        epsilon=2.0, fail_prob=0.5, lipschitz=target.lipschitz, max_total_steps=budget
+    )
+    f_many = target.f_many if f_many is None else f_many
+    calls = []
+    given = gw.anneal_trials(body, _counted(f_many, calls), config, seed, 3, f=f)
+    plain = gw.anneal_trials(body, f_many, config, seed, 3)
+    assert given.values.tobytes() == plain.values.tobytes()
+    assert given.minimizers.tobytes() == plain.minimizers.tobytes()
+    assert given.traces == plain.traces
+    assert any(rec.rejections for rec in plain.traces[0])
+    return calls, sum(plain.allocations)
+
+
+@pytest.mark.parametrize(
+    "body, target, budget, seed",
+    [
+        (CAP60, gw.distance_to(CAP60.manifold, CAP60.axis), 4_000, 11),
+        (S5CAP, gw.distance_to(S5CAP.manifold, S5CAP.axis), 4_000, 3),
+        (CAP60, gw.sqdist_to(CAP60.manifold, CAP60.axis, CAP60.diameter), 4_000, 7),
+        (S3BALL, gw.distance_to(S3BALL.manifold, S3BALL.center), 4_000, 5),
+        (SO3BALL, gw.distance_to(SO3BALL.manifold, SO3BALL.center), 300, 2),
+    ],
+    ids=["sphere2-cap", "sphere5-cap", "cap-sqdist", "sphere3-ball", "so3-ball"],
+)
+def test_shared_scalar_stage_matches_the_generic_one(body, target, budget, seed):
+    # Only the start points are scored by f_many; every step reads the
+    # shared scalar instead.
+    calls, _ = _with_and_without_f(body, target, target.f, budget, seed)
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("case", ["off-axis-anchor", "undeclared-f", "disagreeing-f"])
+def test_unshared_or_unconfirmed_scalars_keep_the_generic_stage(case):
+    man = CAP60.manifold
+    target = gw.distance_to(man, CAP60.axis)
+    f, f_many = target.f, None
+    if case == "off-axis-anchor":
+        target = gw.distance_to(man, np.array([0.0, math.sin(0.3), math.cos(0.3)]))
+        f = target.f
+    elif case == "undeclared-f":
+        f = lambda x: target.f(x)
+    else:
+        # f declares distance_to(axis), but f_many is sqdist_to(axis): the
+        # start values differ, so the guard keeps f_many.
+        f_many = gw.sqdist_to(man, CAP60.axis, CAP60.diameter).f_many
+    calls, steps = _with_and_without_f(CAP60, target, f, 4_000, 13, f_many)
+    assert calls == [3] * (1 + steps)
+
+
+def test_shared_stage_still_raises_on_a_non_finite_declared_outer(cap60):
+    # outer is NaN within 0.05 of the axis, which the cold phases reach;
+    # the start points lie farther out.
+    man = cap60.manifold
+    outer = lambda d: np.where(d > 0.05, d, np.nan)
+    f = lambda x: outer(man.dist(man.as_row(cap60.axis), x))
+    f.of_distance = (man.dist, cap60.axis, outer)
+    calls = []
+    f_many = _counted(lambda points: outer(man.dist_many(points, cap60.axis)), calls)
+    config = gw.AnnealConfig(epsilon=0.01, fail_prob=0.1, lipschitz=1.0, max_total_steps=20_000)
+    with pytest.raises(OracleError, match="in-body proposal"):
+        gw.anneal_trials(cap60, f_many, config, seed=1, trials=3, f=f)
+    assert calls == [3]

@@ -303,3 +303,29 @@ def test_declared_scalar_gives_membership_and_distance_bit_for_bit(case):
         s = read(row)
         assert inside(s) == flag
         assert (s if arc is None else arc(s)) == man.dist(anchor, row)
+
+
+@pytest.mark.parametrize("case", ["cap", "sphere-ball", "so3-ball", "plane-ball"])
+def test_batched_scalar_gives_contains_many_and_dist_many_bit_for_bit(case):
+    # The batched read is the one contains_many makes, and arc of it is
+    # dist_many at the anchor, which a distance target's f_many reads.
+    rng = gw.stream(32)
+    if case == "cap":
+        man = gw.Sphere(3)
+        body = gw.SphericalCap(man, man.draw_uniform(rng, 1)[0], 1.1)
+    elif case == "plane-ball":
+        man = gw.Euclidean(2)
+        body = gw.GeodesicBall(man, np.array([0.5, -1.0]), 0.75)
+    else:
+        man = gw.Sphere(3) if case == "sphere-ball" else gw.SpecialOrthogonal(3)
+        body = gw.GeodesicBall(man, man.draw_uniform(rng, 1)[0], 0.9)
+    center = np.broadcast_to(body.inner_center, (300, man.ambient_dim))
+    points = man.propose_many(center, rng.standard_normal((300, man.tangent_dim)), 0.8)
+    dist, anchor, read, inside, arc = body.contains_coords.scalar(body, batched=True)
+    assert dist == man.dist
+    s = read(points)
+    flags = inside(s)
+    assert 0 < flags.sum() < len(points)
+    assert np.array_equal(flags, body.contains_many(points))
+    values = s if arc is None else arc(s)
+    assert values.tobytes() == man.dist_many(points, anchor).tobytes()
